@@ -28,8 +28,9 @@ from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       CalibratedConstants, build_report, calibrate_constants)
 from .montecarlo import grid_quadrature_mass, mass_quadratic_form, mc_moments, \
     sample_coefficients
-from .oscint import GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, build_kernel, \
-    export_kernel_csv
+from .oscint import (GL_ORDER, GL_REFINE_ORDER, KERNEL_CHECK_STRIDE, PAIR_REL_TOL,
+                     S_CUT, TABLE_DEGREE, TABLE_PANEL_WIDTH, build_kernel,
+                     export_kernel_csv)
 from .specfun import asymptotic_check, residual_probe_points, surface_wave_envelope
 
 SWEEP_COLUMNS = [
@@ -65,11 +66,30 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
-def _positive_floats(values, where: str) -> tuple:
+def _number(value, where: str) -> float:
+    """A finite JSON number as float; strings and booleans are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(values, where: str) -> tuple:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where} must be a non-empty list")
-    out = tuple(float(v) for v in values)
-    if any(not math.isfinite(v) or v <= 0 for v in out):
+    return tuple(_number(v, where) for v in values)
+
+
+def _positive_floats(values, where: str) -> tuple:
+    out = _numbers(values, where)
+    if any(v <= 0 for v in out):
         raise ConfigError(f"{where} entries must be positive finite numbers")
     return out
 
@@ -143,10 +163,7 @@ def parse_config(doc: dict) -> SweepConfig:
         raise ConfigError(f"gamma.mode must be 'fixed' or 'log_lambda', "
                           f"got {gamma['mode']!r}")
 
-    alpha_list = doc["alpha_list"]
-    if not isinstance(alpha_list, list) or not alpha_list:
-        raise ConfigError("alpha_list must be a non-empty list")
-    alphas = tuple(float(a) for a in alpha_list)
+    alphas = _numbers(doc["alpha_list"], "alpha_list")
     if any(not 0.0 <= a < 1.0 for a in alphas):
         raise ConfigError("alpha_list entries must lie in [0, 1)")
 
@@ -159,14 +176,12 @@ def parse_config(doc: dict) -> SweepConfig:
     p_beta_factor = None
     if p_rule["mode"] == "fixed":
         _require_keys(p_rule, {"mode", "values"}, set(), "p_rule")
-        if not isinstance(p_rule["values"], list) or not p_rule["values"]:
-            raise ConfigError("p_rule.values must be a non-empty list")
-        p_values = tuple(float(v) for v in p_rule["values"])
+        p_values = _numbers(p_rule["values"], "p_rule.values")
         if any(not 0.0 <= v <= 1.0 for v in p_values):
             raise ConfigError("p_rule.values must lie in [0, 1]")
     elif p_rule["mode"] == "threshold":
         _require_keys(p_rule, {"mode", "c"}, {"beta", "beta_factor"}, "p_rule")
-        p_coefficient = float(p_rule["c"])
+        p_coefficient = _number(p_rule["c"], "p_rule.c")
         if p_coefficient < 0.0:
             raise ConfigError("p_rule.c must be non-negative")
         has_beta = "beta" in p_rule
@@ -174,31 +189,42 @@ def parse_config(doc: dict) -> SweepConfig:
         if has_beta == has_factor:
             raise ConfigError("p_rule needs exactly one of 'beta' or 'beta_factor'")
         if has_beta:
-            p_beta = float(p_rule["beta"])
+            p_beta = _number(p_rule["beta"], "p_rule.beta")
             if p_beta < 0.0:
                 raise ConfigError("p_rule.beta must be non-negative")
         else:
-            p_beta_factor = float(p_rule["beta_factor"])
+            p_beta_factor = _number(p_rule["beta_factor"], "p_rule.beta_factor")
             if p_beta_factor < 0.0:
                 raise ConfigError("p_rule.beta_factor must be non-negative")
     else:
         raise ConfigError(f"p_rule.mode must be 'fixed' or 'threshold', "
                           f"got {p_rule['mode']!r}")
 
-    mc_samples = int(doc.get("mc_samples", 0))
+    mc_samples = _integer(doc.get("mc_samples", 0), "mc_samples")
     if mc_samples < 0 or 0 < mc_samples < 100:
         raise ConfigError("mc_samples must be 0 (disabled) or at least 100")
-    seed = int(doc.get("seed", 0))
+    seed = _integer(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
 
     tol = doc.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError(f"tolerances must be an object, got {tol!r}")
     _require_keys(tol, set(), {"delta", "kappa", "gamma_min"}, "tolerances")
-    delta = float(tol.get("delta", DEFAULT_DELTA))
-    kappa = float(tol.get("kappa", DEFAULT_KAPPA))
-    gamma_min = float(tol.get("gamma_min", DEFAULT_GAMMA_MIN))
+    delta = _number(tol.get("delta", DEFAULT_DELTA), "tolerances.delta")
+    kappa = _number(tol.get("kappa", DEFAULT_KAPPA), "tolerances.kappa")
+    gamma_min = _number(tol.get("gamma_min", DEFAULT_GAMMA_MIN),
+                        "tolerances.gamma_min")
     if delta <= 0 or kappa <= 1:
         raise ConfigError("tolerances require delta > 0 and kappa > 1")
+
+    grid_check = doc.get("grid_check", False)
+    if not isinstance(grid_check, bool):
+        raise ConfigError(f"grid_check must be true or false, got {grid_check!r}")
+    grid_cap = _number(doc.get("grid_check_lambda_cap", 256.0),
+                       "grid_check_lambda_cap")
+    if grid_cap <= 0:
+        raise ConfigError("grid_check_lambda_cap must be positive")
 
     stem = doc["output_stem"]
     if not isinstance(stem, str) or not stem:
@@ -210,8 +236,7 @@ def parse_config(doc: dict) -> SweepConfig:
         p_coefficient=p_coefficient, p_beta=p_beta, p_beta_factor=p_beta_factor,
         mc_samples=mc_samples, seed=seed, output_stem=stem,
         delta=delta, kappa=kappa, gamma_min=gamma_min,
-        grid_check=bool(doc.get("grid_check", False)),
-        grid_check_lambda_cap=float(doc.get("grid_check_lambda_cap", 256.0)),
+        grid_check=grid_check, grid_check_lambda_cap=grid_cap,
     )
 
 
@@ -278,7 +303,7 @@ def _sweep_rows(config: SweepConfig, cache: _KernelCache):
                                 fast = mass_quadratic_form(kernel, coeffs)
                                 slow = grid_quadrature_mass(kernel.params, coeffs)
                                 row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
-                    except Exception as exc:  # recorded, sweep continues
+                    except (ValueError, RuntimeError) as exc:  # recorded, sweep continues
                         row["error"] = f"{type(exc).__name__}: {exc}"
                     rows.append(row)
                     index += 1
@@ -338,7 +363,11 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
         "version": __version__,
         "seed": config.seed,
         "config": config.as_dict(),
-        "quadrature": {"gl_order": GL_ORDER, "gl_refine_order": GL_REFINE_ORDER,
+        "quadrature": {"table_panel_width": TABLE_PANEL_WIDTH,
+                       "table_degree": TABLE_DEGREE, "table_s_cut": S_CUT,
+                       "table_node_order": GL_ORDER,
+                       "gl_refine_order": GL_REFINE_ORDER,
+                       "kernel_check_stride": KERNEL_CHECK_STRIDE,
                        "pair_rel_tol": PAIR_REL_TOL},
         "calibrations": {f"gamma={g},alpha={a}": c.as_dict()
                          for (g, a), c in sorted(calibrations.items())},
@@ -456,12 +485,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_threshold(args) -> int:
     result = threshold_experiment(load_config(args.config))
-    print(f"wrote {result.csv_path} ({len(result.rows)} rows, "
+    failures = sum(1 for r in result.rows if r["error"])
+    print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed, "
           f"{len(result.fits)} fits)")
     for f in result.fits:
         print(f"  {f.family:16s} gamma={f.gamma:g} alpha={f.alpha:g} "
               f"slope={f.fit.slope:+.3f} r2={f.fit.r_squared:.4f}")
-    return 0
+    return 0 if failures == 0 else 1
 
 
 def _cmd_kernel(args) -> int:
@@ -490,9 +520,11 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    config = load_config(args.config)
-    config = dataclasses.replace(config, mc_samples=args.samples, seed=args.seed)
-    result = run_sweep(config)
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict):  # overrides are validated like the file itself
+        doc.update(mc_samples=args.samples, seed=args.seed)
+    result = run_sweep(parse_config(doc))
     failures = sum(1 for r in result.rows if r["error"])
     print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed)")
     return 0 if failures == 0 else 1

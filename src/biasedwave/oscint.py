@@ -10,6 +10,10 @@ one frequency-free profile W(s) = 2*pi*integral_0^2 a(t)^2 J0(s t) t dt with
 s = lam**(1-alpha) * d, so I(d) = lam**(-2*alpha) * W(s).  For equispaced
 directions the matrix (I_jl) is a symmetric circulant, positive semidefinite as
 the Gram matrix of the windowed plane waves, and is diagonalised by the DFT.
+
+Kernels read W from one piecewise-Chebyshev table on [0, S_CUT], filled panel
+by panel on first use and shared by every kernel of the process; the pair
+integral itself stays a direct quadrature, the oracle for that table.
 """
 
 from __future__ import annotations
@@ -25,14 +29,17 @@ from .model import (SUPPORT_RADIUS, CutoffSpec, WaveParams, build_cutoff,
 from .specfun import bessel_j0
 
 GL_ORDER = 12
-GL_FAST_ORDER = 5
-GL_FAST_MIN_PANELS = 48
 GL_REFINE_ORDER = 16
 PAIR_REL_TOL = 1e-8
 KERNEL_CHECK_STRIDE = 64
 MAX_KERNEL_SIZE = 1_000_000
 MAX_GRID_NODES = 100_000_000
 PSD_TOL = 1e-9
+TABLE_PANEL_WIDTH = 32.0
+TABLE_PANELS = 19
+TABLE_DEGREE = 64
+S_CUT = TABLE_PANELS * TABLE_PANEL_WIDTH
+_BLOCK_NODES = 1 << 18  # J0 arguments per block; bounds the temporaries
 
 
 class QuadratureError(RuntimeError):
@@ -55,36 +62,55 @@ def _panel_rule(npanels: int, order: int):
     return nodes, weights
 
 
-def _order_for(npanels: int, order: int | None) -> int:
-    """Per-panel order: 12 while the cutoff edges dominate the error, 5 once
-    the oscillation-driven panel count already over-resolves them.  Per-entry
-    errors must stay near 1e-13 of I_0 because they accumulate coherently over
-    all N row entries in the spectrum, which has to clear the kernel's
-    positive-semidefinite floor of -1e-9 * I_0."""
-    if order is not None:
-        return order
-    return GL_FAST_ORDER if npanels >= GL_FAST_MIN_PANELS else GL_ORDER
-
-
-def reduced_pair_integral(s: float, order: int | None = None) -> float:
-    """W(s) = 2*pi * integral_0^2 a(t)^2 J0(s t) t dt by panel quadrature."""
-    npanels = _panel_count(s)
-    nodes, weights = _panel_rule(npanels, _order_for(npanels, order))
-    f = cutoff_value(nodes) ** 2 * nodes * weights
-    return 2.0 * np.pi * float(f @ bessel_j0(s * nodes))
-
-
-def _bulk_reduced_integrals(s_values: np.ndarray,
-                            order: int | None = None) -> np.ndarray:
-    """Vectorised W(s) for many separations, grouped by shared panel count."""
+def _rule_integrals(s_values, npanels: int, order: int) -> np.ndarray:
+    """W(s) for every s by one shared panel rule, in row blocks of bounded size."""
     s_values = np.asarray(s_values, dtype=float)
+    nodes, weights = _panel_rule(npanels, order)
+    f = cutoff_value(nodes) ** 2 * nodes * weights
     out = np.empty_like(s_values)
-    counts = 8 * np.ceil(s_values / np.pi).astype(int) + 16
-    for npanels in np.unique(counts):
-        sel = np.flatnonzero(counts == npanels)
-        nodes, weights = _panel_rule(int(npanels), _order_for(int(npanels), order))
-        f = cutoff_value(nodes) ** 2 * nodes * weights
-        out[sel] = 2.0 * np.pi * (bessel_j0(np.outer(s_values[sel], nodes)) @ f)
+    rows = max(1, _BLOCK_NODES // nodes.size)
+    for start in range(0, s_values.size, rows):
+        block = s_values[start:start + rows]
+        out[start:start + rows] = 2.0 * np.pi * (bessel_j0(np.outer(block, nodes)) @ f)
+    return out
+
+
+def reduced_pair_integral(s: float, order: int = GL_ORDER) -> float:
+    """W(s) = 2*pi * integral_0^2 a(t)^2 J0(s t) t dt by panel quadrature."""
+    return float(_rule_integrals([s], _panel_count(s), order)[0])
+
+
+@lru_cache(maxsize=None)
+def _table_panel(index: int) -> np.ndarray:
+    """Chebyshev coefficients of W on [index, index + 1] * TABLE_PANEL_WIDTH.
+
+    The node values come from one order-GL_ORDER panel rule sized for the
+    panel's largest s.  Built the first time a kernel needs the panel.
+    """
+    h = TABLE_PANEL_WIDTH
+    npanels = _panel_count(h * (index + 1))
+    coeffs = np.polynomial.chebyshev.chebinterpolate(
+        lambda x: _rule_integrals(h * (index + 0.5 + 0.5 * x), npanels, GL_ORDER),
+        TABLE_DEGREE)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def profile_table(s_values) -> np.ndarray:
+    """W(s) from the cached piecewise-Chebyshev table, exactly 0 beyond S_CUT.
+
+    Direct quadrature puts |W(s)| at the roundoff level (below 1e-15 * W(0))
+    from s = S_CUT on, so the zero tail loses nothing.  W is even in s.
+    """
+    s_values = np.abs(np.asarray(s_values, dtype=float))
+    out = np.zeros_like(s_values)
+    panel = np.minimum(np.floor(s_values / TABLE_PANEL_WIDTH),
+                       TABLE_PANELS - 1).astype(int)
+    panel[s_values > S_CUT] = -1
+    for index in np.unique(panel[panel >= 0]):
+        sel = np.flatnonzero(panel == index)
+        x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
+        out[sel] = np.polynomial.chebyshev.chebval(x, _table_panel(int(index)))
     return out
 
 
@@ -245,13 +271,13 @@ class PairKernel:
 
 
 def build_kernel(params: WaveParams, rtol: float = PAIR_REL_TOL) -> PairKernel:
-    """Assemble the circulant row by quadrature and diagonalise it.
+    """Assemble the circulant row from the profile table and diagonalise it.
 
-    Only separations k = 0..N//2 are integrated; the rest mirror by the chord
+    Only separations k = 0..N//2 are looked up; the rest mirror by the chord
     symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  A strided
-    subset of entries (always including the largest separation) is re-evaluated
-    at a finer quadrature order; any drift beyond rtol relative to I_0 raises
-    QuadratureError naming the offending separations.
+    subset of entries (always including the largest separation) is
+    re-integrated directly at a finer quadrature order; any drift beyond rtol
+    relative to I_0 raises QuadratureError naming the offending separations.
     """
     n = params.n_dirs
     if n > MAX_KERNEL_SIZE:
@@ -259,10 +285,11 @@ def build_kernel(params: WaveParams, rtol: float = PAIR_REL_TOL) -> PairKernel:
     half = n // 2
     chords = build_directions(params).chord[:half + 1]
     s_values = params.lam ** (1.0 - params.alpha) * chords
-    reduced = _bulk_reduced_integrals(s_values)
+    reduced = profile_table(s_values)
 
     check_idx = np.unique(np.r_[np.arange(0, half + 1, KERNEL_CHECK_STRIDE), half])
-    refined = _bulk_reduced_integrals(s_values[check_idx], GL_REFINE_ORDER)
+    refined = np.array([reduced_pair_integral(s, GL_REFINE_ORDER)
+                        for s in s_values[check_idx]])
     scale = 2.0 * np.pi * build_cutoff().squared_radial_mass
     drift = np.abs(reduced[check_idx] - refined)
     if np.any(drift > rtol * scale):

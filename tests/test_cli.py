@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import biasedwave.cli
 import biasedwave.montecarlo
 from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
 from biasedwave.cli import (SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main,
@@ -75,6 +76,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(base_config(tmp_path, mc_samples=50))
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid_check", "false"),
+        ("mc_samples", 150.9),
+        ("seed", True),
+        ("tolerances", None),
+        ("alpha_list", ["0.5"]),
+        ("grid_check_lambda_cap", -1.0),
+    ])
+    def test_mistyped_values_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(base_config(tmp_path, **{key: value}))
+
     def test_bad_probability_values(self, tmp_path):
         doc = base_config(tmp_path, p_rule={"mode": "fixed", "values": [1.2]})
         with pytest.raises(ConfigError):
@@ -133,6 +146,13 @@ class TestRunSweep:
         result = run_sweep(parse_config(doc))
         assert len(result.rows) == 2
         assert all("ValueError" in row["error"] for row in result.rows)
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken report")
+        monkeypatch.setattr(biasedwave.cli, "build_report", broken)
+        with pytest.raises(TypeError):
+            run_sweep(parse_config(base_config(tmp_path)))
 
     def test_grid_check_column(self, tmp_path):
         doc = base_config(tmp_path, mc_samples=100, grid_check=True,
@@ -203,6 +223,14 @@ class TestCommandLine:
         assert row["mc_samples"] == "150"
         assert row["mc_seed"] == "3"
 
+    @pytest.mark.parametrize("samples,seed", [("20", "3"), ("150", "-3")])
+    def test_mc_command_validates_overrides(self, tmp_path, samples, seed):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        with pytest.raises(ConfigError):
+            main(["mc", "--config", str(path), "--samples", samples,
+                  "--seed", seed])
+
     def test_fit_command(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         with open(path, "w", newline="") as fh:
@@ -225,3 +253,13 @@ class TestCommandLine:
         path.write_text(json.dumps(doc))
         assert main(["threshold", str(path)]) == 0
         assert "at_threshold" in capsys.readouterr().out
+
+    def test_threshold_command_fails_on_failed_rows(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        doc = base_config(
+            tmp_path,
+            lambda_ladder=[64.0, 128.0],
+            p_rule={"mode": "threshold", "c": 40.0, "beta_factor": 0.5})
+        path.write_text(json.dumps(doc))
+        assert main(["threshold", str(path)]) == 1
+        assert "4 failed" in capsys.readouterr().out

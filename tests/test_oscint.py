@@ -9,7 +9,19 @@ from biasedwave import (build_cutoff, build_directions, build_params,
                         cutoff_mass, cutoff_value, decay_bound,
                         dyadic_sum_check, export_kernel_csv, pair_integral,
                         pair_integral_2d_oracle, pair_integral_2d_parts)
-from biasedwave.oscint import build_kernel, decay_constant, kernel_matrix
+from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, QuadratureError,
+                               _table_panel, build_kernel, decay_constant,
+                               kernel_matrix, profile_table,
+                               reduced_pair_integral)
+
+
+def profile_scale():
+    """W(0) = 2*pi*m2, the profile's largest value."""
+    return 2.0 * np.pi * build_cutoff().squared_radial_mass
+
+
+def direct_profile(s_values):
+    return np.array([reduced_pair_integral(s, GL_REFINE_ORDER) for s in s_values])
 
 
 class TestPairIntegral:
@@ -42,6 +54,31 @@ class TestPairIntegral:
         vals = [pair_integral(params, d) for d in grid]
         steps = np.abs(np.diff(vals)) / np.diff(grid)
         assert np.max(steps) <= lip * (1 + 1e-6)
+
+
+class TestProfileTable:
+    def test_matches_direct_quadrature(self):
+        s = np.random.default_rng(5).uniform(0.0, S_CUT, 300)
+        direct = direct_profile(s)
+        assert np.max(np.abs(profile_table(s) - direct)) <= 1e-13 * profile_scale()
+
+    def test_zero_tail_is_below_roundoff(self):
+        s = np.random.default_rng(6).uniform(S_CUT, 2.0 * S_CUT, 64)
+        direct = direct_profile(s)
+        assert np.max(np.abs(direct)) <= 1e-15 * profile_scale()
+        assert np.all(profile_table(s) == 0.0)
+
+    def test_rows_independent_of_table_fill_order(self):
+        params = build_params(512, 2, 0.3, 0.5)
+        _table_panel.cache_clear()
+        fresh = build_kernel(params)
+        _table_panel.cache_clear()
+        profile_table([S_CUT])
+        for lam, alpha in [(2048, 0.3), (64, 0.7)]:
+            build_kernel(build_params(lam, 2, alpha, 0.5))
+        warm = build_kernel(params)
+        assert np.array_equal(fresh.values, warm.values)
+        assert np.array_equal(fresh.spectrum, warm.spectrum)
 
 
 class TestPlanarOracle:
@@ -180,6 +217,11 @@ class TestKernel:
             total = kernel.size * kernel.off_diagonal_row_sum
             ratio = total / (8 ** 2 * lam ** 0.5)
             assert 0.2 <= ratio <= 10.0
+
+    def test_drift_check_names_separations(self):
+        params = build_params(256, 2, 0.5, 0.5)
+        with pytest.raises(QuadratureError, match=r"at separations \[\d"):
+            build_kernel(params, rtol=1e-18)
 
     def test_refuses_oversized_kernel(self):
         params = build_params(2e5, 10, 0.5, 0.5)
