@@ -25,7 +25,7 @@ from . import __version__
 from .fitting import FitResult, fit_exponent
 from .model import build_params
 from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
-                      CalibratedConstants, build_report, calibrate_constants)
+                      build_report, calibrate_constants)
 from .montecarlo import grid_quadrature_mass, mass_quadratic_form, mc_moments, \
     sample_coefficients
 from .oscint import (GL_ORDER, GL_REFINE_ORDER, KERNEL_CHECK_STRIDE, PAIR_REL_TOL,
@@ -251,7 +251,7 @@ class _KernelCache:
     def __init__(self):
         self._store = {}
 
-    def get(self, lam: float, gamma: float, alpha: float, p: float):
+    def get(self, lam: float, gamma: float, alpha: float, p: float = 0.5):
         key = (lam, gamma, alpha)
         base = self._store.get(key)
         if base is None:

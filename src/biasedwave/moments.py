@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import WaveParams, build_cutoff, build_params, cutoff_mass
+from .model import WaveParams, build_params, cutoff_mass
 from .oscint import PairKernel, build_kernel, kernel_matrix
 
 ENUMERATION_LIMIT = 20

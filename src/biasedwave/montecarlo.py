@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import fit_exponent
-from .model import WaveParams, build_cutoff, build_directions, build_params, cutoff_value
-from .oscint import MAX_GRID_NODES, PairKernel
+from .model import WaveParams, build_directions, build_params, cutoff_value
+from .oscint import GRID_POINTS_PER_WAVELENGTH, PairKernel, grid_axis
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
 MAX_GRID_LAMBDA_RATIO = 512.0
 MAX_GRID_DIRECTIONS = 4096
-GRID_POINTS_PER_WAVELENGTH = 12
 _OSC_SUBSAMPLES = 17
 _MC_BATCH = 1 << 22
 
@@ -55,11 +54,11 @@ def sample_coefficients(params: WaveParams, seed: int,
                              sample_index=int(sample_index))
 
 
-def _as_signs(kernel: PairKernel, coeffs) -> np.ndarray:
+def _as_signs(coeffs, n: int) -> np.ndarray:
     signs = coeffs.signs if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs, dtype=float)
-    if signs.shape != (kernel.size,):
+    if signs.shape != (n,):
         raise ValueError(f"coefficient vector of length {signs.shape} does not "
-                         f"match kernel size {kernel.size}")
+                         f"match {n} directions")
     return signs
 
 
@@ -69,14 +68,14 @@ def mass_quadratic_form(kernel: PairKernel, coeffs) -> float:
     Q(c) = sum_m mu_m |c_hat_m|**2 / N with c_hat the DFT of the sign vector;
     equals the direct double sum over pairs at O(N log N) cost.
     """
-    signs = _as_signs(kernel, coeffs)
+    signs = _as_signs(coeffs, kernel.size)
     chat = np.fft.fft(signs)
     return float((np.abs(chat) ** 2 @ kernel.spectrum) / kernel.size)
 
 
 def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     """O(N**2) direct double sum sum_{j,l} c_j c_l I_jl; oracle path."""
-    signs = _as_signs(kernel, coeffs)
+    signs = _as_signs(coeffs, kernel.size)
     n = kernel.size
     acc = 0.0
     for k in range(n):
@@ -84,18 +83,13 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     return acc
 
 
-def _grid_axes(params: WaveParams):
+def _grid_axes(params: WaveParams,
+               points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
     if params.lam ** (1.0 - params.alpha) > MAX_GRID_LAMBDA_RATIO:
         raise ValueError(
             f"grid evaluation needs lam**(1-alpha) <= {MAX_GRID_LAMBDA_RATIO}, "
             f"got {params.lam ** (1.0 - params.alpha):.1f}")
-    half = 2.0 * params.ball_radius
-    h = (2.0 * np.pi / params.lam) / GRID_POINTS_PER_WAVELENGTH
-    m = int(math.ceil(half / h))
-    side = 2 * m + 1
-    if side * side > MAX_GRID_NODES:
-        raise ValueError(f"grid of {side * side} nodes refused")
-    return h * np.arange(-m, m + 1), h
+    return grid_axis(params, points_per_wavelength)
 
 
 def _field_on_grid(params: WaveParams, signs: np.ndarray,
@@ -116,20 +110,10 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     the trapezoid rule reduces to h**2 times the plain sum.  Refuses
     lam**(1-alpha) > 512 or more than MAX_GRID_NODES nodes.
     """
-    signs = coeffs.signs if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs, dtype=float)
     if params.n_dirs > MAX_GRID_DIRECTIONS:
         raise ValueError(f"grid evaluation limited to N <= {MAX_GRID_DIRECTIONS}")
-    if signs.shape != (params.n_dirs,):
-        raise ValueError("coefficient vector does not match params.n_dirs")
-    if points_per_wavelength == GRID_POINTS_PER_WAVELENGTH:
-        axis, h = _grid_axes(params)
-    else:
-        half = 2.0 * params.ball_radius
-        h = (2.0 * np.pi / params.lam) / points_per_wavelength
-        m = int(math.ceil(half / h))
-        if (2 * m + 1) ** 2 > MAX_GRID_NODES:
-            raise ValueError("refined grid refused")
-        axis = h * np.arange(-m, m + 1)
+    signs = _as_signs(coeffs, params.n_dirs)
+    axis, h = _grid_axes(params, points_per_wavelength)
     u = _field_on_grid(params, signs, axis)
     r = np.hypot(axis[:, None], axis[None, :])
     weight = cutoff_value(params.lam ** params.alpha * r) ** 2

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (SUPPORT_RADIUS, CutoffSpec, WaveParams, build_cutoff,
-                    build_directions, cutoff_mass, cutoff_value)
+                    build_directions, cutoff_value)
 from .specfun import bessel_j0
 
 GL_ORDER = 12
@@ -34,6 +34,7 @@ PAIR_REL_TOL = 1e-8
 KERNEL_CHECK_STRIDE = 64
 MAX_KERNEL_SIZE = 1_000_000
 MAX_GRID_NODES = 100_000_000
+GRID_POINTS_PER_WAVELENGTH = 12
 PSD_TOL = 1e-9
 TABLE_PANEL_WIDTH = 32.0
 TABLE_PANELS = 19
@@ -134,8 +135,25 @@ def pair_integral(params: WaveParams, d: float, rtol: float = PAIR_REL_TOL) -> f
     return params.lam ** (-2.0 * params.alpha) * fine
 
 
+def grid_axis(params: WaveParams,
+              points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
+    """Symmetric axis (and step h) of a tensor grid over the cutoff support.
+
+    The step puts points_per_wavelength nodes on each wavelength 2*pi/lam.
+    Refuses grids above MAX_GRID_NODES nodes.
+    """
+    h = (2.0 * np.pi / params.lam) / points_per_wavelength
+    m = int(math.ceil(SUPPORT_RADIUS * params.ball_radius / h))
+    side = 2 * m + 1
+    if side * side > MAX_GRID_NODES:
+        raise ValueError(
+            f"tensor grid would need {side * side} nodes "
+            f"(> {MAX_GRID_NODES}); reduce lam**(1-alpha)")
+    return h * np.arange(-m, m + 1), h
+
+
 def pair_integral_2d_parts(params: WaveParams, d: float,
-                           points_per_wavelength: int = 12):
+                           points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
     """Direct tensor-grid quadrature of the planar integral; oracle path.
 
     Returns the cosine (real) and sine (imaginary) parts separately; the sine
@@ -143,15 +161,8 @@ def pair_integral_2d_parts(params: WaveParams, d: float,
     """
     if not 0.0 <= d <= 2.0:
         raise ValueError(f"chord separation must lie in [0, 2], got {d}")
-    half = SUPPORT_RADIUS * params.ball_radius
-    h = (2.0 * np.pi / params.lam) / points_per_wavelength
-    m = int(math.ceil(half / h))
-    side = 2 * m + 1
-    if side * side > MAX_GRID_NODES:
-        raise ValueError(
-            f"2-d oracle grid would need {side * side} nodes "
-            f"(> {MAX_GRID_NODES}); reduce lam**(1-alpha)")
-    axis = h * np.arange(-m, m + 1)
+    axis, h = grid_axis(params, points_per_wavelength)
+    side = axis.size
     scaled = params.lam ** params.alpha
     cos_total = 0.0
     sin_total = 0.0
@@ -169,7 +180,7 @@ def pair_integral_2d_parts(params: WaveParams, d: float,
 
 
 def pair_integral_2d_oracle(params: WaveParams, d: float,
-                            points_per_wavelength: int = 12) -> float:
+                            points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH) -> float:
     """Real part of the direct 2-d quadrature of the pair integral."""
     cos_part, _ = pair_integral_2d_parts(params, d, points_per_wavelength)
     return cos_part
@@ -210,14 +221,6 @@ def decay_bound(params: WaveParams, d, n: int) -> float:
     value = (c_n * params.lam ** (-2.0 * params.alpha)
              * (1.0 + d / params.separation_scale) ** (-float(n)))
     return float(value) if value.ndim == 0 else value
-
-
-@dataclass(frozen=True)
-class DecayBoundParams:
-    """Order and constant of one decay bound; order >= 2 inside dyadic sums."""
-
-    order: int
-    constant: float
 
 
 def dyadic_sum_check(params: WaveParams, a_exponent: float):

@@ -2,9 +2,9 @@
 
 The angular integral over the unit circle of exp(+-i w cos(theta)) equals
 2*pi*J0(w); for w > 1 it is approximated by the stationary-phase leading term
-2*sqrt(2*pi) * w**-0.5 * cos(w - pi/4) with an O(w**-1.5) remainder.  J0 is
-evaluated here without external special-function dependencies so the quadrature
-kernels stay self-contained.
+2*sqrt(2*pi) * w**-0.5 * cos(w - pi/4) with an O(w**-1.5) remainder.  J0 itself
+is scipy.special.j0 behind input validation; the tests check it against mpmath
+and against adaptive quadrature of the angular integral.
 """
 
 from __future__ import annotations
@@ -13,101 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import j0
 
 from .fitting import FitResult, fit_exponent
 
-SERIES_CUTOVER = 11.0
-_SERIES_TERMS = 34
-
-# Rational minimax coefficients for the large-argument modulus/phase functions
-# P and Q in J0(z) = sqrt(2/(pi z)) * (P cos(z - pi/4) - Q sin(z - pi/4)),
-# from the Cephes math library (Moshier); absolute error below 5e-16 for z >= 5.
-_PP = np.array([
-    7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
-    5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
-    9.99999999999999997821e-1])
-_PQ = np.array([
-    9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
-    5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
-    1.00000000000000000218e0])
-_QP = np.array([
-    -1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
-    -9.32060152123768231369e1, -1.77681167980488790968e2, -1.47077505154951170175e2,
-    -5.14105326766599330220e1, -6.05014350600728481186e0])
-_QQ = np.array([
-    6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
-    7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
-    2.42005740240291393179e2])
-_SQ2OPI = 0.7978845608028653558798921
-_PIO4 = 0.7853981633974483096156608
-
-
-def _polevl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    out = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        out *= x
-        out += c
-    return out
-
-
-def _p1evl(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    out = x + coef[0]
-    for c in coef[1:]:
-        out *= x
-        out += c
-    return out
-
-
-def _j0_series(z: np.ndarray) -> np.ndarray:
-    """Ascending power series with compensated summation, reliable to ~13."""
-    u = (np.asarray(z, dtype=float) / 2.0) ** 2
-    term = np.ones_like(u)
-    total = np.ones_like(u)
-    comp = np.zeros_like(u)
-    for m in range(1, _SERIES_TERMS + 1):
-        term = term * (-u) / (m * m)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _j0_large(z: np.ndarray) -> np.ndarray:
-    """Hankel-form evaluation with rational modulus/phase, for z >= 5."""
-    z = np.asarray(z, dtype=float)
-    inv = 1.0 / z
-    q = 25.0 * inv * inv
-    pmod = _polevl(q, _PP)
-    pmod /= _polevl(q, _PQ)
-    qmod = _polevl(q, _QP)
-    qmod /= _p1evl(q, _QQ)
-    qmod *= 5.0 * inv
-    xn = z - _PIO4
-    pmod *= np.cos(xn)
-    np.sin(xn, out=xn)
-    qmod *= xn
-    pmod -= qmod
-    pmod *= _SQ2OPI * np.sqrt(inv)
-    return pmod
-
 
 def bessel_j0(z):
-    """J0(z) for z >= 0, absolute error at most 1e-12 up to z = 1e4.
+    """J0(z) for finite z >= 0: scipy.special.j0 behind input validation.
 
-    Series branch below SERIES_CUTOVER, Hankel form with rational minimax
-    corrections above; the branches agree to ~3e-12 across [11, 13].
+    Returns a float for scalar z and raises ValueError on negative or
+    non-finite input.  The tests check it against mpmath and against adaptive
+    quadrature of the angular integral.
     """
     arr = np.asarray(z, dtype=float)
     if arr.size and (np.min(arr) < 0.0 or not np.all(np.isfinite(arr))):
         raise ValueError("bessel_j0 requires finite z >= 0")
-    out = np.empty_like(arr)
-    small = arr <= SERIES_CUTOVER
-    if np.any(small):
-        out[small] = _j0_series(arr[small])
-    large = ~small
-    if np.any(large):
-        out[large] = _j0_large(arr[large])
+    out = j0(arr)
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out)
     return out

@@ -1,27 +1,9 @@
-import dataclasses
-
 import pytest
 
-from biasedwave import build_kernel, build_params
-
-
-class KernelCache:
-    """Session-wide reuse of circulant rows; p only relabels the params."""
-
-    def __init__(self):
-        self._store = {}
-
-    def __call__(self, lam, gamma, alpha, p=0.5):
-        key = (lam, gamma, alpha)
-        base = self._store.get(key)
-        if base is None:
-            base = build_kernel(build_params(lam, gamma, alpha, 0.5))
-            self._store[key] = base
-        if p == 0.5:
-            return base
-        return dataclasses.replace(base, params=build_params(lam, gamma, alpha, p))
+from biasedwave.cli import _KernelCache
 
 
 @pytest.fixture(scope="session")
 def kernels():
-    return KernelCache()
+    """Session-wide kernel cache: the CLI's own, p only relabels the params."""
+    return _KernelCache().get

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +10,6 @@ from biasedwave import (build_params, build_report, calibrate_constants,
                         expectation_bounds, grid_quadrature_mass,
                         variance_bound)
 from biasedwave.oscint import build_kernel
-
-
-def _with_p(kernel, p):
-    pr = kernel.params
-    return dataclasses.replace(kernel, params=build_params(pr.lam, pr.gamma,
-                                                           pr.alpha, p))
 
 
 class TestCoinPairMoment:
@@ -53,28 +46,25 @@ class TestExactExpectation:
     def test_bias_symmetry_exact(self, kernels):
         # bitwise for dyadic p (1 - p and 2p - 1 are then exact); ulp-level
         # agreement for arbitrary p where 1 - p itself rounds
-        kernel = kernels(128, 1, 0.5)
         for p in (0.0, 0.0625, 0.25, 0.375):
-            assert (exact_expectation(_with_p(kernel, p))
-                    == exact_expectation(_with_p(kernel, 1.0 - p)))
+            assert (exact_expectation(kernels(128, 1, 0.5, p))
+                    == exact_expectation(kernels(128, 1, 0.5, 1.0 - p)))
         for p in (0.15, 0.37, 0.62):
-            a = exact_expectation(_with_p(kernel, p))
-            b = exact_expectation(_with_p(kernel, 1.0 - p))
+            a = exact_expectation(kernels(128, 1, 0.5, p))
+            b = exact_expectation(kernels(128, 1, 0.5, 1.0 - p))
             assert a == pytest.approx(b, rel=1e-14)
 
     def test_monotone_in_bias_when_row_sum_positive(self, kernels):
-        kernel = kernels(256, 8, 0.5)
-        assert kernel.off_diagonal_row_sum > 0
-        values = [exact_expectation(_with_p(kernel, p))
+        assert kernels(256, 8, 0.5).off_diagonal_row_sum > 0
+        values = [exact_expectation(kernels(256, 8, 0.5, p))
                   for p in (0.5, 0.6, 0.75, 0.9, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestExactVariance:
     def test_degenerate_coins_have_zero_variance(self, kernels):
-        kernel = kernels(128, 1, 0.5)
-        assert exact_variance(_with_p(kernel, 0.0)) == 0.0
-        assert exact_variance(_with_p(kernel, 1.0)) == 0.0
+        assert exact_variance(kernels(128, 1, 0.5, 0.0)) == 0.0
+        assert exact_variance(kernels(128, 1, 0.5, 1.0)) == 0.0
 
     def test_fair_coin_reduces_to_square_sum(self, kernels):
         kernel = kernels(128, 1, 0.5)
@@ -90,13 +80,12 @@ class TestExactVariance:
         assert exact_variance(kernel) == pytest.approx(expected, rel=1e-10)
 
     def test_bias_symmetry_exact(self, kernels):
-        kernel = kernels(128, 1, 0.5)
         for p in (0.125, 0.25, 0.4375):
-            assert (exact_variance(_with_p(kernel, p))
-                    == exact_variance(_with_p(kernel, 1.0 - p)))
+            assert (exact_variance(kernels(128, 1, 0.5, p))
+                    == exact_variance(kernels(128, 1, 0.5, 1.0 - p)))
         for p in (0.1, 0.33, 0.45):
-            a = exact_variance(_with_p(kernel, p))
-            b = exact_variance(_with_p(kernel, 1.0 - p))
+            a = exact_variance(kernels(128, 1, 0.5, p))
+            b = exact_variance(kernels(128, 1, 0.5, 1.0 - p))
             assert a == pytest.approx(b, rel=1e-14)
 
     @pytest.mark.parametrize("lam,gamma,alpha", [

@@ -7,6 +7,7 @@ from biasedwave import (build_params, cutoff_mass, darboux_error, e1_error_norm,
                         enumerate_moments, exact_expectation, exact_variance,
                         grid_quadrature_mass, mass_double_sum,
                         mass_quadratic_form, mc_moments, sample_coefficients)
+from biasedwave import montecarlo
 from biasedwave.oscint import build_kernel
 
 
@@ -122,6 +123,16 @@ class TestGridQuadrature:
         params = build_params(600, 1, 0.0, 0.5)
         with pytest.raises(ValueError):
             grid_quadrature_mass(params, np.ones(params.n_dirs))
+
+    def test_refuses_large_frequency_ratio_on_refined_grid(self, monkeypatch):
+        # the stub keeps a missed refusal from allocating the ~9169**2 grid
+        def no_grid(*_):
+            raise AssertionError("grid was evaluated instead of refused")
+        monkeypatch.setattr(montecarlo, "_field_on_grid", no_grid)
+        params = build_params(600, 1 / 600, 0.0, 0.5)
+        with pytest.raises(ValueError, match="grid evaluation needs"):
+            grid_quadrature_mass(params, np.ones(params.n_dirs),
+                                 points_per_wavelength=24)
 
 
 class TestMcMoments:
