@@ -28,8 +28,8 @@ from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       build_report, calibrate_constants)
 from .montecarlo import grid_quadrature_mass, mass_quadratic_form, mc_moments, \
     sample_coefficients
-from .oscint import (GL_ORDER, GL_REFINE_ORDER, KERNEL_CHECK_STRIDE, PAIR_REL_TOL,
-                     S_CUT, TABLE_DEGREE, TABLE_PANEL_WIDTH, build_kernel,
+from .oscint import (GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, S_CUT,
+                     TABLE_DEGREE, TABLE_PANEL_WIDTH, build_kernel,
                      export_kernel_csv)
 from .specfun import asymptotic_check, residual_probe_points, surface_wave_envelope
 
@@ -206,6 +206,9 @@ def parse_config(doc: dict) -> SweepConfig:
     seed = _integer(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
+    rows = len(ladder) * len(alphas) * (len(gamma_values) or 1) * (len(p_values) or 1)
+    if seed + rows - 1 >= 2 ** 64:  # row i keys its Philox stream with seed + i
+        raise ConfigError(f"seed + {rows - 1} (last row) must be < 2**64, got {seed}")
 
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -367,7 +370,6 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
                        "table_degree": TABLE_DEGREE, "table_s_cut": S_CUT,
                        "table_node_order": GL_ORDER,
                        "gl_refine_order": GL_REFINE_ORDER,
-                       "kernel_check_stride": KERNEL_CHECK_STRIDE,
                        "pair_rel_tol": PAIR_REL_TOL},
         "calibrations": {f"gamma={g},alpha={a}": c.as_dict()
                          for (g, a), c in sorted(calibrations.items())},

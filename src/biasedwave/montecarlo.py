@@ -22,7 +22,6 @@ from .oscint import GRID_POINTS_PER_WAVELENGTH, PairKernel, grid_axis
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
-MAX_GRID_LAMBDA_RATIO = 512.0
 MAX_GRID_DIRECTIONS = 4096
 _OSC_SUBSAMPLES = 17
 _MC_BATCH = 1 << 22
@@ -83,15 +82,6 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     return acc
 
 
-def _grid_axes(params: WaveParams,
-               points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
-    if params.lam ** (1.0 - params.alpha) > MAX_GRID_LAMBDA_RATIO:
-        raise ValueError(
-            f"grid evaluation needs lam**(1-alpha) <= {MAX_GRID_LAMBDA_RATIO}, "
-            f"got {params.lam ** (1.0 - params.alpha):.1f}")
-    return grid_axis(params, points_per_wavelength)
-
-
 def _field_on_grid(params: WaveParams, signs: np.ndarray,
                    axis: np.ndarray) -> np.ndarray:
     """u(x) = sum_j c_j exp(i lam x . xi_j) on the tensor grid, via one GEMM."""
@@ -113,7 +103,7 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     if params.n_dirs > MAX_GRID_DIRECTIONS:
         raise ValueError(f"grid evaluation limited to N <= {MAX_GRID_DIRECTIONS}")
     signs = _as_signs(coeffs, params.n_dirs)
-    axis, h = _grid_axes(params, points_per_wavelength)
+    axis, h = grid_axis(params, points_per_wavelength)
     u = _field_on_grid(params, signs, axis)
     r = np.hypot(axis[:, None], axis[None, :])
     weight = cutoff_value(params.lam ** params.alpha * r) ** 2
@@ -260,7 +250,7 @@ def _pairwise_bound_norm(params: WaveParams, decay_order: float = 2.0) -> float:
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
     """Measure the discretisation-error norms across a gamma-doubling ladder."""
     gammas = params.gamma * 2.0 ** np.arange(n_doublings + 1)
-    axis, h = _grid_axes(params)
+    axis, h = grid_axis(params)
     r = np.hypot(axis[:, None], axis[None, :])
     weight = cutoff_value(params.lam ** params.alpha * r) ** 2
     j0_term = bessel_j0(params.lam * r)

@@ -11,9 +11,10 @@ s = lam**(1-alpha) * d, so I(d) = lam**(-2*alpha) * W(s).  For equispaced
 directions the matrix (I_jl) is a symmetric circulant, positive semidefinite as
 the Gram matrix of the windowed plane waves, and is diagonalised by the DFT.
 
-Kernels read W from one piecewise-Chebyshev table on [0, S_CUT], filled panel
-by panel on first use and shared by every kernel of the process; the pair
-integral itself stays a direct quadrature, the oracle for that table.
+Kernels read W from one piecewise-Chebyshev table on [0, S_CUT], zero beyond,
+filled and verified piece by piece on first use and shared by every kernel of
+the process; the pair integral itself stays a direct quadrature, the oracle for
+that table.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .specfun import bessel_j0
 GL_ORDER = 12
 GL_REFINE_ORDER = 16
 PAIR_REL_TOL = 1e-8
-KERNEL_CHECK_STRIDE = 64
 MAX_KERNEL_SIZE = 1_000_000
 MAX_GRID_NODES = 100_000_000
+MAX_GRID_LAMBDA_RATIO = 512.0
 GRID_POINTS_PER_WAVELENGTH = 12
 PSD_TOL = 1e-9
 TABLE_PANEL_WIDTH = 32.0
@@ -86,40 +87,54 @@ def _table_panel(index: int) -> np.ndarray:
     """Chebyshev coefficients of W on [index, index + 1] * TABLE_PANEL_WIDTH.
 
     The node values come from one order-GL_ORDER panel rule sized for the
-    panel's largest s.  Built the first time a kernel needs the panel.
+    panel's largest s; index TABLE_PANELS is the zero tail on [S_CUT, 2 S_CUT].
+    Before caching, each piece must match order GL_REFINE_ORDER to PAIR_REL_TOL
+    * W(0) at its TABLE_DEGREE + 2 Chebyshev extrema, or QuadratureError names s.
     """
     h = TABLE_PANEL_WIDTH
-    npanels = _panel_count(h * (index + 1))
-    coeffs = np.polynomial.chebyshev.chebinterpolate(
-        lambda x: _rule_integrals(h * (index + 0.5 + 0.5 * x), npanels, GL_ORDER),
-        TABLE_DEGREE)
+    tail = index == TABLE_PANELS
+    mid, half = (1.5 * index, 0.5 * index) if tail else (index + 0.5, 0.5)
+    npanels = _panel_count(h * (mid + half))
+
+    def direct(x, order):
+        return _rule_integrals(h * (mid + half * x), npanels, order)
+
+    coeffs = np.zeros(1) if tail else np.polynomial.chebyshev.chebinterpolate(
+        lambda x: direct(x, GL_ORDER), TABLE_DEGREE)
+    x = np.cos(np.pi * np.arange(TABLE_DEGREE + 2) / (TABLE_DEGREE + 1))
+    drift = np.abs(np.polynomial.chebyshev.chebval(x, coeffs) - direct(x, GL_REFINE_ORDER))
+    worst = int(np.argmax(drift))
+    if drift[worst] > PAIR_REL_TOL * 2.0 * np.pi * build_cutoff().squared_radial_mass:
+        raise QuadratureError(
+            f"profile table drift {drift[worst]:.3e} above {PAIR_REL_TOL:g} * W(0) "
+            f"at s={h * (mid + half * x[worst]):.6g}")
     coeffs.setflags(write=False)
     return coeffs
 
 
 def profile_table(s_values) -> np.ndarray:
-    """W(s) from the cached piecewise-Chebyshev table, exactly 0 beyond S_CUT.
+    """W(s) from the cached piecewise-Chebyshev table, exactly 0 from S_CUT on.
 
-    Direct quadrature puts |W(s)| at the roundoff level (below 1e-15 * W(0))
-    from s = S_CUT on, so the zero tail loses nothing.  W is even in s.
+    Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
+    [S_CUT, inf) and is verified like a panel, so it loses nothing.  W is even
+    in s.
     """
     s_values = np.abs(np.asarray(s_values, dtype=float))
-    out = np.zeros_like(s_values)
+    out = np.empty_like(s_values)
     panel = np.minimum(np.floor(s_values / TABLE_PANEL_WIDTH),
-                       TABLE_PANELS - 1).astype(int)
-    panel[s_values > S_CUT] = -1
-    for index in np.unique(panel[panel >= 0]):
+                       TABLE_PANELS).astype(int)
+    for index in np.unique(panel):
         sel = np.flatnonzero(panel == index)
         x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
         out[sel] = np.polynomial.chebyshev.chebval(x, _table_panel(int(index)))
     return out
 
 
-def pair_integral(params: WaveParams, d: float, rtol: float = PAIR_REL_TOL) -> float:
-    """I(d) for chord separation d in [0, 2], accurate to rtol relative to I(0).
+def pair_integral(params: WaveParams, d: float) -> float:
+    """I(d) for chord separation d in [0, 2], accurate to PAIR_REL_TOL * I(0).
 
     Every call cross-checks the panel rule against a higher-order rule; a
-    disagreement beyond rtol * I(0) raises QuadratureError rather than
+    disagreement beyond PAIR_REL_TOL * I(0) raises QuadratureError rather than
     returning a silently degraded value.
     """
     if not 0.0 <= d <= 2.0:
@@ -128,7 +143,7 @@ def pair_integral(params: WaveParams, d: float, rtol: float = PAIR_REL_TOL) -> f
     coarse = reduced_pair_integral(s)
     fine = reduced_pair_integral(s, GL_REFINE_ORDER)
     scale = 2.0 * np.pi * build_cutoff().squared_radial_mass
-    if abs(coarse - fine) > rtol * scale:
+    if abs(coarse - fine) > PAIR_REL_TOL * scale:
         raise QuadratureError(
             f"pair integral at d={d} (s={s:.3g}) disagrees with the "
             f"order-{GL_REFINE_ORDER} refinement by {abs(coarse - fine):.3e}")
@@ -140,8 +155,12 @@ def grid_axis(params: WaveParams,
     """Symmetric axis (and step h) of a tensor grid over the cutoff support.
 
     The step puts points_per_wavelength nodes on each wavelength 2*pi/lam.
-    Refuses grids above MAX_GRID_NODES nodes.
+    Refuses lam**(1-alpha) > MAX_GRID_LAMBDA_RATIO or more than MAX_GRID_NODES nodes.
     """
+    ratio = params.lam ** (1.0 - params.alpha)
+    if ratio > MAX_GRID_LAMBDA_RATIO:
+        raise ValueError(f"grid evaluation needs lam**(1-alpha) <= "
+                         f"{MAX_GRID_LAMBDA_RATIO}, got {ratio:.1f}")
     h = (2.0 * np.pi / params.lam) / points_per_wavelength
     m = int(math.ceil(SUPPORT_RADIUS * params.ball_radius / h))
     side = 2 * m + 1
@@ -157,7 +176,7 @@ def pair_integral_2d_parts(params: WaveParams, d: float,
     """Direct tensor-grid quadrature of the planar integral; oracle path.
 
     Returns the cosine (real) and sine (imaginary) parts separately; the sine
-    part must vanish by symmetry.  Refuses grids above MAX_GRID_NODES nodes.
+    part must vanish by symmetry.  Refuses what grid_axis refuses.
     """
     if not 0.0 <= d <= 2.0:
         raise ValueError(f"chord separation must lie in [0, 2], got {d}")
@@ -273,32 +292,20 @@ class PairKernel:
         return float(np.sum(self.values[1:] ** 2))
 
 
-def build_kernel(params: WaveParams, rtol: float = PAIR_REL_TOL) -> PairKernel:
+def build_kernel(params: WaveParams) -> PairKernel:
     """Assemble the circulant row from the profile table and diagonalise it.
 
     Only separations k = 0..N//2 are looked up; the rest mirror by the chord
-    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  A strided
-    subset of entries (always including the largest separation) is
-    re-integrated directly at a finer quadrature order; any drift beyond rtol
-    relative to I_0 raises QuadratureError naming the offending separations.
+    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
+    does no quadrature of its own: every table piece it reads was checked
+    against the direct order-GL_REFINE_ORDER rule when it was built.
     """
     n = params.n_dirs
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
     chords = build_directions(params).chord[:half + 1]
-    s_values = params.lam ** (1.0 - params.alpha) * chords
-    reduced = profile_table(s_values)
-
-    check_idx = np.unique(np.r_[np.arange(0, half + 1, KERNEL_CHECK_STRIDE), half])
-    refined = np.array([reduced_pair_integral(s, GL_REFINE_ORDER)
-                        for s in s_values[check_idx]])
-    scale = 2.0 * np.pi * build_cutoff().squared_radial_mass
-    drift = np.abs(reduced[check_idx] - refined)
-    if np.any(drift > rtol * scale):
-        bad = check_idx[drift > rtol * scale]
-        raise QuadratureError(
-            f"kernel quadrature drift above {rtol:g} * I0 at separations {bad.tolist()}")
+    reduced = profile_table(params.lam ** (1.0 - params.alpha) * chords)
 
     values = np.empty(n)
     values[:half + 1] = params.lam ** (-2.0 * params.alpha) * reduced

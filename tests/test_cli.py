@@ -132,6 +132,17 @@ class TestRunSweep:
         assert "gamma=8.0,alpha=0.5" in meta["calibrations"]
         assert meta["config"]["seed"] == 0
 
+    def test_largest_seed_runs_and_one_more_is_refused(self, tmp_path):
+        # row i keys Philox with seed + i, which must fit in 64 bits
+        doc = base_config(tmp_path, mc_samples=100, seed=2 ** 64 - 2,
+                          p_rule={"mode": "fixed", "values": [0.5, 0.9]})
+        result = run_sweep(parse_config(doc))
+        assert [r["error"] for r in result.rows] == ["", ""]
+        assert result.rows[1]["mc_seed"] == 2 ** 64 - 1
+        doc["seed"] += 1
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(doc)
+
     def test_exact_mode_never_touches_rng(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("random stream touched in exact mode")

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 
 from biasedwave import (build_cutoff, build_directions, build_params,
                         cutoff_mass, cutoff_value, decay_bound,
-                        dyadic_sum_check, export_kernel_csv, pair_integral,
-                        pair_integral_2d_oracle, pair_integral_2d_parts)
+                        dyadic_sum_check, export_kernel_csv, oscint,
+                        pair_integral, pair_integral_2d_oracle,
+                        pair_integral_2d_parts)
 from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, QuadratureError,
                                _table_panel, build_kernel, decay_constant,
                                kernel_matrix, profile_table,
@@ -46,6 +47,11 @@ class TestPairIntegral:
         with pytest.raises(ValueError):
             pair_integral(params, 2.5)
 
+    def test_impossible_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
+        with pytest.raises(QuadratureError, match=r"d=0.0 \(s=0\)"):
+            pair_integral(build_params(64, 1, 0.5, 0.5), 0.0)
+
     def test_lipschitz_in_separation(self):
         params = build_params(128, 1, 0.4, 0.5)
         m3, _ = quad(lambda t: cutoff_value(t) ** 2 * t * t, 0.0, 2.0, limit=100)
@@ -67,6 +73,16 @@ class TestProfileTable:
         direct = direct_profile(s)
         assert np.max(np.abs(direct)) <= 1e-15 * profile_scale()
         assert np.all(profile_table(s) == 0.0)
+
+    def test_zero_tail_is_verified_when_first_read(self, monkeypatch):
+        s = [S_CUT, 1.5 * S_CUT, 3.0 * S_CUT]
+        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
+        _table_panel.cache_clear()
+        with pytest.raises(QuadratureError, match=r"at s=\d"):
+            profile_table(s)
+        monkeypatch.undo()
+        assert np.all(profile_table(s) == 0.0)
+        assert _table_panel.cache_info().currsize == 1  # the tail alone
 
     def test_rows_independent_of_table_fill_order(self):
         params = build_params(512, 2, 0.3, 0.5)
@@ -102,6 +118,15 @@ class TestPlanarOracle:
         params = build_params(20_000, 0.01, 0.0, 0.5)
         with pytest.raises(ValueError):
             pair_integral_2d_oracle(params, 0.5)
+
+    def test_refuses_large_frequency_ratio(self, monkeypatch):
+        # the stub keeps a missed refusal from summing the ~7641**2 grid
+        def no_grid(*_):
+            raise AssertionError("grid was evaluated instead of refused")
+        monkeypatch.setattr(oscint, "cutoff_value", no_grid)
+        params = build_params(1000, 0.01, 0.0, 0.5)
+        with pytest.raises(ValueError, match="grid evaluation needs"):
+            pair_integral_2d_parts(params, 0.5)
 
 
 class TestDecayBound:
@@ -218,10 +243,15 @@ class TestKernel:
             ratio = total / (8 ** 2 * lam ** 0.5)
             assert 0.2 <= ratio <= 10.0
 
-    def test_drift_check_names_separations(self):
+    def test_table_drift_check_names_s(self, monkeypatch):
         params = build_params(256, 2, 0.5, 0.5)
-        with pytest.raises(QuadratureError, match=r"at separations \[\d"):
-            build_kernel(params, rtol=1e-18)
+        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
+        _table_panel.cache_clear()
+        with pytest.raises(QuadratureError, match=r"at s=\d"):
+            build_kernel(params)
+        assert _table_panel.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert build_kernel(params).diagonal > 0.0
 
     def test_refuses_oversized_kernel(self):
         params = build_params(2e5, 10, 0.5, 0.5)
