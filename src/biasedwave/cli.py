@@ -590,7 +590,11 @@ def main(argv=None) -> int:
     p_fit.set_defaults(func=_cmd_fit)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # exit 1 is kept for failed rows
+        print(f"biasedwave: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
 """Coefficient sampling, per-sample mass evaluation, and discretisation probes.
 
-Sampling is counter-based: the sign vector of sample i under master seed s is a
-pure function of (s, i, coefficient index), so results are reproducible under
-any execution schedule.  Per-sample masses use the circulant diagonalisation
-Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an O(N**2) quadratic form into an
-FFT.  The module also probes how well equispaced direction sums reproduce their
-angular integrals (Riemann/Darboux error and the pairwise aggregate that the
-moment bounds are built from).
+Sampling is counter-based: the sign vector of sample i under master seed s is
++1 where Generator(Philox(key=[s, i])).random(N) falls below p, a pure function
+of (s, i, coefficient index), so results are reproducible under any execution
+schedule.  A batch of samples re-keys one Philox bit generator per row of a
+preallocated block; no generator is built and no OS entropy is drawn per
+sample, and the streams are the keyed streams bit for bit.  Masses use the
+circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
+O(N**2) quadratic form into a real-input FFT over the half spectrum; Monte
+Carlo and single-sample masses share both steps.  The module also probes how
+well equispaced direction sums reproduce their angular integrals
+(Riemann/Darboux error and the pairwise aggregate that the moment bounds are
+built from).
 """
 
 from __future__ import annotations
@@ -37,17 +42,49 @@ class CoefficientVector:
     sample_index: int = 0
 
 
-def _sign_stream(seed: int, sample_index: int, n: int, p: float) -> np.ndarray:
-    """Signs of sample `sample_index`: +1 where the keyed uniform falls below p."""
-    key = np.array([seed, sample_index], dtype=np.uint64)
-    uniforms = np.random.Generator(np.random.Philox(key=key)).random(n)
-    return np.where(uniforms < p, 1.0, -1.0)
+def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
+    """Signs of samples start, start+1, ... into the rows of `out`, in place.
+
+    Row r is +1 where Generator(Philox(key=[seed, start + r])).random(N) falls
+    below p, bit for bit: one bit generator, seeded without OS entropy, is
+    re-keyed at counter 0 with an empty buffer before each row is filled.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for r in range(out.shape[0]):
+        key = np.array([seed, start + r], dtype=np.uint64)
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": zeros, "key": key},
+                        "buffer": zeros, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        gen.random(out=out[r])
+    np.less(out, p, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+def _block_masses(kernel: PairKernel, signs: np.ndarray) -> np.ndarray:
+    """Masses of the sign vectors in the rows of `signs`.
+
+    The spectrum of the symmetric kernel and |c_hat_m| of a real c are both
+    even in m, so bins m and N-m of Q(c) = sum_m mu_m |c_hat_m|**2 / N agree:
+    the real-input FFT gives bins 0..N//2, of which 1..(N-1)//2 count twice.
+    """
+    n = kernel.size
+    weights = kernel.spectrum[:n // 2 + 1] / n
+    weights[1:(n + 1) // 2] *= 2.0
+    power = np.fft.rfft(signs, axis=1).view(np.float64)  # interleaved re, im
+    np.square(power, out=power)
+    return power @ np.repeat(weights, 2)
 
 
 def sample_coefficients(params: WaveParams, seed: int,
                         sample_index: int = 0) -> CoefficientVector:
     """Draw one i.i.d. sign vector; identical (seed, index, N, p) reproduce it."""
-    signs = _sign_stream(int(seed), int(sample_index), params.n_dirs, params.p)
+    signs = _keyed_signs(int(seed), int(sample_index),
+                         np.empty((1, params.n_dirs)), params.p)[0]
     signs.setflags(write=False)
     return CoefficientVector(signs=signs, seed=int(seed), p=params.p,
                              sample_index=int(sample_index))
@@ -64,12 +101,12 @@ def _as_signs(coeffs, n: int) -> np.ndarray:
 def mass_quadratic_form(kernel: PairKernel, coeffs) -> float:
     """Smoothed local mass of one realisation via the kernel spectrum.
 
-    Q(c) = sum_m mu_m |c_hat_m|**2 / N with c_hat the DFT of the sign vector;
+    Q(c) = sum_m mu_m |c_hat_m|**2 / N with c_hat the DFT of the sign vector,
+    from a real-input FFT over the half spectrum (the code Monte Carlo uses);
     equals the direct double sum over pairs at O(N log N) cost.
     """
     signs = _as_signs(coeffs, kernel.size)
-    chat = np.fft.fft(signs)
-    return float((np.abs(chat) ** 2 @ kernel.spectrum) / kernel.size)
+    return float(_block_masses(kernel, signs[None, :])[0])
 
 
 def mass_double_sum(kernel: PairKernel, coeffs) -> float:
@@ -135,22 +172,22 @@ class McSummary:
 def mc_moments(kernel: PairKernel, samples: int, seed: int) -> McSummary:
     """Monte Carlo mean/variance of the mass over `samples` realisations.
 
-    Realisation i uses the keyed stream (seed, i); masses go through the
-    spectral quadratic form in batches.  The variance standard error is a
-    delete-one jackknife over the realisations.
+    Realisation i uses the keyed stream (seed, i).  Each batch re-keys one
+    Philox bit generator per row of a reused sign block (no OS entropy is
+    drawn; the streams match sample_coefficients bit for bit), and its masses
+    come from one real-input FFT over the half spectrum.  The variance
+    standard error is a delete-one jackknife over the realisations.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     n = kernel.size
     masses = np.empty(samples)
     batch = max(1, _MC_BATCH // max(n, 1))
+    block = np.empty((min(batch, samples), n))
     for start in range(0, samples, batch):
         stop = min(start + batch, samples)
-        block = np.empty((stop - start, n))
-        for i in range(start, stop):
-            block[i - start] = _sign_stream(int(seed), i, n, kernel.params.p)
-        chat = np.fft.fft(block, axis=1)
-        masses[start:stop] = (np.abs(chat) ** 2 @ kernel.spectrum) / n
+        signs = _keyed_signs(int(seed), start, block[:stop - start], kernel.params.p)
+        masses[start:stop] = _block_masses(kernel, signs)
     # centering against the first sample keeps degenerate (single-atom)
     # distributions at exactly zero variance; the extra shift is otherwise
     # numerically neutral

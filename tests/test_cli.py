@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,7 +150,7 @@ class TestRunSweep:
     def test_exact_mode_never_touches_rng(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("random stream touched in exact mode")
-        monkeypatch.setattr(biasedwave.montecarlo, "_sign_stream", boom)
+        monkeypatch.setattr(biasedwave.montecarlo, "_keyed_signs", boom)
         monkeypatch.setattr(np.random, "Philox", boom)
         result = run_sweep(parse_config(base_config(tmp_path)))
         assert result.rows[0]["error"] == ""
@@ -235,12 +239,42 @@ class TestCommandLine:
         assert row["mc_seed"] == "3"
 
     @pytest.mark.parametrize("samples,seed", [("20", "3"), ("150", "-3")])
-    def test_mc_command_validates_overrides(self, tmp_path, samples, seed):
+    def test_mc_command_validates_overrides(self, tmp_path, capsys, samples,
+                                            seed):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config(tmp_path)))
-        with pytest.raises(ConfigError):
-            main(["mc", "--config", str(path), "--samples", samples,
-                  "--seed", seed])
+        assert main(["mc", "--config", str(path), "--samples", samples,
+                     "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        key = "mc_samples" if samples == "20" else "seed"
+        assert err.startswith("biasedwave: error: ") and key in err
+
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    @pytest.mark.parametrize("overrides,key", [({"seed": -1}, "seed"),
+                                               ({"sede": 0}, "sede")])
+    def test_bad_config_prints_one_line(self, tmp_path, capsys, command,
+                                        overrides, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, **overrides)))
+        argv = (["sweep", str(path)] if command == "sweep" else
+                ["mc", "--config", str(path), "--samples", "100",
+                 "--seed", str(overrides.get("seed", 0))])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: ") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_module_entry_point(self):
+        src = str(Path(biasedwave.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "biasedwave", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: biasedwave")
 
     def test_fit_command(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

@@ -34,6 +34,34 @@ class TestSampling:
         margin = 4 * math.sqrt(4 * 0.5 * 0.5 / params.n_dirs)
         assert abs(float(np.mean(signs)) - 0.0) <= margin
 
+    @pytest.mark.parametrize("seed", [0, 811, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [195, 256])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_keyed_signs_match_one_generator_per_sample(self, kernels,
+                                                        monkeypatch, seed, n, p):
+        # a batch of 5 rows makes samples 3..12 cross two batch boundaries
+        monkeypatch.setattr(montecarlo, "_MC_BATCH", 5 * n)
+        kernel = kernels(n / 3, 3, 0.5, p=p)
+        assert kernel.size == n
+        expected = np.array([np.where(np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64))).random(n) < p, 1.0, -1.0)
+            for i in range(3, 13)])
+        block = montecarlo._keyed_signs(seed, 3, np.empty((10, n)), p)
+        assert np.array_equal(block, expected)
+        for i in (3, 12):
+            assert np.array_equal(
+                sample_coefficients(kernel.params, seed, i).signs,
+                expected[i - 3])
+        stream = []
+
+        def record(_, signs):
+            stream.append(signs.copy())
+            return np.zeros(len(signs))
+        monkeypatch.setattr(montecarlo, "_block_masses", record)
+        mc_moments(kernel, 100, seed)
+        assert [len(b) for b in stream] == [5] * 20
+        assert np.array_equal(np.concatenate(stream)[3:13], expected)
+
     def test_bias_shows_in_mean(self):
         params = build_params(100_000, 1, 0.5, 0.8)
         signs = sample_coefficients(params, 42).signs
@@ -80,6 +108,19 @@ class TestQuadraticForm:
         for _ in range(50):
             signs = rng.choice([-1.0, 1.0], size=kernel.size)
             assert mass_quadratic_form(kernel, signs) >= floor
+
+    @pytest.mark.parametrize("lam,gamma", [(65, 3), (64, 2)])
+    def test_half_spectrum_masses(self, kernels, lam, gamma):
+        # odd N has no Nyquist bin; even N counts it once
+        kernel = kernels(lam, gamma, 0.5, p=0.6)
+        assert kernel.size % 2 == lam % 2
+        signs = montecarlo._keyed_signs(5, 0, np.empty((4, kernel.size)), 0.6)
+        masses = montecarlo._block_masses(kernel, signs)
+        for c, mass in zip(signs, masses):
+            full = float(np.abs(np.fft.fft(c)) ** 2 @ kernel.spectrum) / kernel.size
+            assert mass == pytest.approx(full, rel=1e-12)
+            assert mass == pytest.approx(mass_double_sum(kernel, c), rel=1e-12)
+            assert mass_quadratic_form(kernel, c) == pytest.approx(mass, rel=1e-14)
 
     def test_size_mismatch_rejected(self, kernels):
         kernel = kernels(128, 2, 0.5)
@@ -165,6 +206,16 @@ class TestMcMoments:
             large = mc_moments(kernel, 800, seed=1000 + seed)
             ratios.append(small.std_error_mean / large.std_error_mean)
         assert abs(float(np.mean(ratios)) - math.sqrt(2.0)) <= 0.15 * math.sqrt(2.0)
+
+    def test_mean_is_mean_of_single_sample_masses(self, kernels):
+        kernel = kernels(65, 3, 0.5, p=0.3)
+        seed = 19
+        summary = mc_moments(kernel, 100, seed)
+        masses = [mass_quadratic_form(
+            kernel, sample_coefficients(kernel.params, seed, i))
+            for i in range(100)]
+        assert summary.empirical_mean == pytest.approx(np.mean(masses),
+                                                       rel=1e-13)
 
     def test_minimum_sample_count(self, kernels):
         with pytest.raises(ValueError):
