@@ -29,8 +29,8 @@ from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
 from .montecarlo import grid_quadrature_mass, mass_quadratic_form, mc_moments, \
     sample_coefficients
 from .oscint import (GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, S_CUT,
-                     TABLE_DEGREE, TABLE_PANEL_WIDTH, build_kernel,
-                     export_kernel_csv)
+                     TABLE_DEGREE, TABLE_MAX_DRIFT, TABLE_PANEL_WIDTH,
+                     build_kernel, export_kernel_csv)
 from .specfun import asymptotic_check, residual_probe_points, surface_wave_envelope
 
 SWEEP_COLUMNS = [
@@ -370,6 +370,7 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
                        "table_degree": TABLE_DEGREE, "table_s_cut": S_CUT,
                        "table_node_order": GL_ORDER,
                        "gl_refine_order": GL_REFINE_ORDER,
+                       "table_max_drift": TABLE_MAX_DRIFT,
                        "pair_rel_tol": PAIR_REL_TOL},
         "calibrations": {f"gamma={g},alpha={a}": c.as_dict()
                          for (g, a), c in sorted(calibrations.items())},

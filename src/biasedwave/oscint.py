@@ -11,10 +11,14 @@ s = lam**(1-alpha) * d, so I(d) = lam**(-2*alpha) * W(s).  For equispaced
 directions the matrix (I_jl) is a symmetric circulant, positive semidefinite as
 the Gram matrix of the windowed plane waves, and is diagonalised by the DFT.
 
-Kernels read W from one piecewise-Chebyshev table on [0, S_CUT], zero beyond,
-filled and verified piece by piece on first use and shared by every kernel of
-the process; the pair integral itself stays a direct quadrature, the oracle for
-that table.
+Kernels read W from one piecewise-Chebyshev table on [0, S_CUT], zero beyond.
+The table is committed as float.hex literals in _wtable.py, so building a
+kernel does no quadrature.  _table_panel generates each piece and verifies it
+against direct quadrature; tests/test_oscint.py regenerates every piece under
+that check and requires _wtable.py to equal profile_table_source() byte for
+byte.  After a change to the generator, rewrite _wtable.py with the command in
+its docstring.  The pair integral itself stays a direct quadrature, the oracle
+for the table.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _wtable
 from .model import (SUPPORT_RADIUS, CutoffSpec, WaveParams, build_cutoff,
                     build_directions, cutoff_value)
 from .specfun import bessel_j0
@@ -42,6 +47,9 @@ TABLE_PANELS = 19
 TABLE_DEGREE = 64
 S_CUT = TABLE_PANELS * TABLE_PANEL_WIDTH
 _BLOCK_NODES = 1 << 18  # J0 arguments per block; bounds the temporaries
+_REGENERATE = ('PYTHONPATH=src python -c "import pathlib, biasedwave.oscint as o; '
+               "pathlib.Path(o.__file__).with_name('_wtable.py')"
+               '.write_text(o.profile_table_source())"')
 
 
 class QuadratureError(RuntimeError):
@@ -82,14 +90,15 @@ def reduced_pair_integral(s: float, order: int = GL_ORDER) -> float:
     return float(_rule_integrals([s], _panel_count(s), order)[0])
 
 
-@lru_cache(maxsize=None)
-def _table_panel(index: int) -> np.ndarray:
+def _table_panel(index: int):
     """Chebyshev coefficients of W on [index, index + 1] * TABLE_PANEL_WIDTH.
 
+    The generator of the committed table: runtime code reads _TABLE instead.
     The node values come from one order-GL_ORDER panel rule sized for the
     panel's largest s; index TABLE_PANELS is the zero tail on [S_CUT, 2 S_CUT].
-    Before caching, each piece must match order GL_REFINE_ORDER to PAIR_REL_TOL
-    * W(0) at its TABLE_DEGREE + 2 Chebyshev extrema, or QuadratureError names s.
+    Each piece must match order GL_REFINE_ORDER to PAIR_REL_TOL * W(0) at its
+    TABLE_DEGREE + 2 Chebyshev extrema, or QuadratureError names s.  Returns
+    the coefficients and the worst drift / W(0).
     """
     h = TABLE_PANEL_WIDTH
     tail = index == TABLE_PANELS
@@ -104,29 +113,75 @@ def _table_panel(index: int) -> np.ndarray:
     x = np.cos(np.pi * np.arange(TABLE_DEGREE + 2) / (TABLE_DEGREE + 1))
     drift = np.abs(np.polynomial.chebyshev.chebval(x, coeffs) - direct(x, GL_REFINE_ORDER))
     worst = int(np.argmax(drift))
-    if drift[worst] > PAIR_REL_TOL * 2.0 * np.pi * build_cutoff().squared_radial_mass:
+    scale = 2.0 * np.pi * build_cutoff().squared_radial_mass
+    if drift[worst] > PAIR_REL_TOL * scale:
         raise QuadratureError(
             f"profile table drift {drift[worst]:.3e} above {PAIR_REL_TOL:g} * W(0) "
             f"at s={h * (mid + half * x[worst]):.6g}")
+    return coeffs, float(drift[worst] / scale)
+
+
+def profile_table_source() -> str:
+    """Text of _wtable.py: every piece from _table_panel, as float.hex literals.
+
+    This module reads _wtable.py on import, so a change to the format below
+    starts from a stub _wtable.py holding MAX_DRIFT = "0x0.0p+0" and PIECES = ().
+    """
+    pieces = [_table_panel(index) for index in range(TABLE_PANELS + 1)]
+    lines = [
+        f'"""Chebyshev coefficients of W(s) on {TABLE_PANELS} panels of width '
+        f'{TABLE_PANEL_WIDTH:g} plus the zero tail.',
+        "",
+        "Generated by biasedwave.oscint.profile_table_source(); do not edit.",
+        "Each piece is one string of float.hex literals, lowest degree first, which",
+        "compiles faster than one literal per coefficient.  MAX_DRIFT is the worst",
+        f"drift / W(0) of any piece against direct order-{GL_REFINE_ORDER} quadrature.  Regenerate",
+        "from the repository root with",
+        "",
+        f"    {_REGENERATE}",
+        '"""',
+        "",
+        f'MAX_DRIFT = "{max(drift for _, drift in pieces).hex()}"',
+        "",
+        "PIECES = (",
+    ]
+    for index, (coeffs, _) in enumerate(pieces):
+        end = "inf" if index == TABLE_PANELS else f"{(index + 1) * TABLE_PANEL_WIDTH:g}"
+        lines += [f"    # [{index * TABLE_PANEL_WIDTH:g}, {end})", '    """']
+        hexes = [c.hex() for c in coeffs.tolist()]
+        lines += ["    " + " ".join(hexes[i:i + 3]) for i in range(0, len(hexes), 3)]
+        lines.append('    """,')
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def _read_only(piece) -> np.ndarray:
+    coeffs = np.array([float.fromhex(c) for c in piece.split()])
     coeffs.setflags(write=False)
     return coeffs
 
 
+_TABLE = tuple(_read_only(piece) for piece in _wtable.PIECES)
+TABLE_MAX_DRIFT = float.fromhex(_wtable.MAX_DRIFT)
+
+
 def profile_table(s_values) -> np.ndarray:
-    """W(s) from the cached piecewise-Chebyshev table, exactly 0 from S_CUT on.
+    """W(s) from the committed piecewise-Chebyshev table, exactly 0 from S_CUT on.
 
     Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
-    [S_CUT, inf) and is verified like a panel, so it loses nothing.  W is even
-    in s.
+    [S_CUT, inf], infinity included, and was verified like a panel.  W is even
+    in s; NaN raises ValueError.
     """
     s_values = np.abs(np.asarray(s_values, dtype=float))
+    if np.isnan(s_values).any():
+        raise ValueError("profile_table: s must not be NaN")
+    s_values = np.minimum(s_values, S_CUT)
     out = np.empty_like(s_values)
-    panel = np.minimum(np.floor(s_values / TABLE_PANEL_WIDTH),
-                       TABLE_PANELS).astype(int)
+    panel = np.floor(s_values / TABLE_PANEL_WIDTH).astype(int)
     for index in np.unique(panel):
         sel = np.flatnonzero(panel == index)
         x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-        out[sel] = np.polynomial.chebyshev.chebval(x, _table_panel(int(index)))
+        out[sel] = np.polynomial.chebyshev.chebval(x, _TABLE[index])
     return out
 
 
@@ -297,8 +352,8 @@ def build_kernel(params: WaveParams) -> PairKernel:
 
     Only separations k = 0..N//2 are looked up; the rest mirror by the chord
     symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
-    does no quadrature of its own: every table piece it reads was checked
-    against the direct order-GL_REFINE_ORDER rule when it was built.
+    does no quadrature: it reads the committed table, whose every piece the
+    tests regenerate and check against the direct order-GL_REFINE_ORDER rule.
     """
     n = params.n_dirs
     if n > MAX_KERNEL_SIZE:

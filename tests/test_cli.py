@@ -13,6 +13,7 @@ import biasedwave.montecarlo
 from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
 from biasedwave.cli import (SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main,
                             parse_cell)
+from biasedwave.oscint import PAIR_REL_TOL
 
 
 def base_config(tmp_path, **overrides):
@@ -135,6 +136,7 @@ class TestRunSweep:
         assert meta["package"] == "biasedwave"
         assert "gamma=8.0,alpha=0.5" in meta["calibrations"]
         assert meta["config"]["seed"] == 0
+        assert 0.0 <= meta["quadrature"]["table_max_drift"] <= PAIR_REL_TOL
 
     def test_largest_seed_runs_and_one_more_is_refused(self, tmp_path):
         # row i keys Philox with seed + i, which must fit in 64 bits

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from biasedwave import (build_cutoff, build_directions, build_params,
                         cutoff_mass, cutoff_value, decay_bound,
                         dyadic_sum_check, export_kernel_csv, oscint,
                         pair_integral, pair_integral_2d_oracle,
-                        pair_integral_2d_parts)
-from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, QuadratureError,
-                               _table_panel, build_kernel, decay_constant,
-                               kernel_matrix, profile_table,
-                               reduced_pair_integral)
+                        pair_integral_2d_parts, run_sweep)
+from biasedwave.cli import parse_config
+from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANELS,
+                               QuadratureError, _table_panel, build_kernel,
+                               decay_constant, kernel_matrix, profile_table,
+                               profile_table_source, reduced_pair_integral)
 
 
 def profile_scale():
@@ -74,27 +76,37 @@ class TestProfileTable:
         assert np.max(np.abs(direct)) <= 1e-15 * profile_scale()
         assert np.all(profile_table(s) == 0.0)
 
-    def test_zero_tail_is_verified_when_first_read(self, monkeypatch):
-        s = [S_CUT, 1.5 * S_CUT, 3.0 * S_CUT]
-        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
-        _table_panel.cache_clear()
-        with pytest.raises(QuadratureError, match=r"at s=\d"):
-            profile_table(s)
-        monkeypatch.undo()
-        assert np.all(profile_table(s) == 0.0)
-        assert _table_panel.cache_info().currsize == 1  # the tail alone
+    def test_committed_table_regenerates_byte_for_byte(self):
+        committed = Path(oscint.__file__).with_name("_wtable.py").read_text()
+        if profile_table_source() != committed:
+            pytest.fail("src/biasedwave/_wtable.py differs from the table "
+                        f"_table_panel generates; rewrite it with\n{oscint._REGENERATE}")
 
-    def test_rows_independent_of_table_fill_order(self):
-        params = build_params(512, 2, 0.3, 0.5)
-        _table_panel.cache_clear()
-        fresh = build_kernel(params)
-        _table_panel.cache_clear()
-        profile_table([S_CUT])
-        for lam, alpha in [(2048, 0.3), (64, 0.7)]:
-            build_kernel(build_params(lam, 2, alpha, 0.5))
-        warm = build_kernel(params)
-        assert np.array_equal(fresh.values, warm.values)
-        assert np.array_equal(fresh.spectrum, warm.spectrum)
+    @pytest.mark.parametrize("index", [3, TABLE_PANELS])
+    def test_generator_drift_check_names_s(self, monkeypatch, index):
+        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
+        with pytest.raises(QuadratureError, match=r"at s=\d"):
+            _table_panel(index)
+
+    def test_nan_is_refused_and_infinity_is_in_the_tail(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            profile_table([1.0, np.nan])
+        assert np.all(profile_table([np.inf, -np.inf, S_CUT]) == 0.0)
+
+    def test_kernels_do_no_quadrature(self, monkeypatch, tmp_path):
+        def no_quadrature(*_):
+            raise AssertionError("kernel assembly ran a quadrature")
+        monkeypatch.setattr(oscint, "_rule_integrals", no_quadrature)
+        monkeypatch.setattr(oscint, "_table_panel", no_quadrature)
+        keys = [(lam, 8, alpha) for lam in (64, 128, 256, 512, 1024, 2048)
+                for alpha in (0.3, 0.5, 0.7)] + [(4096, 8, 0.3)]
+        for key in keys:
+            assert build_kernel(build_params(*key, 0.5)).diagonal > 0.0
+        doc = {"lambda_ladder": [64.0, 128.0], "gamma": {"mode": "fixed", "values": [8]},
+               "alpha_list": [0.5], "p_rule": {"mode": "fixed", "values": [0.5]},
+               "mc_samples": 0, "seed": 0, "output_stem": str(tmp_path / "run")}
+        result = run_sweep(parse_config(doc))
+        assert [row["error"] for row in result.rows] == ["", ""]
 
 
 class TestPlanarOracle:
@@ -242,16 +254,6 @@ class TestKernel:
             total = kernel.size * kernel.off_diagonal_row_sum
             ratio = total / (8 ** 2 * lam ** 0.5)
             assert 0.2 <= ratio <= 10.0
-
-    def test_table_drift_check_names_s(self, monkeypatch):
-        params = build_params(256, 2, 0.5, 0.5)
-        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
-        _table_panel.cache_clear()
-        with pytest.raises(QuadratureError, match=r"at s=\d"):
-            build_kernel(params)
-        assert _table_panel.cache_info().currsize == 0
-        monkeypatch.undo()
-        assert build_kernel(params).diagonal > 0.0
 
     def test_refuses_oversized_kernel(self):
         params = build_params(2e5, 10, 0.5, 0.5)
