@@ -82,11 +82,12 @@ class TestProfileTable:
             pytest.fail("src/biasedwave/_wtable.py differs from the table "
                         f"_table_panel generates; rewrite it with\n{oscint._REGENERATE}")
 
-    @pytest.mark.parametrize("index", [3, TABLE_PANELS])
-    def test_generator_drift_check_names_s(self, monkeypatch, index):
+    def test_zero_tail_is_verified_when_first_read(self, monkeypatch):
         monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
         with pytest.raises(QuadratureError, match=r"at s=\d"):
-            _table_panel(index)
+            _table_panel(TABLE_PANELS)
+        monkeypatch.undo()
+        assert np.all(profile_table([S_CUT, 1.5 * S_CUT, 3.0 * S_CUT]) == 0.0)
 
     def test_nan_is_refused_and_infinity_is_in_the_tail(self):
         with pytest.raises(ValueError, match="must not be NaN"):
@@ -254,6 +255,13 @@ class TestKernel:
             total = kernel.size * kernel.off_diagonal_row_sum
             ratio = total / (8 ** 2 * lam ** 0.5)
             assert 0.2 <= ratio <= 10.0
+
+    def test_table_drift_check_names_s(self, monkeypatch):
+        monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
+        with pytest.raises(QuadratureError, match=r"at s=\d"):
+            _table_panel(3)
+        monkeypatch.undo()
+        assert build_kernel(build_params(256, 2, 0.5, 0.5)).diagonal > 0.0
 
     def test_refuses_oversized_kernel(self):
         params = build_params(2e5, 10, 0.5, 0.5)
