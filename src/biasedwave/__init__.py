@@ -15,13 +15,12 @@ from .model import (CutoffSpec, DirectionSet, WaveParams, build_cutoff,
                     build_directions, build_params, cutoff_mass, cutoff_value)
 from .moments import (CalibratedConstants, Classification, MomentReport,
                       build_report, calibrate_constants, coin_pair_moment,
-                      enumerate_moments, equidistribution_margin,
-                      exact_expectation, exact_variance, exact_variance_generic,
-                      expectation_bounds, variance_bound)
-from .montecarlo import (CoefficientVector, DarbouxProbe, DiscretisationProbe,
-                         McSummary, darboux_error, e1_error_norm,
-                         grid_quadrature_mass, mass_double_sum,
-                         mass_quadratic_form, mc_moments, sample_coefficients)
+                      enumerate_moments, exact_expectation, exact_variance,
+                      exact_variance_generic, expectation_bounds, variance_bound)
+from .montecarlo import (DarbouxProbe, DiscretisationProbe, McSummary,
+                         darboux_error, e1_error_norm, grid_quadrature_mass,
+                         mass_double_sum, mass_quadratic_form, mc_moments,
+                         sample_coefficients)
 from .oscint import (PairKernel, QuadratureError, build_kernel, decay_bound,
                      dyadic_sum_check, export_kernel_csv, pair_integral,
                      pair_integral_2d_oracle, pair_integral_2d_parts)
@@ -32,23 +31,3 @@ from .specfun import (AsymptoticCheck, EnvelopeTable, angular_integral,
 from .cli import (SweepConfig, SweepResult, ThresholdResult, load_config,
                   parse_config, run_sweep, threshold_experiment)
 
-__all__ = [
-    "AsymptoticCheck", "CalibratedConstants", "Classification",
-    "CoefficientVector", "CutoffSpec", "DarbouxProbe", "DirectionSet",
-    "DiscretisationProbe", "EnvelopeTable", "FitResult", "McSummary",
-    "MomentReport", "PairKernel", "QuadratureError", "SweepConfig",
-    "SweepResult", "ThresholdResult", "WaveParams", "angular_integral",
-    "angular_integral_quadrature", "asymptotic_check", "bessel_j0",
-    "build_cutoff", "build_directions", "build_kernel", "build_params",
-    "build_report", "calibrate_constants", "coin_pair_moment", "cutoff_mass",
-    "cutoff_value", "darboux_error", "decay_bound", "dyadic_sum_check",
-    "e1_error_norm", "enumerate_moments", "equidistribution_margin",
-    "exact_expectation", "exact_variance", "exact_variance_generic",
-    "expectation_bounds", "export_kernel_csv", "fit_exponent",
-    "grid_quadrature_mass", "load_config", "mass_double_sum",
-    "mass_quadratic_form", "mc_moments", "pair_integral",
-    "pair_integral_2d_oracle", "pair_integral_2d_parts", "parse_config",
-    "residual_probe_points", "run_sweep", "sample_coefficients",
-    "stationary_leading_term", "surface_wave_envelope", "threshold_experiment",
-    "variance_bound",
-]

@@ -53,7 +53,7 @@ THRESHOLD_FAMILIES = (
 
 
 class ConfigError(ValueError):
-    """Raised on malformed or unknown sweep-configuration content."""
+    """Raised on malformed or unknown config content or command-line arguments."""
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str):
@@ -248,29 +248,11 @@ def load_config(path) -> SweepConfig:
         return parse_config(json.load(fh))
 
 
-class _KernelCache:
-    """Caches circulant rows per (lam, gamma, alpha); p only relabels params."""
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, lam: float, gamma: float, alpha: float, p: float = 0.5):
-        key = (lam, gamma, alpha)
-        base = self._store.get(key)
-        if base is None:
-            base = build_kernel(build_params(lam, gamma, alpha, 0.5))
-            self._store[key] = base
-        if p == 0.5:
-            return base
-        return dataclasses.replace(
-            base, params=build_params(lam, gamma, alpha, p))
-
-
 def _empty_row() -> dict:
     return {name: None for name in SWEEP_COLUMNS}
 
 
-def _sweep_rows(config: SweepConfig, cache: _KernelCache):
+def _sweep_rows(config: SweepConfig):
     """Yield rows in config order together with the calibration table."""
     lam_cal = config.lambda_ladder[0]
     calibrations: dict = {}
@@ -286,10 +268,11 @@ def _sweep_rows(config: SweepConfig, cache: _KernelCache):
                                 "p": p, "error": ""})
                     try:
                         if cal_key not in calibrations:
+                            reference = build_params(lam_cal, gamma, alpha, 0.5)
                             calibrations[cal_key] = calibrate_constants(
-                                cache.get(lam_cal, gamma, alpha, 0.5))
+                                build_kernel(reference))
                         constants = calibrations[cal_key]
-                        kernel = cache.get(lam, gamma, alpha, p)
+                        kernel = build_kernel(build_params(lam, gamma, alpha, p))
                         report = build_report(kernel, constants=constants,
                                               delta=config.delta,
                                               kappa=config.kappa,
@@ -387,8 +370,7 @@ class SweepResult:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every grid point, write CSV/JSON/meta, and return the rows."""
-    cache = _KernelCache()
-    rows, calibrations = _sweep_rows(config, cache)
+    rows, calibrations = _sweep_rows(config)
     paths = _write_outputs(rows, SWEEP_COLUMNS, config.output_stem,
                            _meta(config, calibrations))
     return SweepResult(rows, *paths)
@@ -439,13 +421,12 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     """
     if config.p_mode != "threshold":
         raise ConfigError("threshold experiment requires a threshold p_rule")
-    cache = _KernelCache()
     all_rows = []
     fits = []
     calibrations_all: dict = {}
     for family, rule in THRESHOLD_FAMILIES:
         fam_config = _family_config(config, family, rule)
-        rows, calibrations = _sweep_rows(fam_config, cache)
+        rows, calibrations = _sweep_rows(fam_config)
         calibrations_all.update(calibrations)
         for row in rows:
             row["family"] = family
@@ -498,20 +479,24 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    params = build_params(args.lam, args.gamma, args.alpha, args.p)
-    kernel = build_kernel(params)
+    try:  # the kernel depends on the geometry alone; any coin gives the same rows
+        kernel = build_kernel(build_params(args.lam, args.gamma, args.alpha, 0.5))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     export_kernel_csv(kernel, args.output)
     print(f"wrote {args.output} ({kernel.size} separations)")
     return 0
 
 
 def _cmd_asymptotics(args) -> int:
-    probes = residual_probe_points(args.w_min, args.w_max)
-    check = asymptotic_check(probes)
-    slope = check.residual_slope()
-    radii = np.linspace(args.w_min, args.w_max,
-                        max(2048, int(8 * (args.w_max - args.w_min) / np.pi)))
-    envelope = surface_wave_envelope(2.0, radii / 2.0)
+    try:  # a window without enough probe points or maxima is a bad argument
+        check = asymptotic_check(residual_probe_points(args.w_min, args.w_max))
+        slope = check.residual_slope()
+        radii = np.linspace(args.w_min, args.w_max,
+                            max(2048, int(8 * (args.w_max - args.w_min) / np.pi)))
+        envelope = surface_wave_envelope(2.0, radii / 2.0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     print(json.dumps({
         "w_min": args.w_min, "w_max": args.w_max,
         "residual_slope": slope.slope, "residual_r_squared": slope.r_squared,
@@ -568,7 +553,6 @@ def main(argv=None) -> int:
     p_ker.add_argument("--lambda", dest="lam", type=float, required=True)
     p_ker.add_argument("--gamma", type=float, required=True)
     p_ker.add_argument("--alpha", type=float, required=True)
-    p_ker.add_argument("--p", type=float, default=0.5)
     p_ker.add_argument("--output", default="kernel.csv")
     p_ker.set_defaults(func=_cmd_kernel)
 

@@ -8,8 +8,10 @@ direction), the local mass Q = sum_{j,l} C_j C_l I_jl has
 
 where q = (2p-1)**2, S2 = sum_{j != l} I_jl**2 and S2' = sum_{j != l} I_jl I_lj.
 On the circulant kernel the row sums are constant, collapsing everything to
-closed forms in the first row.  Asymptotic upper/lower bounds use calibrated
-constants because the bound constants are otherwise unspecified.
+closed forms in the first row.  The asymptotic upper/lower bounds leave their
+constants unspecified, so every bound function takes CalibratedConstants that
+the caller fixes once from one reference kernel with calibrate_constants (the
+sweep uses the smallest ladder frequency of each (gamma, alpha)).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import WaveParams, build_params, cutoff_mass
-from .oscint import PairKernel, build_kernel, kernel_matrix
+from .model import WaveParams, cutoff_mass
+from .oscint import PairKernel, kernel_matrix
 
 ENUMERATION_LIMIT = 20
 GENERIC_VARIANCE_LIMIT = 512
@@ -28,7 +30,6 @@ DEFAULT_GAMMA_MIN = 8.0
 DEFAULT_DELTA = 0.2
 DEFAULT_KAPPA = 10.0
 DEFAULT_HEADROOM = 1.25
-CALIBRATION_LAMBDA = 64.0
 _VARIANCE_FLOOR = 1e-12
 
 
@@ -181,14 +182,8 @@ def calibrate_constants(kernel: PairKernel,
     )
 
 
-def _default_constants(params: WaveParams) -> CalibratedConstants:
-    lam_ref = min(params.lam, CALIBRATION_LAMBDA)
-    ref = build_params(lam_ref, params.gamma, params.alpha, params.p)
-    return calibrate_constants(build_kernel(ref))
-
-
-def expectation_bounds(params: WaveParams, mode: str = "two_sided",
-                       constants: CalibratedConstants | None = None,
+def expectation_bounds(params: WaveParams, mode: str,
+                       constants: CalibratedConstants,
                        gamma_min: float = DEFAULT_GAMMA_MIN):
     """Numeric (lower, upper) envelope for the exact expectation.
 
@@ -202,8 +197,6 @@ def expectation_bounds(params: WaveParams, mode: str = "two_sided",
     if mode == "two_sided" and params.gamma < gamma_min:
         raise ValueError(
             f"two-sided bounds need gamma >= {gamma_min}, got {params.gamma}")
-    if constants is None:
-        constants = _default_constants(params)
     q = coin_pair_moment(params.p)
     diag_scale = params.gamma * params.lam ** (1.0 - 2.0 * params.alpha)
     cross_scale = params.gamma ** 2 * params.lam ** (1.0 - params.alpha)
@@ -214,11 +207,8 @@ def expectation_bounds(params: WaveParams, mode: str = "two_sided",
     return float(lower), float(upper)
 
 
-def variance_bound(params: WaveParams,
-                   constants: CalibratedConstants | None = None) -> float:
+def variance_bound(params: WaveParams, constants: CalibratedConstants) -> float:
     """Two-term variance bound C1*lam**(1-3a)*g**2*(1-q)**2 + C2*g**3*lam**(1-2a)*q*(1-q)."""
-    if constants is None:
-        constants = _default_constants(params)
     q = coin_pair_moment(params.p)
     term_diag = (constants.c1_diag * params.lam ** (1.0 - 3.0 * params.alpha)
                  * params.gamma ** 2 * (1.0 - q) ** 2)
@@ -302,14 +292,12 @@ class MomentReport:
 
 
 def build_report(kernel: PairKernel,
-                 constants: CalibratedConstants | None = None,
+                 constants: CalibratedConstants,
                  delta: float = DEFAULT_DELTA,
                  kappa: float = DEFAULT_KAPPA,
                  gamma_min: float = DEFAULT_GAMMA_MIN) -> MomentReport:
     """Full moment report for one parameter point."""
     params = kernel.params
-    if constants is None:
-        constants = _default_constants(params)
     expectation = exact_expectation(kernel)
     variance = exact_variance(kernel)
     mode = "two_sided" if params.gamma >= gamma_min else "upper_only"
@@ -330,10 +318,3 @@ def build_report(kernel: PairKernel,
                         normalized_volume=vol_norm,
                         classification=verdict)
 
-
-def equidistribution_margin(report: MomentReport, params: WaveParams,
-                            delta: float = DEFAULT_DELTA,
-                            kappa: float = DEFAULT_KAPPA) -> Classification:
-    """Re-derive the classification from a report's normalised quantities."""
-    return _classify(report.normalized_expectation, report.normalized_variance,
-                     report.normalized_volume, params, delta, kappa)

@@ -32,16 +32,6 @@ _OSC_SUBSAMPLES = 17
 _MC_BATCH = 1 << 22
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """A +-1 sign vector with its generating seed and probability."""
-
-    signs: np.ndarray
-    seed: int
-    p: float
-    sample_index: int = 0
-
-
 def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
     """Signs of samples start, start+1, ... into the rows of `out`, in place.
 
@@ -81,17 +71,20 @@ def _block_masses(kernel: PairKernel, signs: np.ndarray) -> np.ndarray:
 
 
 def sample_coefficients(params: WaveParams, seed: int,
-                        sample_index: int = 0) -> CoefficientVector:
-    """Draw one i.i.d. sign vector; identical (seed, index, N, p) reproduce it."""
+                        sample_index: int = 0) -> np.ndarray:
+    """One i.i.d. +-1 sign vector as a read-only array of N floats.
+
+    Sample sample_index of the keyed stream seed, +1 with probability params.p;
+    identical (seed, sample_index, N, p) reproduce it bit for bit.
+    """
     signs = _keyed_signs(int(seed), int(sample_index),
                          np.empty((1, params.n_dirs)), params.p)[0]
     signs.setflags(write=False)
-    return CoefficientVector(signs=signs, seed=int(seed), p=params.p,
-                             sample_index=int(sample_index))
+    return signs
 
 
 def _as_signs(coeffs, n: int) -> np.ndarray:
-    signs = coeffs.signs if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs, dtype=float)
+    signs = np.asarray(coeffs, dtype=float)
     if signs.shape != (n,):
         raise ValueError(f"coefficient vector of length {signs.shape} does not "
                          f"match {n} directions")

@@ -38,6 +38,7 @@ GL_ORDER = 12
 GL_REFINE_ORDER = 16
 PAIR_REL_TOL = 1e-8
 MAX_KERNEL_SIZE = 1_000_000
+KERNEL_MEMO_SIZE = 32  # > the 18 geometries of sweep_ladder, the largest in-repo sweep
 MAX_GRID_NODES = 100_000_000
 MAX_GRID_LAMBDA_RATIO = 512.0
 GRID_POINTS_PER_WAVELENGTH = 12
@@ -165,24 +166,26 @@ _TABLE = tuple(_read_only(piece) for piece in _wtable.PIECES)
 TABLE_MAX_DRIFT = float.fromhex(_wtable.MAX_DRIFT)
 
 
-def profile_table(s_values) -> np.ndarray:
+def profile_table(s_values):
     """W(s) from the committed piecewise-Chebyshev table, exactly 0 from S_CUT on.
 
     Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
     [S_CUT, inf], infinity included, and was verified like a panel.  W is even
-    in s; NaN raises ValueError.
+    in s; NaN raises ValueError.  Returns a float for scalar s and an array of
+    the shape of s otherwise.
     """
     s_values = np.abs(np.asarray(s_values, dtype=float))
     if np.isnan(s_values).any():
         raise ValueError("profile_table: s must not be NaN")
-    s_values = np.minimum(s_values, S_CUT)
+    shape = s_values.shape
+    s_values = np.minimum(s_values.ravel(), S_CUT)
     out = np.empty_like(s_values)
     panel = np.floor(s_values / TABLE_PANEL_WIDTH).astype(int)
     for index in np.unique(panel):
         sel = np.flatnonzero(panel == index)
         x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
         out[sel] = np.polynomial.chebyshev.chebval(x, _TABLE[index])
-    return out
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def pair_integral(params: WaveParams, d: float) -> float:
@@ -320,7 +323,10 @@ class PairKernel:
 
     values[k] applies to every direction pair with index separation k mod N;
     the spectrum holds the N real eigenvalues (DFT of the row), nonnegative up
-    to roundoff because the matrix is a Gram matrix.
+    to roundoff because the matrix is a Gram matrix.  Both arrays are
+    read-only and depend on the geometry (N, lam, alpha) alone: build_kernel
+    hands the same pair to every coin of one geometry, and params carries the
+    coin p that the moment functions read.
     """
 
     values: np.ndarray
@@ -347,23 +353,17 @@ class PairKernel:
         return float(np.sum(self.values[1:] ** 2))
 
 
-def build_kernel(params: WaveParams) -> PairKernel:
-    """Assemble the circulant row from the profile table and diagonalise it.
-
-    Only separations k = 0..N//2 are looked up; the rest mirror by the chord
-    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
-    does no quadrature: it reads the committed table, whose every piece the
-    tests regenerate and check against the direct order-GL_REFINE_ORDER rule.
-    """
-    n = params.n_dirs
+@lru_cache(maxsize=KERNEL_MEMO_SIZE)
+def _geometry_row(n: int, lam: float, alpha: float):
+    """Read-only circulant row and spectrum of one geometry; see build_kernel."""
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
-    chords = build_directions(params).chord[:half + 1]
-    reduced = profile_table(params.lam ** (1.0 - params.alpha) * chords)
+    chords = 2.0 * np.sin(np.pi * np.arange(half + 1) / n)  # build_directions' d_k
+    reduced = profile_table(lam ** (1.0 - alpha) * chords)
 
     values = np.empty(n)
-    values[:half + 1] = params.lam ** (-2.0 * params.alpha) * reduced
+    values[:half + 1] = lam ** (-2.0 * alpha) * reduced
     if n > 1:
         values[half + 1:] = values[1:n - half][::-1]
     spectrum = np.fft.fft(values).real.copy()
@@ -374,6 +374,21 @@ def build_kernel(params: WaveParams) -> PairKernel:
             f"positive-semidefinite floor {floor:.3e}")
     values.setflags(write=False)
     spectrum.setflags(write=False)
+    return values, spectrum
+
+
+def build_kernel(params: WaveParams) -> PairKernel:
+    """The kernel of params: the circulant row from the profile table, diagonalised.
+
+    Only separations k = 0..N//2 are looked up; the rest mirror by the chord
+    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
+    does no quadrature: it reads the committed table, whose every piece the
+    tests regenerate and check against the direct order-GL_REFINE_ORDER rule.
+    The row depends on (N, lam, alpha) alone, so the last KERNEL_MEMO_SIZE
+    geometries are memoised: kernels that differ only in the coin p share one
+    read-only values/spectrum pair and carry their own params.
+    """
+    values, spectrum = _geometry_row(params.n_dirs, params.lam, params.alpha)
     return PairKernel(values=values, spectrum=spectrum, params=params)
 
 

@@ -1,9 +1,11 @@
 import pytest
 
-from biasedwave.cli import _KernelCache
+from biasedwave import build_kernel, build_params
 
 
 @pytest.fixture(scope="session")
 def kernels():
-    """Session-wide kernel cache: the CLI's own, p only relabels the params."""
-    return _KernelCache().get
+    """Kernel of (lam, gamma, alpha, p); build_kernel memoises the geometry row."""
+    def get(lam, gamma, alpha, p=0.5):
+        return build_kernel(build_params(lam, gamma, alpha, p))
+    return get

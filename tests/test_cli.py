@@ -268,6 +268,21 @@ class TestCommandLine:
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("argv,key", [
+        (["kernel", "--lambda", "64", "--gamma", "1", "--alpha", "1.5"], "alpha"),
+        (["asymptotics", "--w-min", "0", "--w-max", "300"], "w_min"),
+        (["asymptotics", "--w-min", "2", "--w-max", "3"], "points"),
+    ])
+    def test_bad_arguments_print_one_line(self, tmp_path, capsys, argv, key):
+        output = tmp_path / "kernel.csv"
+        extra = ["--output", str(output)] if argv[0] == "kernel" else []
+        assert main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: ") and key in err
+        assert err.count("\n") == 1
+        assert not output.exists()
+
     def test_module_entry_point(self):
         src = str(Path(biasedwave.cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -5,10 +5,9 @@ import pytest
 
 from biasedwave import (build_params, build_report, calibrate_constants,
                         coin_pair_moment, cutoff_mass, enumerate_moments,
-                        equidistribution_margin, exact_expectation,
-                        exact_variance, exact_variance_generic,
-                        expectation_bounds, grid_quadrature_mass,
-                        variance_bound)
+                        exact_expectation, exact_variance,
+                        exact_variance_generic, expectation_bounds,
+                        grid_quadrature_mass, variance_bound)
 from biasedwave.oscint import build_kernel
 
 
@@ -148,16 +147,18 @@ class TestBounds:
         assert upper == pytest.approx(4 * math.pi * diag_scale, rel=1e-12)
 
     def test_two_sided_requires_dense_directions(self):
+        constants = calibrate_constants(build_kernel(build_params(64, 2, 0.5, 0.5)))
         with pytest.raises(ValueError):
-            expectation_bounds(build_params(64, 2, 0.5, 0.5), "two_sided")
+            expectation_bounds(build_params(64, 2, 0.5, 0.5), "two_sided",
+                               constants)
         lower, upper = expectation_bounds(
-            build_params(64, 2, 0.5, 0.5), "upper_only",
-            calibrate_constants(build_kernel(build_params(64, 2, 0.5, 0.5))))
+            build_params(64, 2, 0.5, 0.5), "upper_only", constants)
         assert lower is None and upper > 0
 
-    def test_mode_validation(self):
+    def test_mode_validation(self, kernels):
         with pytest.raises(ValueError):
-            expectation_bounds(build_params(64, 8, 0.5, 0.5), "sideways")
+            expectation_bounds(build_params(64, 8, 0.5, 0.5), "sideways",
+                               calibrate_constants(kernels(64, 8, 0.5)))
 
     def test_envelope_holds_across_ladder(self, kernels):
         constants = calibrate_constants(kernels(64, 8, 0.5))
@@ -233,16 +234,10 @@ class TestReportAndClassification:
             "Var_norm", "vol_norm", "E_upper", "E_lower", "Var_upper",
             "class", "threshold_ok"]
 
-    def test_margin_recomputation_matches(self, kernels):
-        report = build_report(kernels(64, 8, 0.5),
-                              constants=calibrate_constants(kernels(64, 8, 0.5)))
-        again = equidistribution_margin(report, report.params)
-        assert again == report.classification
-
     def test_custom_thresholds_change_verdict(self, kernels):
         lam = 512
         p = 0.5 + lam ** -0.25 / math.sqrt(8)
-        report = build_report(kernels(lam, 8, 0.5, p=p),
-                              constants=calibrate_constants(kernels(64, 8, 0.5)))
-        strict = equidistribution_margin(report, report.params, kappa=1.5)
-        assert strict.label == "none"
+        strict = build_report(kernels(lam, 8, 0.5, p=p),
+                              constants=calibrate_constants(kernels(64, 8, 0.5)),
+                              kappa=1.5)
+        assert strict.classification.label == "none"

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from biasedwave import (build_cutoff, build_directions, build_params,
                         cutoff_mass, cutoff_value, decay_bound,
-                        dyadic_sum_check, export_kernel_csv, oscint,
+                        dyadic_sum_check, exact_expectation,
+                        export_kernel_csv, oscint,
                         pair_integral, pair_integral_2d_oracle,
                         pair_integral_2d_parts, run_sweep)
 from biasedwave.cli import parse_config
@@ -93,10 +94,16 @@ class TestProfileTable:
         with pytest.raises(ValueError, match="must not be NaN"):
             profile_table([1.0, np.nan])
         assert np.all(profile_table([np.inf, -np.inf, S_CUT]) == 0.0)
+        assert profile_table(np.inf) == 0.0 and isinstance(profile_table(np.inf), float)
+        assert profile_table(-5.0) == profile_table([5.0])[0]
+        grid = np.array([[1.0, 2.0], [3.0, 700.0]])
+        assert np.array_equal(profile_table(grid),
+                              profile_table(grid.ravel()).reshape(2, 2))
 
     def test_kernels_do_no_quadrature(self, monkeypatch, tmp_path):
         def no_quadrature(*_):
             raise AssertionError("kernel assembly ran a quadrature")
+        oscint._geometry_row.cache_clear()  # no kernel built by an earlier test
         monkeypatch.setattr(oscint, "_rule_integrals", no_quadrature)
         monkeypatch.setattr(oscint, "_table_panel", no_quadrature)
         keys = [(lam, 8, alpha) for lam in (64, 128, 256, 512, 1024, 2048)
@@ -262,6 +269,20 @@ class TestKernel:
             _table_panel(3)
         monkeypatch.undo()
         assert build_kernel(build_params(256, 2, 0.5, 0.5)).diagonal > 0.0
+
+    @pytest.mark.parametrize("key", [(256, 8, 0.5), (65, 3, 0.3)])
+    def test_coins_of_one_geometry_share_one_read_only_row(self, key):
+        fair = build_kernel(build_params(*key, 0.5))
+        biased = build_kernel(build_params(*key, 0.9))
+        assert fair.values is biased.values and fair.spectrum is biased.spectrum
+        assert not fair.values.flags.writeable and not fair.spectrum.flags.writeable
+        assert (fair.params.p, biased.params.p) == (0.5, 0.9)
+        assert exact_expectation(biased) > exact_expectation(fair)
+        # the shared row is the table read at the chords of build_directions
+        lam, alpha, half = fair.params.lam, fair.params.alpha, fair.size // 2
+        chord = build_directions(fair.params).chord[:half + 1]
+        assert np.array_equal(fair.values[:half + 1], lam ** (-2.0 * alpha)
+                              * profile_table(lam ** (1.0 - alpha) * chord))
 
     def test_refuses_oversized_kernel(self):
         params = build_params(2e5, 10, 0.5, 0.5)
