@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 from .fitting import FitResult, fit_exponent
 from .model import (CutoffSpec, DirectionSet, WaveParams, build_cutoff,
                     build_directions, build_params, cutoff_mass, cutoff_value)
-from .moments import (CalibratedConstants, Classification, MomentReport,
-                      build_report, calibrate_constants, coin_pair_moment,
-                      enumerate_moments, exact_expectation, exact_variance,
-                      exact_variance_generic, expectation_bounds, variance_bound)
-from .montecarlo import (DarbouxProbe, DiscretisationProbe, McSummary,
-                         darboux_error, e1_error_norm, grid_quadrature_mass,
-                         mass_double_sum, mass_quadratic_form, mc_moments,
-                         sample_coefficients)
+from .moments import (CalibratedConstants, build_report, calibrate_constants,
+                      coin_pair_moment, enumerate_moments, exact_expectation,
+                      exact_variance, exact_variance_generic, expectation_bounds,
+                      variance_bound)
+from .montecarlo import (DarbouxProbe, DiscretisationProbe, darboux_error,
+                         e1_error_norm, grid_quadrature_mass, mass_double_sum,
+                         mass_quadratic_form, mc_moments, sample_coefficients)
 from .oscint import (PairKernel, QuadratureError, build_kernel, decay_bound,
                      dyadic_sum_check, export_kernel_csv, pair_integral,
                      pair_integral_2d_oracle, pair_integral_2d_parts)

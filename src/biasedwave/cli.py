@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fitting import FitResult, fit_exponent
+from .fitting import fit_exponent
 from .model import build_params
 from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       build_report, calibrate_constants)
@@ -132,9 +132,6 @@ class SweepConfig:
         beta = self.beta_for(alpha)
         return (0.5 + self.p_coefficient * lam ** (-beta) / math.sqrt(gamma),)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def parse_config(doc: dict) -> SweepConfig:
     """Validate a config document; unknown keys anywhere are rejected."""
@@ -220,6 +217,8 @@ def parse_config(doc: dict) -> SweepConfig:
                         "tolerances.gamma_min")
     if delta <= 0 or kappa <= 1:
         raise ConfigError("tolerances require delta > 0 and kappa > 1")
+    if gamma_min <= 0:
+        raise ConfigError(f"tolerances.gamma_min must be positive, got {gamma_min}")
 
     grid_check = doc.get("grid_check", False)
     if not isinstance(grid_check, bool):
@@ -243,9 +242,17 @@ def parse_config(doc: dict) -> SweepConfig:
     )
 
 
+def _read_config(path):
+    """The JSON document in the file at path; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
 def load_config(path) -> SweepConfig:
-    with open(path) as fh:
-        return parse_config(json.load(fh))
+    return parse_config(_read_config(path))
 
 
 def _empty_row() -> dict:
@@ -273,15 +280,13 @@ def _sweep_rows(config: SweepConfig):
                                 build_kernel(reference))
                         constants = calibrations[cal_key]
                         kernel = build_kernel(build_params(lam, gamma, alpha, p))
-                        report = build_report(kernel, constants=constants,
-                                              delta=config.delta,
-                                              kappa=config.kappa,
-                                              gamma_min=config.gamma_min)
-                        row.update(report.as_dict())
+                        row.update(build_report(kernel, constants=constants,
+                                                delta=config.delta,
+                                                kappa=config.kappa,
+                                                gamma_min=config.gamma_min))
                         if config.mc_samples > 0:
-                            summary = mc_moments(kernel, config.mc_samples,
-                                                 config.seed + index)
-                            row.update(summary.as_dict())
+                            row.update(mc_moments(kernel, config.mc_samples,
+                                                  config.seed + index))
                             if (config.grid_check
                                     and lam <= config.grid_check_lambda_cap):
                                 coeffs = sample_coefficients(
@@ -348,14 +353,14 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
         "package": "biasedwave",
         "version": __version__,
         "seed": config.seed,
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "quadrature": {"table_panel_width": TABLE_PANEL_WIDTH,
                        "table_degree": TABLE_DEGREE, "table_s_cut": S_CUT,
                        "table_node_order": GL_ORDER,
                        "gl_refine_order": GL_REFINE_ORDER,
                        "table_max_drift": TABLE_MAX_DRIFT,
                        "pair_rel_tol": PAIR_REL_TOL},
-        "calibrations": {f"gamma={g},alpha={a}": c.as_dict()
+        "calibrations": {f"gamma={g},alpha={a}": dataclasses.asdict(c)
                          for (g, a), c in sorted(calibrations.items())},
     }
 
@@ -374,17 +379,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     paths = _write_outputs(rows, SWEEP_COLUMNS, config.output_stem,
                            _meta(config, calibrations))
     return SweepResult(rows, *paths)
-
-
-@dataclass(frozen=True)
-class FamilyFit:
-    """Lambda-exponent of the normalised expectation ratio for one family."""
-
-    family: str
-    gamma: float
-    alpha: float
-    beta: float | None
-    fit: FitResult
 
 
 @dataclass(frozen=True)
@@ -442,16 +436,13 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
                     continue
                 lams = np.array([r["lambda"] for r in sel])
                 ratio = np.array([r["E_norm"] / r["vol_norm"] for r in sel])
-                beta = sel[0]["beta"]
-                fits.append(FamilyFit(family=family, gamma=gamma, alpha=alpha,
-                                      beta=beta,
-                                      fit=fit_exponent(lams, ratio)))
+                fit = fit_exponent(lams, ratio)
+                fits.append({"family": family, "gamma": gamma, "alpha": alpha,
+                             "beta": sel[0]["beta"], "slope": fit.slope,
+                             "r_squared": fit.r_squared,
+                             "point_count": fit.point_count})
     meta = _meta(config, calibrations_all)
-    meta["fits"] = [{
-        "family": f.family, "gamma": f.gamma, "alpha": f.alpha, "beta": f.beta,
-        "slope": f.fit.slope, "r_squared": f.fit.r_squared,
-        "point_count": f.fit.point_count,
-    } for f in fits]
+    meta["fits"] = fits
     paths = _write_outputs(all_rows, THRESHOLD_COLUMNS, config.output_stem, meta)
     return ThresholdResult(all_rows, fits, *paths)
 
@@ -473,8 +464,8 @@ def _cmd_threshold(args) -> int:
     print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed, "
           f"{len(result.fits)} fits)")
     for f in result.fits:
-        print(f"  {f.family:16s} gamma={f.gamma:g} alpha={f.alpha:g} "
-              f"slope={f.fit.slope:+.3f} r2={f.fit.r_squared:.4f}")
+        print(f"  {f['family']:16s} gamma={f['gamma']:g} alpha={f['alpha']:g} "
+              f"slope={f['slope']:+.3f} r2={f['r_squared']:.4f}")
     return 0 if failures == 0 else 1
 
 
@@ -508,8 +499,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _read_config(args.config)
     if isinstance(doc, dict):  # overrides are validated like the file itself
         doc.update(mc_samples=args.samples, seed=args.seed)
     result = run_sweep(parse_config(doc))
@@ -519,16 +509,20 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    with open(args.csv) as fh:
-        reader = csv.DictReader(fh)
-        xs, ys = [], []
-        for row in reader:
-            x = row.get(args.x_col, "")
-            y = row.get(args.y_col, "")
-            if x and y:
-                xs.append(float(x))
-                ys.append(float(y))
-    fit = fit_exponent(np.array(xs), np.array(ys))
+    try:  # a missing column, an unreadable file or too few points is a bad argument
+        with open(args.csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for col in (args.x_col, args.y_col):
+                if col not in (reader.fieldnames or ()):
+                    raise ConfigError(f"column {col!r} is not in {args.csv}")
+            xs, ys = [], []
+            for row in reader:
+                if row[args.x_col] and row[args.y_col]:
+                    xs.append(float(row[args.x_col]))
+                    ys.append(float(row[args.y_col]))
+        fit = fit_exponent(np.array(xs), np.array(ys))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     print(json.dumps({"slope": fit.slope, "intercept": fit.intercept,
                       "r_squared": fit.r_squared,
                       "point_count": fit.point_count}, indent=2))
@@ -545,7 +539,12 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_thr = sub.add_parser("threshold", help="run the threshold-family experiment")
+    p_thr = sub.add_parser(
+        "threshold", help="run the threshold-family experiment",
+        description="Run the fair, at-threshold, super-threshold and unfair "
+                    "families over the config's grid.  Of p_rule only c is "
+                    "read: each family sets its own beta, so the config's "
+                    "beta or beta_factor leaves the rows unchanged.")
     p_thr.add_argument("config")
     p_thr.set_defaults(func=_cmd_threshold)
 

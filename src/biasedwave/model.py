@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -200,12 +199,14 @@ def _squared_cutoff_jet(t: np.ndarray, order: int) -> np.ndarray:
     return _jet_mul(a, a)
 
 
+@lru_cache
 def _derivative_bounds(order: int = DERIVATIVE_ORDER,
                        grid_size: int = _BOUNDS_GRID_SIZE) -> np.ndarray:
     """sup |d^m/dt^m a(t)^2| for m = 0..order, tabulated on a dense grid.
 
     Derivatives vanish identically outside (1, 2) by flatness, so the grid
-    covers only the transition band.  Entry 0 is sup a^2 = 1.
+    covers only the transition band.  Entry 0 is sup a^2 = 1.  Only the
+    decay-bound constants read the table, so it is built on first use.
     """
     t = np.linspace(1.0, 2.0, grid_size + 2)[1:-1]
     jet = _squared_cutoff_jet(t, order)
@@ -221,21 +222,17 @@ def _derivative_bounds(order: int = DERIVATIVE_ORDER,
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """The bump profile with its derivative table and squared radial mass.
+    """The bump's squared radial mass m2 = integral_0^2 a(t)^2 t dt.
 
-    derivative_bounds[m] = sup_t |d^m (a^2) / dt^m| for m <= 8, used to size
-    decay-bound constants.  squared_radial_mass is m2 = integral_0^2 a(t)^2 t dt,
-    so the planar mass of a(lam**alpha |x|)^2 equals 2*pi*lam**(-2*alpha)*m2.
+    The planar mass of a(lam**alpha |x|)^2 equals 2*pi*lam**(-2*alpha)*m2.
     """
 
-    profile: Callable
-    derivative_bounds: np.ndarray
     squared_radial_mass: float
 
 
 @lru_cache(maxsize=1)
 def build_cutoff() -> CutoffSpec:
-    """Construct (once) the fixed cutoff with its tabulated constants."""
+    """Construct (once) the fixed cutoff with its radial mass."""
     m2, abserr = quad(lambda t: cutoff_value(t) ** 2 * t, 0.0, SUPPORT_RADIUS,
                       points=[FLAT_RADIUS], epsabs=0.0, epsrel=_MASS_REL_TOL,
                       limit=200)
@@ -243,9 +240,7 @@ def build_cutoff() -> CutoffSpec:
         raise RuntimeError(
             f"radial mass quadrature did not converge (value={m2}, err={abserr}); "
             "the cutoff profile is defective")
-    return CutoffSpec(profile=cutoff_value,
-                      derivative_bounds=_derivative_bounds(),
-                      squared_radial_mass=float(m2))
+    return CutoffSpec(squared_radial_mass=float(m2))
 
 
 def cutoff_mass(params: WaveParams) -> float:

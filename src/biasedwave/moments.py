@@ -140,18 +140,6 @@ class CalibratedConstants:
     reference_gamma: float
     reference_alpha: float
 
-    def as_dict(self) -> dict:
-        return {
-            "k_upper": self.k_upper,
-            "c_lower": self.c_lower,
-            "c1_diag": self.c1_diag,
-            "c2_cross": self.c2_cross,
-            "headroom": self.headroom,
-            "reference_lam": self.reference_lam,
-            "reference_gamma": self.reference_gamma,
-            "reference_alpha": self.reference_alpha,
-        }
-
 
 def calibrate_constants(kernel: PairKernel,
                         headroom: float = DEFAULT_HEADROOM) -> CalibratedConstants:
@@ -217,104 +205,47 @@ def variance_bound(params: WaveParams, constants: CalibratedConstants) -> float:
     return float(term_diag + term_cross)
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Equidistribution verdict with its diagnostic ratios.
-
-    expectation_ratio = E_norm / vol_norm, variance_ratio = Var_norm / vol_norm**2,
-    margin = |expectation_ratio - 1|.  threshold_ok records the analytic
-    criterion |p - 0.5| <= lam**(-alpha/2) * gamma**(-1/2).
-    """
-
-    label: str
-    expectation_ratio: float
-    variance_ratio: float
-    margin: float
-    threshold_ok: bool
-
-
-def _classify(e_norm: float, var_norm: float, vol_norm: float,
-              params: WaveParams, delta: float, kappa: float) -> Classification:
-    ratio = e_norm / vol_norm
-    var_ratio = var_norm / vol_norm ** 2
-    if abs(ratio - 1.0) <= delta and var_ratio <= delta:
-        label = "strong"
-    elif 1.0 / kappa <= ratio <= kappa and var_ratio <= delta:
-        label = "weak"
-    else:
-        label = "none"
-    threshold_scale = params.lam ** (-params.alpha / 2.0) / math.sqrt(params.gamma)
-    # tiny slack keeps points constructed exactly on the boundary inside it
-    threshold_ok = bool(abs(params.p - 0.5) <= threshold_scale * (1.0 + 1e-12))
-    return Classification(label=label, expectation_ratio=float(ratio),
-                          variance_ratio=float(var_ratio),
-                          margin=float(abs(ratio - 1.0)), threshold_ok=threshold_ok)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact moments, calibrated bounds, normalised ratios, and the verdict.
-
-    Normalisation divides the mass by gamma * lam (the fair-coin expectation
-    scale), so the fair-coin normalised expectation equals the reference
-    volume 2*pi*m2*lam**(-2*alpha) up to direction-count rounding.
-    """
-
-    params: WaveParams
-    expectation: float
-    variance: float
-    expectation_bound_upper: float
-    expectation_bound_lower: float | None
-    variance_bound: float
-    normalized_expectation: float
-    normalized_variance: float
-    normalized_volume: float
-    classification: Classification
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.params.lam,
-            "gamma": self.params.gamma,
-            "alpha": self.params.alpha,
-            "p": self.params.p,
-            "N": self.params.n_dirs,
-            "E": self.expectation,
-            "Var": self.variance,
-            "E_norm": self.normalized_expectation,
-            "Var_norm": self.normalized_variance,
-            "vol_norm": self.normalized_volume,
-            "E_upper": self.expectation_bound_upper,
-            "E_lower": self.expectation_bound_lower,
-            "Var_upper": self.variance_bound,
-            "class": self.classification.label,
-            "threshold_ok": self.classification.threshold_ok,
-        }
-
-
 def build_report(kernel: PairKernel,
                  constants: CalibratedConstants,
                  delta: float = DEFAULT_DELTA,
                  kappa: float = DEFAULT_KAPPA,
-                 gamma_min: float = DEFAULT_GAMMA_MIN) -> MomentReport:
-    """Full moment report for one parameter point."""
+                 gamma_min: float = DEFAULT_GAMMA_MIN) -> dict:
+    """The 15 moment columns of one sweep row, in SWEEP_COLUMNS order.
+
+    Normalisation divides the mass by gamma * lam (the fair-coin expectation
+    scale), so the fair-coin E_norm equals the reference volume
+    vol_norm = 2*pi*m2*lam**(-2*alpha) up to direction-count rounding.
+    E_lower is None below gamma_min, where only the upper envelope holds.
+    With ratio = E_norm / vol_norm and Var_norm / vol_norm**2 <= delta, `class`
+    is "strong" when |ratio - 1| <= delta and "weak" when
+    1/kappa <= ratio <= kappa; otherwise it is "none".  threshold_ok records
+    the analytic criterion |p - 0.5| <= lam**(-alpha/2) * gamma**(-1/2).
+    """
     params = kernel.params
     expectation = exact_expectation(kernel)
     variance = exact_variance(kernel)
     mode = "two_sided" if params.gamma >= gamma_min else "upper_only"
     lower, upper = expectation_bounds(params, mode=mode, constants=constants,
                                       gamma_min=gamma_min)
-    var_bound = variance_bound(params, constants=constants)
     scale = params.gamma * params.lam
     e_norm = expectation / scale
     var_norm = variance / scale ** 2
     vol_norm = cutoff_mass(params)
-    verdict = _classify(e_norm, var_norm, vol_norm, params, delta, kappa)
-    return MomentReport(params=params, expectation=expectation, variance=variance,
-                        expectation_bound_upper=upper,
-                        expectation_bound_lower=lower,
-                        variance_bound=var_bound,
-                        normalized_expectation=e_norm,
-                        normalized_variance=var_norm,
-                        normalized_volume=vol_norm,
-                        classification=verdict)
-
+    ratio = e_norm / vol_norm
+    var_ok = var_norm / vol_norm ** 2 <= delta
+    if abs(ratio - 1.0) <= delta and var_ok:
+        label = "strong"
+    elif 1.0 / kappa <= ratio <= kappa and var_ok:
+        label = "weak"
+    else:
+        label = "none"
+    threshold_scale = params.lam ** (-params.alpha / 2.0) / math.sqrt(params.gamma)
+    return {"lambda": params.lam, "gamma": params.gamma, "alpha": params.alpha,
+            "p": params.p, "N": params.n_dirs, "E": expectation, "Var": variance,
+            "E_norm": e_norm, "Var_norm": var_norm, "vol_norm": vol_norm,
+            "E_upper": upper, "E_lower": lower,
+            "Var_upper": variance_bound(params, constants=constants),
+            "class": label,
+            # tiny slack keeps points constructed exactly on the boundary inside it
+            "threshold_ok": bool(abs(params.p - 0.5)
+                                 <= threshold_scale * (1.0 + 1e-12))}

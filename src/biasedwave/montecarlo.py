@@ -140,30 +140,9 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     return float(h * h * np.sum(weight * (u.real ** 2 + u.imag ** 2)))
 
 
-@dataclass(frozen=True)
-class McSummary:
-    """Monte Carlo moment estimates with their standard errors."""
-
-    sample_count: int
-    empirical_mean: float
-    empirical_variance: float
-    std_error_mean: float
-    std_error_variance: float
-    seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "mc_samples": self.sample_count,
-            "mc_mean": self.empirical_mean,
-            "mc_var": self.empirical_variance,
-            "mc_se_mean": self.std_error_mean,
-            "mc_se_var": self.std_error_variance,
-            "mc_seed": self.seed,
-        }
-
-
-def mc_moments(kernel: PairKernel, samples: int, seed: int) -> McSummary:
-    """Monte Carlo mean/variance of the mass over `samples` realisations.
+def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
+    """The six mc_* sweep columns: mass mean, variance and their standard
+    errors over `samples` realisations, with the count and the seed.
 
     Realisation i uses the keyed stream (seed, i).  Each batch re-keys one
     Philox bit generator per row of a reused sign block (no OS entropy is
@@ -197,9 +176,8 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> McSummary:
     loo_mean = (s1 - centered) / (m - 1)
     loo_var = (s2 - centered ** 2 - (m - 1) * loo_mean ** 2) / (m - 2)
     se_var = math.sqrt((m - 1) / m * float(np.sum((loo_var - loo_var.mean()) ** 2)))
-    return McSummary(sample_count=m, empirical_mean=mean,
-                     empirical_variance=variance, std_error_mean=se_mean,
-                     std_error_variance=se_var, seed=int(seed))
+    return {"mc_samples": m, "mc_mean": mean, "mc_var": variance,
+            "mc_se_mean": se_mean, "mc_se_var": se_var, "mc_seed": int(seed)}
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _wtable
-from .model import (SUPPORT_RADIUS, CutoffSpec, WaveParams, build_cutoff,
+from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, build_cutoff,
                     build_directions, cutoff_value)
 from .specfun import bessel_j0
 
@@ -268,7 +268,7 @@ def _lah_number(n: int, k: int) -> int:
     return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
 
 
-def decay_constant(spec: CutoffSpec, n: int) -> float:
+def decay_constant(n: int) -> float:
     """Constant c_n of the integration-by-parts decay bound, order n <= 8.
 
     The planar directional derivatives of a(|y|)^2 on the annulus |y| >= 1 are
@@ -280,20 +280,20 @@ def decay_constant(spec: CutoffSpec, n: int) -> float:
     """
     if n < 0:
         raise ValueError("decay order must be non-negative")
-    order = spec.derivative_bounds.shape[0] - 1
+    bounds = _derivative_bounds()
+    order = bounds.shape[0] - 1
     if n > order:
         raise ValueError(f"decay order {n} exceeds tabulated derivatives ({order})")
     cap = 4 if n <= 4 else order
     directional = 0.0
     for k in range(1, cap + 1):
-        directional += _lah_number(cap, k) * spec.derivative_bounds[k]
+        directional += _lah_number(cap, k) * bounds[k]
     return 4.0 * np.pi * 2.0 ** cap * max(1.0, directional)
 
 
 def decay_bound(params: WaveParams, d, n: int) -> float:
     """Upper bound c_n * lam**(-2*alpha) * (1 + d / lam**(alpha-1))**-n on |I(d)|."""
-    spec = build_cutoff()
-    c_n = decay_constant(spec, n)
+    c_n = decay_constant(n)
     d = np.asarray(d, dtype=float)
     value = (c_n * params.lam ** (-2.0 * params.alpha)
              * (1.0 + d / params.separation_scale) ** (-float(n)))

@@ -81,12 +81,12 @@ def test_03_monte_carlo_consistency(kernels):
     for p in (0.5, 0.6, 0.9):
         kernel = kernels(512.0, 8.0, 0.5, p=p)
         summary = mc_moments(kernel, 10_000, seed=2718)
-        dev_mean = abs(summary.empirical_mean - exact_expectation(kernel))
-        dev_var = abs(summary.empirical_variance - exact_variance(kernel))
-        ok &= dev_mean <= 4 * summary.std_error_mean
-        ok &= dev_var <= 5 * summary.std_error_variance
-        details.append(f"p={p}: {dev_mean / summary.std_error_mean:.2f}se/"
-                       f"{dev_var / summary.std_error_variance:.2f}se")
+        dev_mean = abs(summary["mc_mean"] - exact_expectation(kernel))
+        dev_var = abs(summary["mc_var"] - exact_variance(kernel))
+        ok &= dev_mean <= 4 * summary["mc_se_mean"]
+        ok &= dev_var <= 5 * summary["mc_se_var"]
+        details.append(f"p={p}: {dev_mean / summary['mc_se_mean']:.2f}se/"
+                       f"{dev_var / summary['mc_se_var']:.2f}se")
     _report("3 monte-carlo-consistency", ok, ", ".join(details))
 
 
@@ -207,7 +207,7 @@ def test_10_threshold_experiment(tmp_path):
         "seed": 0,
     })
     result = threshold_experiment(config)
-    fits = {f.family: f.fit.slope for f in result.fits}
+    fits = {f["family"]: f["slope"] for f in result.fits}
     unfair_large = [row["class"] for row in result.rows
                     if row["family"] == "unfair" and row["lambda"] >= 256.0]
     ok = (abs(fits["at_threshold"]) <= 0.1

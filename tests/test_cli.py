@@ -88,6 +88,7 @@ class TestConfigParsing:
         ("tolerances", None),
         ("alpha_list", ["0.5"]),
         ("grid_check_lambda_cap", -1.0),
+        ("tolerances", {"gamma_min": -3}),
     ])
     def test_mistyped_values_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -196,10 +197,10 @@ class TestThresholdExperiment:
         families = {row["family"] for row in result.rows}
         assert families == {"fair", "at_threshold", "super_threshold", "unfair"}
         assert len(result.rows) == 4 * 3
-        by_family = {f.family: f for f in result.fits}
-        assert by_family["fair"].fit.slope == pytest.approx(0.0, abs=0.02)
-        assert by_family["unfair"].fit.slope > 0.3
-        assert by_family["at_threshold"].beta == 0.25
+        by_family = {f["family"]: f for f in result.fits}
+        assert by_family["fair"]["slope"] == pytest.approx(0.0, abs=0.02)
+        assert by_family["unfair"]["slope"] > 0.3
+        assert by_family["at_threshold"]["beta"] == 0.25
         with open(result.csv_path, newline="") as fh:
             header = fh.readline().strip().split(",")
         assert header == THRESHOLD_COLUMNS
@@ -268,6 +269,21 @@ class TestCommandLine:
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    @pytest.mark.parametrize("content", ["{bad", None])
+    def test_unreadable_config_prints_one_line(self, tmp_path, capsys, command,
+                                               content):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        argv = (["sweep", str(path)] if command == "sweep" else
+                ["mc", "--config", str(path), "--samples", "100", "--seed", "0"])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: ") and str(path) in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,key", [
         (["kernel", "--lambda", "64", "--gamma", "1", "--alpha", "1.5"], "alpha"),
         (["asymptotics", "--w-min", "0", "--w-max", "300"], "w_min"),
@@ -304,6 +320,18 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert payload["slope"] == pytest.approx(1.25, abs=1e-12)
         assert payload["point_count"] == 4
+
+    @pytest.mark.parametrize("x_col,y_col,key", [("x", "zz", "'zz'"),
+                                                 ("x", "bad", "3 points")])
+    def test_fit_command_bad_column_prints_one_line(self, tmp_path, capsys,
+                                                    x_col, y_col, key):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,bad\n1,5,\n2,11,\n4,24,7\n")
+        assert main(["fit", str(path), "--x-col", x_col, "--y-col", y_col]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: ") and key in err
+        assert err.count("\n") == 1
 
     def test_threshold_command(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -152,7 +152,7 @@ class TestPlanarOracle:
 class TestDecayBound:
     def test_zero_separation_gives_constant_times_volume_scale(self):
         params = build_params(128, 1, 0.5, 0.5)
-        c2 = decay_constant(build_cutoff(), 2)
+        c2 = decay_constant(2)
         assert decay_bound(params, 0.0, 2) == pytest.approx(
             c2 * params.lam ** (-2 * params.alpha), rel=1e-14)
 
