@@ -11,8 +11,8 @@ which small-ball equidistribution survives.
 __version__ = "0.1.0"
 
 from .fitting import FitResult, fit_exponent
-from .model import (CutoffSpec, DirectionSet, WaveParams, build_cutoff,
-                    build_directions, build_params, cutoff_mass, cutoff_value)
+from .model import (DirectionSet, WaveParams, build_cutoff, build_directions,
+                    build_params, cutoff_mass, cutoff_value)
 from .moments import (CalibratedConstants, build_report, calibrate_constants,
                       coin_pair_moment, enumerate_moments, exact_expectation,
                       exact_variance, exact_variance_generic, expectation_bounds,

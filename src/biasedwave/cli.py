@@ -26,8 +26,8 @@ from .fitting import fit_exponent
 from .model import build_params
 from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       build_report, calibrate_constants)
-from .montecarlo import grid_quadrature_mass, mass_quadratic_form, mc_moments, \
-    sample_coefficients
+from .montecarlo import (MIN_MC_SAMPLES, grid_quadrature_mass, mass_quadratic_form,
+                         mc_moments, sample_coefficients)
 from .oscint import (GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, S_CUT,
                      TABLE_DEGREE, TABLE_MAX_DRIFT, TABLE_PANEL_WIDTH,
                      build_kernel, export_kernel_csv)
@@ -40,16 +40,14 @@ SWEEP_COLUMNS = [
     "grid_rel_diff", "error",
 ]
 THRESHOLD_COLUMNS = ["family", "beta"] + SWEEP_COLUMNS
-_INT_COLUMNS = {"N", "mc_samples", "mc_seed"}
-_STR_COLUMNS = {"class", "family", "error"}
-_BOOL_COLUMNS = {"threshold_ok"}
 
-THRESHOLD_FAMILIES = (
-    ("fair", "fair"),
-    ("at_threshold", 0.5),
-    ("super_threshold", 0.25),
-    ("unfair", "unfair"),
-)
+# each family's p-rule fields; the threshold families keep the config's c
+THRESHOLD_FAMILIES = {
+    "fair": {"p_mode": "fixed", "p_values": (0.5,)},
+    "at_threshold": {"p_beta_factor": 0.5},
+    "super_threshold": {"p_beta_factor": 0.25},
+    "unfair": {"p_mode": "fixed", "p_values": (1.0,)},
+}
 
 
 class ConfigError(ValueError):
@@ -198,8 +196,9 @@ def parse_config(doc: dict) -> SweepConfig:
                           f"got {p_rule['mode']!r}")
 
     mc_samples = _integer(doc.get("mc_samples", 0), "mc_samples")
-    if mc_samples < 0 or 0 < mc_samples < 100:
-        raise ConfigError("mc_samples must be 0 (disabled) or at least 100")
+    if mc_samples < 0 or 0 < mc_samples < MIN_MC_SAMPLES:
+        raise ConfigError(
+            f"mc_samples must be 0 (disabled) or at least {MIN_MC_SAMPLES}")
     seed = _integer(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
@@ -301,41 +300,39 @@ def _sweep_rows(config: SweepConfig):
     return rows, calibrations
 
 
-def _format_cell(name: str, value) -> str:
-    if value is None or value == "":
+def _format_cell(value) -> str:
+    """A CSV cell from its value's type; a float gets 17 significant digits."""
+    if value is None:
         return ""
-    if name in _STR_COLUMNS:
-        return str(value)
-    if name in _BOOL_COLUMNS:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if name in _INT_COLUMNS:
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return f"{float(value):.16e}"
 
 
-def parse_cell(name: str, text: str):
-    """Inverse of the CSV cell formatting; used by round-trip checks."""
-    if text == "":
-        return None if name not in _STR_COLUMNS else ""
-    if name in _STR_COLUMNS:
-        return text
-    if name in _BOOL_COLUMNS:
-        return text == "true"
-    if name in _INT_COLUMNS:
-        return int(text)
-    return float(text)
+def _output_base(stem: str) -> Path:
+    """Path of the output stem, its directory created before any row runs.
 
-
-def _write_outputs(rows, columns, stem: str, meta: dict):
+    A directory that cannot be created is a ConfigError naming output_stem.
+    """
     base = Path(stem)
-    if base.parent != Path("."):
+    try:
         base.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_stem {stem!r} cannot be written: {exc}") from None
+    return base
+
+
+def _write_outputs(rows, columns, base: Path, meta: dict):
     csv_path = base.with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(c, row.get(c)) for c in columns])
+            writer.writerow([_format_cell(row.get(c)) for c in columns])
     json_path = base.with_suffix(".json")
     with open(json_path, "w") as fh:
         json.dump([{c: row.get(c) for c in columns} for row in rows],
@@ -375,9 +372,9 @@ class SweepResult:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every grid point, write CSV/JSON/meta, and return the rows."""
+    base = _output_base(config.output_stem)
     rows, calibrations = _sweep_rows(config)
-    paths = _write_outputs(rows, SWEEP_COLUMNS, config.output_stem,
-                           _meta(config, calibrations))
+    paths = _write_outputs(rows, SWEEP_COLUMNS, base, _meta(config, calibrations))
     return SweepResult(rows, *paths)
 
 
@@ -390,20 +387,6 @@ class ThresholdResult:
     meta_path: Path
 
 
-def _family_config(config: SweepConfig, family: str, rule) -> SweepConfig:
-    if rule == "fair":
-        p_rule = {"p_mode": "fixed", "p_values": (0.5,),
-                  "p_coefficient": 0.0, "p_beta": None, "p_beta_factor": None}
-    elif rule == "unfair":
-        p_rule = {"p_mode": "fixed", "p_values": (1.0,),
-                  "p_coefficient": 0.0, "p_beta": None, "p_beta_factor": None}
-    else:
-        p_rule = {"p_mode": "threshold", "p_values": (),
-                  "p_coefficient": config.p_coefficient, "p_beta": None,
-                  "p_beta_factor": float(rule)}
-    return dataclasses.replace(config, **p_rule)
-
-
 def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     """Run the fair / at-threshold / super-threshold / fully-biased families.
 
@@ -411,15 +394,19 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     E_norm / vol_norm is fitted across the ladder.  The at-threshold family
     (beta = alpha/2) should stay flat; the super-threshold family
     (beta = alpha/4) should grow with exponent about alpha/2; the fully biased
-    family should lose equidistribution at large lambda.
+    family should lose equidistribution at large lambda.  Each family sets its
+    own beta, so the config's beta and beta_factor are cleared and the meta
+    records null for both.
     """
     if config.p_mode != "threshold":
         raise ConfigError("threshold experiment requires a threshold p_rule")
+    base = _output_base(config.output_stem)
+    config = dataclasses.replace(config, p_beta=None, p_beta_factor=None)
     all_rows = []
     fits = []
     calibrations_all: dict = {}
-    for family, rule in THRESHOLD_FAMILIES:
-        fam_config = _family_config(config, family, rule)
+    for family, rule in THRESHOLD_FAMILIES.items():
+        fam_config = dataclasses.replace(config, **rule)
         rows, calibrations = _sweep_rows(fam_config)
         calibrations_all.update(calibrations)
         for row in rows:
@@ -443,7 +430,7 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
                              "point_count": fit.point_count})
     meta = _meta(config, calibrations_all)
     meta["fits"] = fits
-    paths = _write_outputs(all_rows, THRESHOLD_COLUMNS, config.output_stem, meta)
+    paths = _write_outputs(all_rows, THRESHOLD_COLUMNS, base, meta)
     return ThresholdResult(all_rows, fits, *paths)
 
 

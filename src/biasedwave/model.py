@@ -42,10 +42,6 @@ class WaveParams:
     n_dirs: int
 
     @property
-    def bias(self) -> float:
-        return 2.0 * self.p - 1.0
-
-    @property
     def ball_radius(self) -> float:
         """Radius scale lam**-alpha of the smoothed observation ball."""
         return self.lam ** (-self.alpha)
@@ -220,19 +216,12 @@ def _derivative_bounds(order: int = DERIVATIVE_ORDER,
     return bounds
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """The bump's squared radial mass m2 = integral_0^2 a(t)^2 t dt.
+@lru_cache(maxsize=1)
+def build_cutoff() -> float:
+    """The bump's squared radial mass m2 = integral_0^2 a(t)^2 t dt, computed once.
 
     The planar mass of a(lam**alpha |x|)^2 equals 2*pi*lam**(-2*alpha)*m2.
     """
-
-    squared_radial_mass: float
-
-
-@lru_cache(maxsize=1)
-def build_cutoff() -> CutoffSpec:
-    """Construct (once) the fixed cutoff with its radial mass."""
     m2, abserr = quad(lambda t: cutoff_value(t) ** 2 * t, 0.0, SUPPORT_RADIUS,
                       points=[FLAT_RADIUS], epsabs=0.0, epsrel=_MASS_REL_TOL,
                       limit=200)
@@ -240,10 +229,9 @@ def build_cutoff() -> CutoffSpec:
         raise RuntimeError(
             f"radial mass quadrature did not converge (value={m2}, err={abserr}); "
             "the cutoff profile is defective")
-    return CutoffSpec(squared_radial_mass=float(m2))
+    return float(m2)
 
 
 def cutoff_mass(params: WaveParams) -> float:
     """L1 mass of a(lam**alpha |x|)^2 over the plane: 2*pi*lam**(-2*alpha)*m2."""
-    spec = build_cutoff()
-    return 2.0 * np.pi * params.lam ** (-2.0 * params.alpha) * spec.squared_radial_mass
+    return 2.0 * np.pi * params.lam ** (-2.0 * params.alpha) * build_cutoff()

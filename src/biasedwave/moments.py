@@ -29,8 +29,7 @@ GENERIC_VARIANCE_LIMIT = 512
 DEFAULT_GAMMA_MIN = 8.0
 DEFAULT_DELTA = 0.2
 DEFAULT_KAPPA = 10.0
-DEFAULT_HEADROOM = 1.25
-_VARIANCE_FLOOR = 1e-12
+HEADROOM = 1.25
 
 
 def coin_pair_moment(p: float) -> float:
@@ -51,19 +50,16 @@ def exact_variance(kernel: PairKernel) -> float:
     """Closed-form variance on the circulant fast path.
 
     Symmetry gives S2' = S2 = N * sum_{k != 0} I_k**2 and each of the four
-    row/column-sum products equals N * R**2.  A result below the numerical
-    floor -1e-12 * E**2 indicates a corrupted kernel and raises.
+    row/column-sum products equals N * R**2.  Both terms are products of
+    nonnegative floats (q * q rounds to at most q for q in [0, 1]), so the
+    result is never negative; the PSD floor in build_kernel guards the
+    kernel itself.
     """
     n = kernel.size
     q = coin_pair_moment(kernel.params.p)
     s2 = n * kernel.off_diagonal_square_sum
     row_products = 4.0 * n * kernel.off_diagonal_row_sum ** 2
-    variance = (1.0 - q) ** 2 * 2.0 * s2 + (q - q * q) * row_products
-    expectation = exact_expectation(kernel)
-    if variance < -_VARIANCE_FLOOR * expectation ** 2:
-        raise RuntimeError(f"variance {variance:.3e} below numerical floor; "
-                           "kernel values are corrupted")
-    return max(variance, 0.0)
+    return (1.0 - q) ** 2 * 2.0 * s2 + (q - q * q) * row_products
 
 
 def exact_variance_generic(kernel: PairKernel, p: float | None = None) -> float:
@@ -125,10 +121,10 @@ class CalibratedConstants:
     """Bound constants fixed at a small reference frequency.
 
     The asymptotic bounds only pin powers of lam and gamma; the constants in
-    front are calibrated from the exact kernel at the reference point, with a
-    symmetric headroom factor absorbing finite-frequency oscillation of the
-    normalised ratios.  upper-type constants are scaled up by the headroom,
-    lower-type down.
+    front are calibrated from the exact kernel at the reference point, with the
+    symmetric headroom factor HEADROOM absorbing finite-frequency oscillation
+    of the normalised ratios.  upper-type constants are scaled up by the
+    headroom, lower-type down.
     """
 
     k_upper: float
@@ -141,16 +137,13 @@ class CalibratedConstants:
     reference_alpha: float
 
 
-def calibrate_constants(kernel: PairKernel,
-                        headroom: float = DEFAULT_HEADROOM) -> CalibratedConstants:
-    """Fix bound constants from one (small-lam) kernel.
+def calibrate_constants(kernel: PairKernel) -> CalibratedConstants:
+    """Fix bound constants from one (small-lam) kernel, with headroom HEADROOM.
 
     k_upper / c_lower scale the off-diagonal expectation term against
     gamma**2 * lam**(1-alpha); c1_diag and c2_cross scale the two variance
     terms against gamma**2 * lam**(1-3*alpha) and gamma**3 * lam**(1-2*alpha).
     """
-    if headroom < 1.0:
-        raise ValueError("headroom must be at least 1")
     pr = kernel.params
     n = kernel.size
     cross_scale = pr.gamma ** 2 * pr.lam ** (1.0 - pr.alpha)
@@ -159,11 +152,11 @@ def calibrate_constants(kernel: PairKernel,
     var_diag = 2.0 * n * kernel.off_diagonal_square_sum
     var_cross = 4.0 * n * kernel.off_diagonal_row_sum ** 2
     return CalibratedConstants(
-        k_upper=headroom * ratio,
-        c_lower=ratio / headroom,
-        c1_diag=headroom * var_diag / (pr.gamma ** 2 * pr.lam ** (1.0 - 3.0 * pr.alpha)),
-        c2_cross=headroom * var_cross / (pr.gamma ** 3 * pr.lam ** (1.0 - 2.0 * pr.alpha)),
-        headroom=headroom,
+        k_upper=HEADROOM * ratio,
+        c_lower=ratio / HEADROOM,
+        c1_diag=HEADROOM * var_diag / (pr.gamma ** 2 * pr.lam ** (1.0 - 3.0 * pr.alpha)),
+        c2_cross=HEADROOM * var_cross / (pr.gamma ** 3 * pr.lam ** (1.0 - 2.0 * pr.alpha)),
+        headroom=HEADROOM,
         reference_lam=pr.lam,
         reference_gamma=pr.gamma,
         reference_alpha=pr.alpha,

@@ -192,7 +192,6 @@ class DarbouxProbe:
     """
 
     gammas: np.ndarray
-    x_magnitudes: np.ndarray
     riemann_errors: np.ndarray
     gaps: np.ndarray
     gap_exponents: np.ndarray
@@ -223,8 +222,8 @@ def darboux_error(params: WaveParams, x_magnitudes, n_doublings: int = 4) -> Dar
     exponents = np.array([
         fit_exponent(gammas, gaps[i]).slope if np.all(gaps[i] > 0.0) else np.nan
         for i in range(xs.size)])
-    return DarbouxProbe(gammas=gammas, x_magnitudes=xs, riemann_errors=riemann,
-                        gaps=gaps, gap_exponents=exponents)
+    return DarbouxProbe(gammas=gammas, riemann_errors=riemann, gaps=gaps,
+                        gap_exponents=exponents)
 
 
 @dataclass(frozen=True)
@@ -238,14 +237,14 @@ class DiscretisationProbe:
     termwise estimates actually control: the square root of
     (lam**-2alpha / gamma) * sum_{j,l} (1 + |xi_j - xi_l| / lam**(alpha-1))**-2,
     whose lam- and gamma-scalings are the testable content of the discretisation
-    bound.  Fitted exponents refer to the pairwise bound norm.
+    bound.  gamma_exponent is the fitted gamma-slope of the pairwise bound norm
+    (NaN on fewer than 3 gammas).
     """
 
     gammas: np.ndarray
     literal_norms: np.ndarray
     pairwise_bound_norms: np.ndarray
     gamma_exponent: float
-    literal_gamma_exponent: float
 
 
 def _pairwise_bound_norm(params: WaveParams, decay_order: float = 2.0) -> float:
@@ -272,9 +271,6 @@ def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationPro
         literal[g] = math.sqrt(h * h * float(np.sum(weight * np.abs(err) ** 2)))
         bound[g] = _pairwise_bound_norm(pg)
     gamma_exponent = fit_exponent(gammas, bound).slope if gammas.size >= 3 else np.nan
-    literal_exponent = (fit_exponent(gammas, literal).slope
-                        if gammas.size >= 3 and np.all(literal > 0.0) else np.nan)
     return DiscretisationProbe(gammas=gammas, literal_norms=literal,
                                pairwise_bound_norms=bound,
-                               gamma_exponent=float(gamma_exponent),
-                               literal_gamma_exponent=float(literal_exponent))
+                               gamma_exponent=float(gamma_exponent))

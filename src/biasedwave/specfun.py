@@ -70,8 +70,6 @@ class AsymptoticCheck:
     """
 
     w: np.ndarray
-    exact_value: np.ndarray
-    leading_term: np.ndarray
     residual: np.ndarray
     c_check: float
 
@@ -82,16 +80,13 @@ class AsymptoticCheck:
 
 
 def asymptotic_check(w) -> AsymptoticCheck:
-    """Evaluate exact and leading values at the given arguments (all > 1)."""
+    """Residual of 2*pi*J0 against its leading term at the arguments (all > 1)."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if np.min(w) <= 1.0:
         raise ValueError("asymptotic comparison requires w > 1")
-    exact = angular_integral(w)
-    leading = stationary_leading_term(w)
-    residual = exact - leading
+    residual = angular_integral(w) - stationary_leading_term(w)
     c_check = float(np.max(np.abs(residual) * w ** 1.5))
-    return AsymptoticCheck(w=w, exact_value=exact, leading_term=leading,
-                           residual=residual, c_check=c_check)
+    return AsymptoticCheck(w=w, residual=residual, c_check=c_check)
 
 
 def residual_probe_points(w_min: float, w_max: float) -> np.ndarray:
@@ -114,10 +109,7 @@ def residual_probe_points(w_min: float, w_max: float) -> np.ndarray:
 class EnvelopeTable:
     """Samples of the surface-measure wave magnitude and its fitted envelope."""
 
-    radii: np.ndarray
     magnitudes: np.ndarray
-    peak_arguments: np.ndarray
-    peak_magnitudes: np.ndarray
     envelope_fit: FitResult
 
     @property
@@ -143,10 +135,6 @@ def surface_wave_envelope(lam: float, radii) -> EnvelopeTable:
     interior = np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1
     if interior.size < 3:
         raise ValueError("too few local maxima; sample the radii more densely")
-    fit = fit_exponent(w[interior], mags[interior])
-    for arr in (radii, mags):
-        arr.setflags(write=False)
-    return EnvelopeTable(radii=radii, magnitudes=mags,
-                         peak_arguments=w[interior],
-                         peak_magnitudes=mags[interior],
-                         envelope_fit=fit)
+    mags.setflags(write=False)
+    return EnvelopeTable(magnitudes=mags,
+                         envelope_fit=fit_exponent(w[interior], mags[interior]))

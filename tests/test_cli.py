@@ -11,9 +11,17 @@ import pytest
 import biasedwave.cli
 import biasedwave.montecarlo
 from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
-from biasedwave.cli import (SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main,
-                            parse_cell)
+from biasedwave.cli import SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main
 from biasedwave.oscint import PAIR_REL_TOL
+
+
+def cell_as(value, text: str):
+    """The CSV cell text read back as the type of the JSON value."""
+    if value is None:
+        return None if text == "" else text
+    if isinstance(value, bool):
+        return {"true": True, "false": False}.get(text, text)
+    return type(value)(text)
 
 
 def base_config(tmp_path, **overrides):
@@ -129,7 +137,7 @@ class TestRunSweep:
         assert len(json_rows) == len(csv_rows) == 2
         for jrow, crow in zip(json_rows, csv_rows):
             for name in SWEEP_COLUMNS:
-                assert parse_cell(name, crow[name]) == jrow[name], name
+                assert cell_as(jrow[name], crow[name]) == jrow[name], name
 
     def test_meta_contents(self, tmp_path):
         result = run_sweep(parse_config(base_config(tmp_path)))
@@ -204,6 +212,23 @@ class TestThresholdExperiment:
         with open(result.csv_path, newline="") as fh:
             header = fh.readline().strip().split(",")
         assert header == THRESHOLD_COLUMNS
+
+    def test_config_beta_changes_neither_rows_nor_meta(self, tmp_path):
+        outputs = []
+        for name, beta in (("a", {"beta": 0.1}), ("b", {"beta_factor": 0.5})):
+            doc = base_config(
+                tmp_path, output_stem=str(tmp_path / name),
+                lambda_ladder=[64.0, 128.0],
+                gamma={"mode": "fixed", "values": [2.0]},
+                p_rule={"mode": "threshold", "c": 1.0, **beta})
+            result = threshold_experiment(parse_config(doc))
+            meta = json.loads(result.meta_path.read_text())
+            assert meta["config"]["p_beta"] is None
+            assert meta["config"]["p_beta_factor"] is None
+            del meta["config"]["output_stem"]
+            outputs.append((result.csv_path.read_bytes(),
+                            result.json_path.read_bytes(), meta))
+        assert outputs[0] == outputs[1]
 
 
 class TestCommandLine:
@@ -298,6 +323,24 @@ class TestCommandLine:
         assert err.startswith("biasedwave: error: ") and key in err
         assert err.count("\n") == 1
         assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    def test_unwritable_output_stem_prints_one_line(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        def no_row_may_run(*args, **kwargs):
+            raise AssertionError("a row ran before the output stem was checked")
+
+        monkeypatch.setattr(biasedwave.cli, "build_report", no_row_may_run)
+        path = tmp_path / "config.json"
+        doc = base_config(tmp_path, output_stem=str(path / "run"))  # under a file
+        if command == "threshold":
+            doc["p_rule"] = {"mode": "threshold", "c": 1.0, "beta_factor": 0.5}
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: output_stem ")
+        assert err.count("\n") == 1
 
     def test_module_entry_point(self):
         src = str(Path(biasedwave.cli.__file__).parents[1])

@@ -1,8 +1,10 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used there, and every private name is read.
 
 No linter is part of the toolchain, so this parses each hand-written module
-with `ast` and refuses imports that nothing reads.  `__init__.py` re-exports
-by design and `_wtable.py` is generated, so both are left out.
+with `ast`.  It refuses imports that nothing in the module reads;
+`__init__.py` re-exports by design and `_wtable.py` is generated, so both are
+left out.  It also refuses a module-level private name (`_x`, not a dunder)
+that no package module reads as a name, an attribute or an import alias.
 """
 
 import ast
@@ -32,6 +34,33 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def unread_private_names(sources: dict) -> list:
+    """(module, name) of each module-level private name no source reads."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            defined += [(module, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(item for item in defined if item[1] not in read)
+
+
 def test_modules_found():
     assert {"cli.py", "moments.py", "montecarlo.py"} <= {p.name for p in MODULES}
 
@@ -44,3 +73,18 @@ def test_no_unused_imports(path):
 def test_checker_sees_an_unused_import():
     source = "import math\nfrom os import path, sep\nprint(sep)\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")
+               if p.name != "_wtable.py"}
+    assert unread_private_names(sources) == []
+
+
+def test_checker_sees_an_unread_private_name():
+    sources = {
+        "a.py": ("_FLOOR = 1e-12\n_LIMIT = 5\n__version__ = '1'\n"
+                 "def _helper():\n    return _LIMIT\nclass _Unused: pass\n"),
+        "b.py": "from .a import _helper\nimport a\nprint(a._other)\n_other = 1\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_FLOOR"), ("a.py", "_Unused")]

@@ -39,7 +39,6 @@ class TestBuildParams:
 
     def test_derived_scales(self):
         p = build_params(256, 4, 0.25, 0.5)
-        assert p.bias == 0.0
         assert p.ball_radius == pytest.approx(256 ** -0.25, rel=1e-15)
         assert p.separation_scale == pytest.approx(256 ** -0.75, rel=1e-15)
 
@@ -127,11 +126,11 @@ class TestCutoffMass:
         assert math.pi * lam ** (-2 * alpha) <= mass <= 4 * math.pi * lam ** (-2 * alpha)
 
     def test_radial_mass_against_trapezoid_oracle(self):
-        spec = build_cutoff()
+        m2 = build_cutoff()
         t = np.linspace(0.0, 2.0, 1_000_001)
         oracle = np.trapezoid(cutoff_value(t) ** 2 * t, t)
-        assert spec.squared_radial_mass == pytest.approx(oracle, rel=1e-8)
-        assert 0.5 <= spec.squared_radial_mass <= 2.0
+        assert m2 == pytest.approx(oracle, rel=1e-8)
+        assert 0.5 <= m2 <= 2.0
 
 
 class TestDerivativeBounds:

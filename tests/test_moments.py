@@ -190,10 +190,6 @@ class TestBounds:
                 assert exact_variance(kernel) <= variance_bound(kernel.params,
                                                                 constants)
 
-    def test_headroom_validation(self, kernels):
-        with pytest.raises(ValueError):
-            calibrate_constants(kernels(64, 8, 0.5), headroom=0.5)
-
 
 class TestReportAndClassification:
     def test_fair_coin_point_is_strong(self, kernels):

@@ -21,7 +21,7 @@ from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANELS,
 
 def profile_scale():
     """W(0) = 2*pi*m2, the profile's largest value."""
-    return 2.0 * np.pi * build_cutoff().squared_radial_mass
+    return 2.0 * np.pi * build_cutoff()
 
 
 def direct_profile(s_values):
