@@ -82,38 +82,37 @@ def exact_variance_generic(kernel: PairKernel, p: float | None = None) -> float:
     return (1.0 - q) ** 2 * (s2 + s2_t) + (q - q * q) * bracket
 
 
+def _half_table(k: int, p: float):
+    """+-1 rows of all 2**k bit patterns (entry i is bit i) and their coin weights."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    n_pos = bits.sum(axis=1)
+    return 2.0 * bits - 1.0, p ** n_pos * (1.0 - p) ** (k - n_pos)
+
+
 def enumerate_moments(kernel: PairKernel, p: float):
     """Exhaustive expectation and variance over all 2**N sign vectors.
 
-    Each vector c contributes weight p**(#+1) * (1-p)**(#-1) and mass
-    c^T (I_jl) c evaluated through the dense matrix (independently of the
-    spectral fast path).  Exact up to floating point; N <= 20 only.
+    Every mass comes from the dense M = (I_jl) with its diagonal zeroed, with no
+    symmetry or circulant assumption.  Splitting c = (a, b) after lo = N//2 entries,
+    Q_off(c) = a^T M_aa a + b^T M_bb b + b^T (M_ba + M_ab^T) a: one GEMM over the half
+    sign tables gives all 2**N masses, and the weight p**(#+1) * (1-p)**(#-1)
+    factors over the halves.  N * I_0, shared by every c, is added last and the
+    variance taken in two passes, so nothing cancels.  N <= 20: three 2**N-double arrays.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    coin_pair_moment(p)
     n = kernel.size
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration limited to N <= {ENUMERATION_LIMIT}, got {n}")
     m = kernel_matrix(kernel, max_size=ENUMERATION_LIMIT)
-    diagonal = n * kernel.diagonal
-    # every +-1 vector contributes the same diagonal mass N * I_0 exactly, so
-    # enumerating only the off-diagonal part avoids cancellation against it
     np.fill_diagonal(m, 0.0)
-    total = 1 << n
-    masses = np.empty(total)
-    weights = np.empty(total)
-    chunk = min(total, 1 << 16)
-    bit_cols = np.arange(n, dtype=np.uint32)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = (idx[:, None] >> bit_cols[None, :]) & 1
-        signs = 2.0 * bits - 1.0
-        masses[start:start + chunk] = np.einsum("ij,jk,ik->i", signs, m, signs)
-        n_pos = bits.sum(axis=1)
-        weights[start:start + chunk] = p ** n_pos * (1.0 - p) ** (n - n_pos)
-    off_mean = float(weights @ masses)
-    variance = float(weights @ (masses - off_mean) ** 2)
-    return diagonal + off_mean, variance
+    lo = n // 2
+    (a, wa), (b, wb) = _half_table(lo, p), _half_table(n - lo, p)
+    qa = np.sum((a @ m[:lo, :lo]) * a, axis=1)
+    qb = np.sum((b @ m[lo:, lo:]) * b, axis=1)
+    masses = (b @ (m[lo:, :lo] + m[:lo, lo:].T)) @ a.T + qb[:, None] + qa[None, :]
+    weights = np.outer(wb, wa)
+    off_mean = float(np.vdot(weights, masses))
+    return n * kernel.diagonal + off_mean, float(np.vdot(weights, (masses - off_mean) ** 2))
 
 
 @dataclass(frozen=True)

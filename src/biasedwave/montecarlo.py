@@ -106,9 +106,10 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     """O(N**2) direct double sum sum_{j,l} c_j c_l I_jl; oracle path."""
     signs = _as_signs(coeffs, kernel.size)
     n = kernel.size
+    ext = np.concatenate([signs, signs])  # ext[n - k:2n - k] is np.roll(signs, k)
     acc = 0.0
     for k in range(n):
-        acc += kernel.values[k] * float(signs @ np.roll(signs, k))
+        acc += kernel.values[k] * float(signs @ ext[n - k:2 * n - k])
     return acc
 
 

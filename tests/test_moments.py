@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from biasedwave import (build_params, build_report, calibrate_constants,
                         coin_pair_moment, cutoff_mass, enumerate_moments,
                         exact_expectation, exact_variance,
                         exact_variance_generic, expectation_bounds,
-                        grid_quadrature_mass, variance_bound)
-from biasedwave.oscint import build_kernel
+                        grid_quadrature_mass, moments, variance_bound)
+from biasedwave.oscint import build_kernel, kernel_matrix
 
 
 class TestCoinPairMoment:
@@ -135,6 +136,39 @@ class TestEnumeration:
         kernel = kernels(64, 1, 0.5)
         with pytest.raises(ValueError):
             enumerate_moments(kernel, 0.5)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("skew", [0.0, 0.3])
+    def test_matches_literal_loop_over_sign_vectors(self, monkeypatch, n, skew):
+        # odd N splits into unequal halves and N = 1 leaves the low half
+        # empty; a nonzero skew makes the matrix neither symmetric nor
+        # circulant, so a transposed block shows as well as a swapped half
+        # or a wrong popcount
+        kernel = build_kernel(build_params(24.0, n / 24.0, 0.35, 0.5))
+        perturbation = np.random.default_rng(n).standard_normal((n, n))
+        np.fill_diagonal(perturbation, 0.0)
+        m = kernel_matrix(kernel) + skew * kernel.diagonal * perturbation
+        monkeypatch.setattr(moments, "kernel_matrix", lambda *_, **__: m.copy())
+        vectors = [np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n)]
+        masses = np.array([c @ m @ c for c in vectors])
+        n_pos = np.array([int(np.sum(c > 0)) for c in vectors])
+        for p in (0.0, 0.23, 0.5, 1.0):
+            weights = p ** n_pos * (1.0 - p) ** (n - n_pos)
+            mean = weights @ masses
+            expectation, variance = enumerate_moments(kernel, p)
+            assert expectation == pytest.approx(mean, rel=1e-12)
+            if p in (0.0, 1.0):
+                assert variance == 0.0
+            else:
+                assert variance == pytest.approx(weights @ (masses - mean) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("n_target,lam,alpha", [(19, 38.0, 0.45), (20, 23.0, 0.3)])
+    def test_largest_sizes_match_closed_forms(self, n_target, lam, alpha):
+        kernel = build_kernel(build_params(lam, n_target / lam, alpha, 0.62))
+        assert kernel.size == n_target
+        expectation, variance = enumerate_moments(kernel, 0.62)
+        assert exact_expectation(kernel) == pytest.approx(expectation, rel=1e-10)
+        assert exact_variance(kernel) == pytest.approx(variance, rel=1e-10)
 
 
 class TestBounds:
