@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 from .fitting import FitResult, fit_exponent
 from .model import (DirectionSet, WaveParams, build_cutoff, build_directions,
                     build_params, cutoff_mass, cutoff_value)
-from .moments import (CalibratedConstants, build_report, calibrate_constants,
-                      coin_pair_moment, enumerate_moments, exact_expectation,
-                      exact_variance, exact_variance_generic, expectation_bounds,
-                      variance_bound)
+from .moments import (build_report, calibrate_constants, coin_pair_moment,
+                      enumerate_moments, exact_expectation, exact_variance,
+                      exact_variance_generic, expectation_bounds, variance_bound)
 from .montecarlo import (DarbouxProbe, DiscretisationProbe, darboux_error,
                          e1_error_norm, grid_quadrature_mass, mass_double_sum,
                          mass_quadratic_form, mc_moments, sample_coefficients)

@@ -357,7 +357,7 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
                        "gl_refine_order": GL_REFINE_ORDER,
                        "table_max_drift": TABLE_MAX_DRIFT,
                        "pair_rel_tol": PAIR_REL_TOL},
-        "calibrations": {f"gamma={g},alpha={a}": dataclasses.asdict(c)
+        "calibrations": {f"gamma={g},alpha={a}": c
                          for (g, a), c in sorted(calibrations.items())},
     }
 
@@ -461,7 +461,10 @@ def _cmd_kernel(args) -> int:
         kernel = build_kernel(build_params(args.lam, args.gamma, args.alpha, 0.5))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    export_kernel_csv(kernel, args.output)
+    try:
+        export_kernel_csv(kernel, args.output)
+    except OSError as exc:
+        raise ConfigError(f"--output {args.output!r} cannot be written: {exc}") from None
     print(f"wrote {args.output} ({kernel.size} separations)")
     return 0
 

@@ -20,8 +20,8 @@ class FitResult:
 def fit_exponent(x, y) -> FitResult:
     """Fit y ~ C * x**slope by least squares on logarithms.
 
-    Requires at least 3 strictly positive finite points; the slope is invariant
-    under rescaling either axis.
+    Requires at least 3 strictly positive finite points and two distinct x
+    values; the slope is invariant under rescaling either axis.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -35,6 +35,8 @@ def fit_exponent(x, y) -> FitResult:
         raise ValueError("fit data must be strictly positive")
     lx = np.log(x)
     ly = np.log(y)
+    if np.all(lx == lx[0]):
+        raise ValueError("x must take at least two distinct values")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_res = float(np.sum(resid ** 2))

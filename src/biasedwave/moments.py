@@ -7,17 +7,18 @@ direction), the local mass Q = sum_{j,l} C_j C_l I_jl has
     Var[Q] = (1-q)**2 * [S2 + S2'] + (q - q**2) * [four row/column-sum products],
 
 where q = (2p-1)**2, S2 = sum_{j != l} I_jl**2 and S2' = sum_{j != l} I_jl I_lj.
-On the circulant kernel the row sums are constant, collapsing everything to
-closed forms in the first row.  The asymptotic upper/lower bounds leave their
-constants unspecified, so every bound function takes CalibratedConstants that
-the caller fixes once from one reference kernel with calibrate_constants (the
-sweep uses the smallest ladder frequency of each (gamma, alpha)).
+On the circulant kernel the row sums are constant, collapsing both to two-term
+forms t0 + q*t1 and (1-q)**2*t2 + (q-q**2)*t3 in the first row
+(_moment_terms).  The asymptotic bounds measure each term against a scale law
+in lam and gamma (_law_scales) and leave the constants in front unspecified:
+calibrate_constants fixes them from one reference kernel (the sweep uses the
+smallest ladder frequency of each (gamma, alpha)) and every bound function
+takes the dict it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +40,41 @@ def coin_pair_moment(p: float) -> float:
     return (2.0 * p - 1.0) ** 2
 
 
+def _moment_terms(kernel: PairKernel):
+    """(t0, t1, t2, t3) = (N*I_0, N*R, 2N*S, 4N*R**2) with E = t0 + q*t1 and
+    Var = (1-q)**2 * t2 + (q - q**2) * t3.
+
+    R = sum_{k != 0} I_k and S = sum_{k != 0} I_k**2.  Symmetry gives
+    S2' = S2 = N * S and each of the four row/column-sum products equals
+    N * R**2.  Both variance terms are products of nonnegative floats (q * q
+    rounds to at most q for q in [0, 1]), so the variance is never negative;
+    the PSD floor in build_kernel guards the kernel itself.
+    """
+    n = kernel.size
+    off = kernel.values[1:]
+    row_sum = float(np.sum(off))
+    return (n * kernel.diagonal, n * row_sum, 2.0 * n * float(np.sum(off ** 2)),
+            4.0 * n * row_sum ** 2)
+
+
+def _law_scales(params: WaveParams):
+    """(s0, s1, s2, s3), the lam and gamma scale law of each moment term t0..t3."""
+    g, lam, a = params.gamma, params.lam, params.alpha
+    return (g * lam ** (1.0 - 2.0 * a), g ** 2 * lam ** (1.0 - a),
+            g ** 2 * lam ** (1.0 - 3.0 * a), g ** 3 * lam ** (1.0 - 2.0 * a))
+
+
 def exact_expectation(kernel: PairKernel) -> float:
     """N * I_0 + (2p-1)**2 * N * R via the circulant row-sum identity."""
-    n = kernel.size
-    q = coin_pair_moment(kernel.params.p)
-    return n * kernel.diagonal + q * n * kernel.off_diagonal_row_sum
+    t0, t1, _, _ = _moment_terms(kernel)
+    return t0 + coin_pair_moment(kernel.params.p) * t1
 
 
 def exact_variance(kernel: PairKernel) -> float:
-    """Closed-form variance on the circulant fast path.
-
-    Symmetry gives S2' = S2 = N * sum_{k != 0} I_k**2 and each of the four
-    row/column-sum products equals N * R**2.  Both terms are products of
-    nonnegative floats (q * q rounds to at most q for q in [0, 1]), so the
-    result is never negative; the PSD floor in build_kernel guards the
-    kernel itself.
-    """
-    n = kernel.size
+    """Closed-form variance on the circulant fast path; see _moment_terms."""
+    _, _, t2, t3 = _moment_terms(kernel)
     q = coin_pair_moment(kernel.params.p)
-    s2 = n * kernel.off_diagonal_square_sum
-    row_products = 4.0 * n * kernel.off_diagonal_row_sum ** 2
-    return (1.0 - q) ** 2 * 2.0 * s2 + (q - q * q) * row_products
+    return (1.0 - q) ** 2 * t2 + (q - q * q) * t3
 
 
 def exact_variance_generic(kernel: PairKernel, p: float | None = None) -> float:
@@ -115,90 +130,51 @@ def enumerate_moments(kernel: PairKernel, p: float):
     return n * kernel.diagonal + off_mean, float(np.vdot(weights, (masses - off_mean) ** 2))
 
 
-@dataclass(frozen=True)
-class CalibratedConstants:
-    """Bound constants fixed at a small reference frequency.
+def calibrate_constants(kernel: PairKernel) -> dict:
+    """The bound constants of one (small-lam) reference kernel, as the meta row.
 
-    The asymptotic bounds only pin powers of lam and gamma; the constants in
-    front are calibrated from the exact kernel at the reference point, with the
-    symmetric headroom factor HEADROOM absorbing finite-frequency oscillation
-    of the normalised ratios.  upper-type constants are scaled up by the
-    headroom, lower-type down.
-    """
-
-    k_upper: float
-    c_lower: float
-    c1_diag: float
-    c2_cross: float
-    headroom: float
-    reference_lam: float
-    reference_gamma: float
-    reference_alpha: float
-
-
-def calibrate_constants(kernel: PairKernel) -> CalibratedConstants:
-    """Fix bound constants from one (small-lam) kernel, with headroom HEADROOM.
-
-    k_upper / c_lower scale the off-diagonal expectation term against
-    gamma**2 * lam**(1-alpha); c1_diag and c2_cross scale the two variance
-    terms against gamma**2 * lam**(1-3*alpha) and gamma**3 * lam**(1-2*alpha).
+    Each constant is a moment term over its scale law at the reference, with
+    headroom HEADROOM absorbing finite-frequency oscillation of the ratios:
+    k_upper / c_lower scale the off-diagonal expectation term t1 (clipped at
+    0), c1_diag and c2_cross the two variance terms t2 and t3.  Upper-type
+    constants are scaled up by the headroom, lower-type down.
     """
     pr = kernel.params
-    n = kernel.size
-    cross_scale = pr.gamma ** 2 * pr.lam ** (1.0 - pr.alpha)
-    s_cross = n * kernel.off_diagonal_row_sum
-    ratio = max(s_cross, 0.0) / cross_scale
-    var_diag = 2.0 * n * kernel.off_diagonal_square_sum
-    var_cross = 4.0 * n * kernel.off_diagonal_row_sum ** 2
-    return CalibratedConstants(
-        k_upper=HEADROOM * ratio,
-        c_lower=ratio / HEADROOM,
-        c1_diag=HEADROOM * var_diag / (pr.gamma ** 2 * pr.lam ** (1.0 - 3.0 * pr.alpha)),
-        c2_cross=HEADROOM * var_cross / (pr.gamma ** 3 * pr.lam ** (1.0 - 2.0 * pr.alpha)),
-        headroom=HEADROOM,
-        reference_lam=pr.lam,
-        reference_gamma=pr.gamma,
-        reference_alpha=pr.alpha,
-    )
+    _, t1, t2, t3 = _moment_terms(kernel)
+    _, s1, s2, s3 = _law_scales(pr)
+    ratio = max(t1, 0.0) / s1
+    return {"k_upper": HEADROOM * ratio, "c_lower": ratio / HEADROOM,
+            "c1_diag": HEADROOM * t2 / s2, "c2_cross": HEADROOM * t3 / s3,
+            "headroom": HEADROOM, "reference_lam": pr.lam,
+            "reference_gamma": pr.gamma, "reference_alpha": pr.alpha}
 
 
-def expectation_bounds(params: WaveParams, mode: str,
-                       constants: CalibratedConstants,
+def expectation_bounds(params: WaveParams, constants: dict,
                        gamma_min: float = DEFAULT_GAMMA_MIN):
     """Numeric (lower, upper) envelope for the exact expectation.
 
-    upper = 4*pi*gamma*lam**(1-2*alpha) + K*(2p-1)**2*gamma**2*lam**(1-alpha);
-    the lower bound has the diagonal constant pi and the calibrated constant c,
-    and is only meaningful for dense direction sets, so two_sided mode requires
-    gamma >= gamma_min.  Returns (None, upper) in upper_only mode.
+    upper = 4*pi*s0 + K*(2p-1)**2*s1; the lower bound has the diagonal
+    constant pi and the calibrated constant c, and is only meaningful for
+    dense direction sets, so it is None below gamma_min.
     """
-    if mode not in ("upper_only", "two_sided"):
-        raise ValueError(f"mode must be 'upper_only' or 'two_sided', got {mode!r}")
-    if mode == "two_sided" and params.gamma < gamma_min:
-        raise ValueError(
-            f"two-sided bounds need gamma >= {gamma_min}, got {params.gamma}")
     q = coin_pair_moment(params.p)
-    diag_scale = params.gamma * params.lam ** (1.0 - 2.0 * params.alpha)
-    cross_scale = params.gamma ** 2 * params.lam ** (1.0 - params.alpha)
-    upper = 4.0 * np.pi * diag_scale + constants.k_upper * q * cross_scale
-    if mode == "upper_only":
+    s0, s1, _, _ = _law_scales(params)
+    upper = 4.0 * np.pi * s0 + constants["k_upper"] * q * s1
+    if params.gamma < gamma_min:
         return None, float(upper)
-    lower = np.pi * diag_scale + constants.c_lower * q * cross_scale
-    return float(lower), float(upper)
+    return float(np.pi * s0 + constants["c_lower"] * q * s1), float(upper)
 
 
-def variance_bound(params: WaveParams, constants: CalibratedConstants) -> float:
-    """Two-term variance bound C1*lam**(1-3a)*g**2*(1-q)**2 + C2*g**3*lam**(1-2a)*q*(1-q)."""
+def variance_bound(params: WaveParams, constants: dict) -> float:
+    """Two-term variance bound C1*s2*(1-q)**2 + C2*s3*q*(1-q)."""
     q = coin_pair_moment(params.p)
-    term_diag = (constants.c1_diag * params.lam ** (1.0 - 3.0 * params.alpha)
-                 * params.gamma ** 2 * (1.0 - q) ** 2)
-    term_cross = (constants.c2_cross * params.gamma ** 3
-                  * params.lam ** (1.0 - 2.0 * params.alpha) * q * (1.0 - q))
-    return float(term_diag + term_cross)
+    _, _, s2, s3 = _law_scales(params)
+    return float(constants["c1_diag"] * s2 * (1.0 - q) ** 2
+                 + constants["c2_cross"] * s3 * q * (1.0 - q))
 
 
 def build_report(kernel: PairKernel,
-                 constants: CalibratedConstants,
+                 constants: dict,
                  delta: float = DEFAULT_DELTA,
                  kappa: float = DEFAULT_KAPPA,
                  gamma_min: float = DEFAULT_GAMMA_MIN) -> dict:
@@ -216,9 +192,7 @@ def build_report(kernel: PairKernel,
     params = kernel.params
     expectation = exact_expectation(kernel)
     variance = exact_variance(kernel)
-    mode = "two_sided" if params.gamma >= gamma_min else "upper_only"
-    lower, upper = expectation_bounds(params, mode=mode, constants=constants,
-                                      gamma_min=gamma_min)
+    lower, upper = expectation_bounds(params, constants, gamma_min)
     scale = params.gamma * params.lam
     e_norm = expectation / scale
     var_norm = variance / scale ** 2

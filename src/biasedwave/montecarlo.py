@@ -38,7 +38,12 @@ def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray
     Row r is +1 where Generator(Philox(key=[seed, start + r])).random(N) falls
     below p, bit for bit: one bit generator, seeded without OS entropy, is
     re-keyed at counter 0 with an empty buffer before each row is filled.
+    seed and start must be integers (not bools) in [0, 2**64); neither is coerced.
     """
+    for name, value in (("seed", seed), ("sample_index", start)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or not 0 <= value < 2 ** 64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -77,8 +82,8 @@ def sample_coefficients(params: WaveParams, seed: int,
     Sample sample_index of the keyed stream seed, +1 with probability params.p;
     identical (seed, sample_index, N, p) reproduce it bit for bit.
     """
-    signs = _keyed_signs(int(seed), int(sample_index),
-                         np.empty((1, params.n_dirs)), params.p)[0]
+    signs = _keyed_signs(seed, sample_index, np.empty((1, params.n_dirs)),
+                         params.p)[0]
     signs.setflags(write=False)
     return signs
 
@@ -159,7 +164,7 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     block = np.empty((min(batch, samples), n))
     for start in range(0, samples, batch):
         stop = min(start + batch, samples)
-        signs = _keyed_signs(int(seed), start, block[:stop - start], kernel.params.p)
+        signs = _keyed_signs(seed, start, block[:stop - start], kernel.params.p)
         masses[start:stop] = _block_masses(kernel, signs)
     # centering against the first sample keeps degenerate (single-atom)
     # distributions at exactly zero variance; the extra shift is otherwise

@@ -338,16 +338,6 @@ class PairKernel:
         """I_0, the un-oscillated mass integral."""
         return float(self.values[0])
 
-    @property
-    def off_diagonal_row_sum(self) -> float:
-        """R = sum_{k != 0} I_k; the full off-diagonal double sum is N * R."""
-        return float(np.sum(self.values[1:]))
-
-    @property
-    def off_diagonal_square_sum(self) -> float:
-        """sum_{k != 0} I_k**2; the double sum over j != l equals N times this."""
-        return float(np.sum(self.values[1:] ** 2))
-
 
 @lru_cache(maxsize=KERNEL_MEMO_SIZE)
 def _geometry_row(n: int, lam: float, alpha: float):

@@ -249,6 +249,17 @@ class TestCommandLine:
         assert len(rows) == 64
         assert float(rows[0]["I_k"]) > 0
 
+    @pytest.mark.parametrize("where", ["missing/kernel.csv", "file/kernel.csv"])
+    def test_kernel_command_unwritable_output_prints_one_line(self, tmp_path,
+                                                              capsys, where):
+        (tmp_path / "file").write_text("")
+        assert main(["kernel", "--lambda", "64", "--gamma", "1", "--alpha", "0.5",
+                     "--output", str(tmp_path / where)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: --output ")
+        assert err.count("\n") == 1
+
     def test_asymptotics_command(self, capsys):
         assert main(["asymptotics", "--w-min", "10", "--w-max", "300"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -365,11 +376,12 @@ class TestCommandLine:
         assert payload["point_count"] == 4
 
     @pytest.mark.parametrize("x_col,y_col,key", [("x", "zz", "'zz'"),
-                                                 ("x", "bad", "3 points")])
+                                                 ("x", "bad", "3 points"),
+                                                 ("lambda", "y", "distinct")])
     def test_fit_command_bad_column_prints_one_line(self, tmp_path, capsys,
                                                     x_col, y_col, key):
         path = tmp_path / "data.csv"
-        path.write_text("x,y,bad\n1,5,\n2,11,\n4,24,7\n")
+        path.write_text("x,y,bad,lambda\n1,5,,64\n2,11,,64\n4,24,7,64\n")
         assert main(["fit", str(path), "--x-col", x_col, "--y-col", y_col]) == 2
         out, err = capsys.readouterr()
         assert out == ""

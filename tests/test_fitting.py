@@ -34,6 +34,12 @@ def test_non_positive_rejected():
         fit_exponent(np.array([1.0, -2.0, 3.0]), np.array([1.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("y", [[1.0, 2.0, 3.0], [3.0, 3.0, 3.0]])
+def test_constant_x_rejected(y):
+    with pytest.raises(ValueError, match="two distinct"):
+        fit_exponent(np.array([2.0, 2.0, 2.0]), np.array(y))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         fit_exponent(np.ones(4), np.ones(5))

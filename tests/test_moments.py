@@ -55,7 +55,7 @@ class TestExactExpectation:
             assert a == pytest.approx(b, rel=1e-14)
 
     def test_monotone_in_bias_when_row_sum_positive(self, kernels):
-        assert kernels(256, 8, 0.5).off_diagonal_row_sum > 0
+        assert np.sum(kernels(256, 8, 0.5).values[1:]) > 0
         values = [exact_expectation(kernels(256, 8, 0.5, p))
                   for p in (0.5, 0.6, 0.75, 0.9, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -175,24 +175,40 @@ class TestBounds:
     def test_fair_coin_reduces_to_diagonal_scales(self, kernels):
         params = build_params(256, 8, 0.5, 0.5)
         constants = calibrate_constants(kernels(64, 8, 0.5))
-        lower, upper = expectation_bounds(params, "two_sided", constants)
+        lower, upper = expectation_bounds(params, constants)
         diag_scale = 8 * 256 ** (1 - 2 * 0.5)
         assert lower == pytest.approx(math.pi * diag_scale, rel=1e-12)
         assert upper == pytest.approx(4 * math.pi * diag_scale, rel=1e-12)
 
     def test_two_sided_requires_dense_directions(self):
         constants = calibrate_constants(build_kernel(build_params(64, 2, 0.5, 0.5)))
-        with pytest.raises(ValueError):
-            expectation_bounds(build_params(64, 2, 0.5, 0.5), "two_sided",
-                               constants)
-        lower, upper = expectation_bounds(
-            build_params(64, 2, 0.5, 0.5), "upper_only", constants)
+        lower, upper = expectation_bounds(build_params(64, 2, 0.5, 0.5), constants)
         assert lower is None and upper > 0
+        # the lower bound holds from gamma_min on, and gamma_min itself is in
+        lower, upper = expectation_bounds(build_params(64, 2, 0.5, 0.5), constants,
+                                          gamma_min=2.0)
+        assert 0 < lower < upper
 
-    def test_mode_validation(self, kernels):
-        with pytest.raises(ValueError):
-            expectation_bounds(build_params(64, 8, 0.5, 0.5), "sideways",
-                               calibrate_constants(kernels(64, 8, 0.5)))
+    @pytest.mark.parametrize("reference", [(64, 8, 0.5), (64, 1, 0.3)])
+    def test_bounds_and_closed_forms_state_the_same_laws(self, kernels, reference):
+        # at the calibration point each bound is its moment term times the
+        # headroom, so a scale law that differs between the two sides shows
+        lam, gamma, alpha = reference
+        constants = calibrate_constants(kernels(lam, gamma, alpha))
+        diag_scale = gamma * lam ** (1.0 - 2.0 * alpha)
+        for p in (0.5, 0.6, 0.9, 1.0):
+            kernel = kernels(lam, gamma, alpha, p=p)
+            assert variance_bound(kernel.params, constants) == pytest.approx(
+                moments.HEADROOM * exact_variance(kernel), rel=1e-12)
+            if np.sum(kernel.values[1:]) <= 0:
+                continue
+            cross = exact_expectation(kernel) - kernel.size * kernel.diagonal
+            lower, upper = expectation_bounds(kernel.params, constants,
+                                              gamma_min=gamma)
+            assert upper - 4 * math.pi * diag_scale == pytest.approx(
+                moments.HEADROOM * cross, rel=1e-12)
+            assert lower - math.pi * diag_scale == pytest.approx(
+                cross / moments.HEADROOM, rel=1e-12)
 
     def test_envelope_holds_across_ladder(self, kernels):
         constants = calibrate_constants(kernels(64, 8, 0.5))
@@ -200,8 +216,7 @@ class TestBounds:
             for p in (0.5, 0.75, 1.0):
                 kernel = kernels(lam, 8, 0.5, p=p)
                 value = exact_expectation(kernel)
-                lower, upper = expectation_bounds(kernel.params, "two_sided",
-                                                  constants)
+                lower, upper = expectation_bounds(kernel.params, constants)
                 assert lower <= value <= upper
 
     def test_variance_bound_vanishes_for_degenerate_coins(self, kernels):
@@ -213,7 +228,7 @@ class TestBounds:
     def test_variance_bound_fair_coin_single_term(self, kernels):
         constants = calibrate_constants(kernels(64, 8, 0.5))
         params = build_params(256, 8, 0.5, 0.5)
-        expected = constants.c1_diag * 256 ** (1 - 3 * 0.5) * 64
+        expected = constants["c1_diag"] * 256 ** (1 - 3 * 0.5) * 64
         assert variance_bound(params, constants) == pytest.approx(expected, rel=1e-12)
 
     def test_variance_bound_holds_across_ladder(self, kernels):

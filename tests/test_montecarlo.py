@@ -34,7 +34,7 @@ class TestSampling:
         margin = 4 * math.sqrt(4 * 0.5 * 0.5 / params.n_dirs)
         assert abs(float(np.mean(signs)) - 0.0) <= margin
 
-    @pytest.mark.parametrize("seed", [0, 811, 2 ** 64 - 1])
+    @pytest.mark.parametrize("seed", [0, 811, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)])
     @pytest.mark.parametrize("n", [195, 256])
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_keyed_signs_match_one_generator_per_sample(self, kernels,
@@ -61,6 +61,13 @@ class TestSampling:
         mc_moments(kernel, 100, seed)
         assert [len(b) for b in stream] == [5] * 20
         assert np.array_equal(np.concatenate(stream)[3:13], expected)
+
+    @pytest.mark.parametrize("seed,index,key", [
+        (2.9, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"),
+        (2 ** 64, 0, "seed"), ("3", 0, "seed"), (5, 2.9, "sample_index")])
+    def test_seed_is_never_coerced(self, seed, index, key):
+        with pytest.raises(ValueError, match=key):
+            sample_coefficients(build_params(64, 2, 0.5, 0.37), seed, index)
 
     def test_bias_shows_in_mean(self):
         params = build_params(100_000, 1, 0.5, 0.8)
@@ -216,6 +223,11 @@ class TestMcMoments:
             for i in range(100)]
         assert summary["mc_mean"] == pytest.approx(np.mean(masses),
                                                        rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [1.5, True, np.bool_(True), -1, 2 ** 64])
+    def test_seed_is_never_coerced(self, kernels, seed):
+        with pytest.raises(ValueError, match="seed"):
+            mc_moments(kernels(64, 2, 0.5), 100, seed)
 
     def test_minimum_sample_count(self, kernels):
         with pytest.raises(ValueError):

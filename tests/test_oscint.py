@@ -259,7 +259,7 @@ class TestKernel:
         # full off-diagonal sum N * R against gamma**2 * lam**(1-alpha)
         for lam in (256, 512):
             kernel = kernels(lam, 8, 0.5)
-            total = kernel.size * kernel.off_diagonal_row_sum
+            total = kernel.size * np.sum(kernel.values[1:])
             ratio = total / (8 ** 2 * lam ** 0.5)
             assert 0.2 <= ratio <= 10.0
 
