@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,21 @@ from biasedwave import (build_params, cutoff_mass, darboux_error, e1_error_norm,
                         grid_quadrature_mass, mass_double_sum,
                         mass_quadratic_form, mc_moments, sample_coefficients)
 from biasedwave import montecarlo
-from biasedwave.oscint import build_kernel
+from biasedwave.model import build_directions, cutoff_value
+from biasedwave.oscint import build_kernel, grid_axis
+
+
+def full_grid_mass(params, signs):
+    """The literal full-grid quadrature: two exp phase arrays, one complex
+    GEMM and h**2 * sum of a_lam**2 |u|**2 over every node."""
+    axis, h = grid_axis(params)
+    unit = build_directions(params).unit_vectors
+    phase_x = np.exp(1j * params.lam * np.outer(axis, unit[:, 0]))
+    phase_y = np.exp(1j * params.lam * np.outer(axis, unit[:, 1]))
+    u = (phase_x * signs[None, :]) @ phase_y.T
+    r = np.hypot(axis[:, None], axis[None, :])
+    weight = cutoff_value(params.lam ** params.alpha * r) ** 2
+    return h * h * float(np.sum(weight * (u.real ** 2 + u.imag ** 2)))
 
 
 class TestSampling:
@@ -54,7 +69,7 @@ class TestSampling:
                 expected[i - 3])
         stream = []
 
-        def record(_, signs):
+        def record(_, signs, *__):
             stream.append(signs.copy())
             return np.zeros(len(signs))
         monkeypatch.setattr(montecarlo, "_block_masses", record)
@@ -167,6 +182,29 @@ class TestGridQuadrature:
         fine = grid_quadrature_mass(params, signs, points_per_wavelength=24)
         assert abs(coarse - fine) <= 1e-4 * abs(fine)
 
+    @pytest.mark.parametrize("gamma,n", [(4, 256), (4 + 1 / 64, 257)])
+    @pytest.mark.parametrize("biased", [True, False])
+    def test_half_plane_fold_matches_full_grid(self, gamma, n, biased):
+        # the rows x1 > 0 count twice and the row x1 = 0 once
+        params = build_params(64, gamma, 0.3, 0.37)
+        assert params.n_dirs == n
+        signs = sample_coefficients(params, 31) if biased else np.ones(n)
+        assert grid_quadrature_mass(params, signs) == pytest.approx(
+            full_grid_mass(params, signs), rel=1e-13)
+
+    def test_peak_memory_is_bounded(self):
+        # at most 2.5 complex (side x N) phase arrays alive at once
+        params = build_params(256, 4, 0.3, 0.5)
+        axis, _ = grid_axis(params)
+        assert (params.n_dirs, axis.size) == (1024, 373)
+        tracemalloc.start()
+        try:
+            grid_quadrature_mass(params, np.ones(params.n_dirs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * axis.size * params.n_dirs * 16
+
     def test_refuses_infeasible_parameters(self):
         params = build_params(600, 1, 0.0, 0.5)
         with pytest.raises(ValueError):
@@ -228,6 +266,11 @@ class TestMcMoments:
     def test_seed_is_never_coerced(self, kernels, seed):
         with pytest.raises(ValueError, match="seed"):
             mc_moments(kernels(64, 2, 0.5), 100, seed)
+
+    @pytest.mark.parametrize("samples", [150.0, 100.5, True, np.float64(200), "200"])
+    def test_samples_is_never_coerced(self, kernels, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            mc_moments(kernels(64, 2, 0.5), samples, 0)
 
     def test_minimum_sample_count(self, kernels):
         with pytest.raises(ValueError):
