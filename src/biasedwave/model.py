@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 FLAT_RADIUS = 1.0
 SUPPORT_RADIUS = 2.0
 DERIVATIVE_ORDER = 8
 _BOUNDS_GRID_SIZE = 100_000
-_MASS_REL_TOL = 1e-10
+MASS_RULE_ORDER = 40
+MASS_RULE_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -220,16 +221,18 @@ def _derivative_bounds(order: int = DERIVATIVE_ORDER,
 def build_cutoff() -> float:
     """The bump's squared radial mass m2 = integral_0^2 a(t)^2 t dt, computed once.
 
+    A fixed Gauss-Legendre rule of MASS_RULE_ORDER nodes on the flat part
+    [0, 1] and on each of MASS_RULE_PANELS equal panels of the transition band
+    [1, 2]; it agrees with adaptive quadrature to rounding (tests/test_model.py).
     The planar mass of a(lam**alpha |x|)^2 equals 2*pi*lam**(-2*alpha)*m2.
     """
-    m2, abserr = quad(lambda t: cutoff_value(t) ** 2 * t, 0.0, SUPPORT_RADIUS,
-                      points=[FLAT_RADIUS], epsabs=0.0, epsrel=_MASS_REL_TOL,
-                      limit=200)
-    if not math.isfinite(m2) or abserr > 100.0 * _MASS_REL_TOL * abs(m2):
-        raise RuntimeError(
-            f"radial mass quadrature did not converge (value={m2}, err={abserr}); "
-            "the cutoff profile is defective")
-    return float(m2)
+    x, w = leggauss(MASS_RULE_ORDER)
+    x, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
+    h = (SUPPORT_RADIUS - FLAT_RADIUS) / MASS_RULE_PANELS
+    starts = FLAT_RADIUS + h * np.arange(MASS_RULE_PANELS)
+    nodes = np.concatenate([x, (starts[:, None] + h * x).ravel()])
+    weights = np.concatenate([w, np.tile(h * w, MASS_RULE_PANELS)])
+    return float(np.sum(cutoff_value(nodes) ** 2 * nodes * weights))
 
 
 def cutoff_mass(params: WaveParams) -> float:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import rfft
+from numpy.random import Generator, Philox
 
 from .fitting import fit_exponent
 from .model import WaveParams, build_directions, build_params, cutoff_value
@@ -48,8 +50,8 @@ def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray
     for name, value in (("seed", seed), ("sample_index", start)):
         if not _is_integer(value) or not 0 <= value < 2 ** 64:
             raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(0)
+    gen = Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
     for r in range(out.shape[0]):
         key = np.array([seed, start + r], dtype=np.uint64)
@@ -77,7 +79,7 @@ def _block_masses(kernel: PairKernel, signs: np.ndarray,
     n = kernel.size
     weights = kernel.spectrum[:n // 2 + 1] / n
     weights[1:(n + 1) // 2] *= 2.0
-    power = np.fft.rfft(signs, axis=1, out=spectrum).view(np.float64)  # re, im
+    power = rfft(signs, axis=1, out=spectrum).view(np.float64)  # re, im
     np.square(power, out=power)
     return power @ np.repeat(weights, 2)
 

@@ -28,6 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import fft
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from numpy.polynomial.legendre import leggauss
 
 from . import _wtable
 from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, build_cutoff,
@@ -65,7 +68,7 @@ def _panel_count(s: float) -> int:
 @lru_cache(maxsize=64)
 def _panel_rule(npanels: int, order: int):
     """Gauss-Legendre nodes/weights tiled over npanels equal panels of [0, 2]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     h = SUPPORT_RADIUS / npanels
     starts = h * np.arange(npanels)
     nodes = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
@@ -109,10 +112,10 @@ def _table_panel(index: int):
     def direct(x, order):
         return _rule_integrals(h * (mid + half * x), npanels, order)
 
-    coeffs = np.zeros(1) if tail else np.polynomial.chebyshev.chebinterpolate(
+    coeffs = np.zeros(1) if tail else chebinterpolate(
         lambda x: direct(x, GL_ORDER), TABLE_DEGREE)
     x = np.cos(np.pi * np.arange(TABLE_DEGREE + 2) / (TABLE_DEGREE + 1))
-    drift = np.abs(np.polynomial.chebyshev.chebval(x, coeffs) - direct(x, GL_REFINE_ORDER))
+    drift = np.abs(chebval(x, coeffs) - direct(x, GL_REFINE_ORDER))
     worst = int(np.argmax(drift))
     scale = 2.0 * np.pi * build_cutoff()
     if drift[worst] > PAIR_REL_TOL * scale:
@@ -181,10 +184,10 @@ def profile_table(s_values):
     s_values = np.minimum(s_values.ravel(), S_CUT)
     out = np.empty_like(s_values)
     panel = np.floor(s_values / TABLE_PANEL_WIDTH).astype(int)
-    for index in np.unique(panel):
+    for index in np.flatnonzero(np.bincount(panel)):  # np.unique loads numpy.ma
         sel = np.flatnonzero(panel == index)
         x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-        out[sel] = np.polynomial.chebyshev.chebval(x, _TABLE[index])
+        out[sel] = chebval(x, _TABLE[index])
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -352,7 +355,7 @@ def _geometry_row(n: int, lam: float, alpha: float):
     values[:half + 1] = lam ** (-2.0 * alpha) * reduced
     if n > 1:
         values[half + 1:] = values[1:n - half][::-1]
-    spectrum = np.fft.fft(values).real.copy()
+    spectrum = fft(values).real.copy()
     floor = -PSD_TOL * values[0]
     if np.min(spectrum) < floor:
         raise RuntimeError(

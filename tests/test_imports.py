@@ -8,6 +8,10 @@ that no package module reads as a name, an attribute or an import alias.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +92,36 @@ def test_checker_sees_an_unread_private_name():
         "b.py": "from .a import _helper\nimport a\nprint(a._other)\n_other = 1\n",
     }
     assert unread_private_names(sources) == [("a.py", "_FLOOR"), ("a.py", "_Unused")]
+
+
+# A fresh interpreter imports the CLI and builds the cutoff (a command's
+# set-up), then runs a sweep with Monte Carlo and the grid check, one pair
+# integral and one discretisation probe (the J0-using oracles of an audit).
+FRESH_PASS = """
+import json, sys, tempfile
+import biasedwave.cli as cli
+from biasedwave import build_cutoff, build_params, e1_error_norm, pair_integral
+build_cutoff()
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    cli.run_sweep(cli.parse_config({
+        "lambda_ladder": [64.0, 128.0], "gamma": {"mode": "fixed", "values": [4.0]},
+        "alpha_list": [0.5], "p_rule": {"mode": "fixed", "values": [0.7]},
+        "mc_samples": 100, "seed": 3, "grid_check": True,
+        "output_stem": tmp + "/run"}))
+pair_integral(build_params(64.0, 4.0, 0.5, 0.5), 0.3)
+e1_error_norm(build_params(32.0, 2.0, 0.5, 0.5), n_doublings=1)
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy_added": sorted(m for m in set(sys.modules) - before
+                          if m.startswith("numpy."))}))
+"""
+
+
+def test_a_pass_loads_no_scipy_and_imports_no_numpy_submodule():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", FRESH_PASS], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["scipy"] == []
+    assert loaded["numpy_added"] == []

@@ -132,6 +132,12 @@ class TestCutoffMass:
         assert m2 == pytest.approx(oracle, rel=1e-8)
         assert 0.5 <= m2 <= 2.0
 
+    def test_radial_mass_against_adaptive_quadrature(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        m2, _ = integrate.quad(lambda t: cutoff_value(t) ** 2 * t, 0.0, 2.0,
+                               points=[1.0], epsabs=0.0, epsrel=1e-10, limit=200)
+        assert build_cutoff() == pytest.approx(m2, rel=1e-14)
+
 
 class TestDerivativeBounds:
     def test_table_shape_and_normalisation(self):

@@ -77,6 +77,12 @@ class TestProfileTable:
         assert np.max(np.abs(direct)) <= 1e-15 * profile_scale()
         assert np.all(profile_table(s) == 0.0)
 
+    def test_unsorted_and_repeated_panels(self):
+        s = np.random.default_rng(8).uniform(0.0, 1.2 * S_CUT, 200)
+        s = np.concatenate([s, s[::-1], s[:7]]).reshape(11, 37)
+        one_by_one = np.array([profile_table(v) for v in s.ravel()]).reshape(s.shape)
+        assert np.array_equal(profile_table(s), one_by_one)
+
     def test_committed_table_regenerates_byte_for_byte(self):
         committed = Path(oscint.__file__).with_name("_wtable.py").read_text()
         if profile_table_source() != committed:

@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from biasedwave import (angular_integral, angular_integral_quadrature,
                         asymptotic_check, bessel_j0, residual_probe_points,
                         stationary_leading_term, surface_wave_envelope)
+from biasedwave import specfun
 
 
 class TestBesselJ0:
@@ -38,6 +42,34 @@ class TestBesselJ0:
                             rng.uniform(20.0, 10_000.0, 600)])
         reference = np.array([float(mpmath.besselj(0, x)) for x in z])
         assert np.max(np.abs(bessel_j0(z) - reference)) <= 1e-12
+
+    def test_absolute_error_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        z = np.linspace(0.0, 2000.0, 400_001)
+        assert np.max(np.abs(bessel_j0(z) - special.j0(z))) <= 1e-14
+
+    def test_both_sides_of_the_switch(self):
+        # the trapezoid rule ends and Hankel's expansion starts here
+        mpmath = pytest.importorskip("mpmath")
+        switch = specfun.J0_SWITCH
+        ulp = np.spacing(switch)
+        z = np.concatenate([switch + ulp * np.arange(-8, 9), [switch - 0.1, switch + 0.1]])
+        reference = np.array([float(mpmath.besselj(0, x)) for x in z])
+        assert np.max(np.abs(bessel_j0(z) - reference)) <= 1e-15
+
+    def test_hankel_coefficients_and_truncation(self):
+        # P = sum (-1)**k a_2k z**-2k and Q = sum (-1)**k a_(2k+1) z**-(2k+1),
+        # a_k = 1**2 3**2 ... (2k-1)**2 (-1)**k / (k! 8**k) (DLMF 10.17.1)
+        def a(k):
+            return Fraction((-1) ** k * math.prod((2 * j - 1) ** 2 for j in range(1, k + 1)),
+                            math.factorial(k) * 8 ** k)
+        terms = len(specfun._HANKEL_P)
+        assert len(specfun._HANKEL_Q) == terms
+        for k in range(terms):
+            assert specfun._HANKEL_P[k] == pytest.approx((-1) ** k * a(2 * k), rel=1e-15)
+            assert specfun._HANKEL_Q[k] == pytest.approx((-1) ** k * a(2 * k + 1), rel=1e-15)
+        # the first omitted term is below rounding at the switch
+        assert abs(a(2 * terms)) / specfun.J0_SWITCH ** (2 * terms) <= 1e-17
 
     def test_bounded_by_one(self):
         z = np.linspace(0.0, 2000.0, 400_001)
