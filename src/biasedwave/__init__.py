@@ -21,7 +21,7 @@ from .montecarlo import (DarbouxProbe, DiscretisationProbe, darboux_error,
                          mass_quadratic_form, mc_moments, sample_coefficients)
 from .oscint import (PairKernel, QuadratureError, build_kernel, decay_bound,
                      dyadic_sum_check, export_kernel_csv, pair_integral,
-                     pair_integral_2d_oracle, pair_integral_2d_parts)
+                     pair_integral_2d_oracle)
 from .specfun import (AsymptoticCheck, EnvelopeTable, angular_integral,
                       angular_integral_quadrature, asymptotic_check, bessel_j0,
                       residual_probe_points, stationary_leading_term,

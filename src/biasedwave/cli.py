@@ -390,13 +390,15 @@ class ThresholdResult:
 def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     """Run the fair / at-threshold / super-threshold / fully-biased families.
 
-    For each (family, gamma, alpha) the lambda-exponent of
-    E_norm / vol_norm is fitted across the ladder.  The at-threshold family
-    (beta = alpha/2) should stay flat; the super-threshold family
-    (beta = alpha/4) should grow with exponent about alpha/2; the fully biased
-    family should lose equidistribution at large lambda.  Each family sets its
-    own beta, so the config's beta and beta_factor are cleared and the meta
-    records null for both.
+    For each (family, gamma, alpha) the lambda-exponent of E_norm / vol_norm
+    is fitted across the ladder.  In log_lambda mode gamma = ceil(ln lam)
+    moves along the ladder, so each (family, alpha) is fitted across it and
+    the fit's gamma is None.  The at-threshold family (beta = alpha/2) should
+    stay flat; the super-threshold family (beta = alpha/4) should grow with
+    exponent about alpha/2; the fully biased family should lose
+    equidistribution at large lambda.  Each family sets its own beta, so the
+    config's beta and beta_factor are cleared and the meta records null for
+    both.
     """
     if config.p_mode != "threshold":
         raise ConfigError("threshold experiment requires a threshold p_rule")
@@ -405,6 +407,7 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     all_rows = []
     fits = []
     calibrations_all: dict = {}
+    pooled = config.gamma_mode == "log_lambda"  # gamma moves with lam
     for family, rule in THRESHOLD_FAMILIES.items():
         fam_config = dataclasses.replace(config, **rule)
         rows, calibrations = _sweep_rows(fam_config)
@@ -414,10 +417,10 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
             row["beta"] = (fam_config.beta_for(row["alpha"])
                            if fam_config.p_mode == "threshold" else None)
         all_rows.extend(rows)
-        for gamma in sorted({r["gamma"] for r in rows}):
+        for gamma in [None] if pooled else sorted({r["gamma"] for r in rows}):
             for alpha in fam_config.alpha_list:
                 sel = [r for r in rows
-                       if r["gamma"] == gamma and r["alpha"] == alpha
+                       if (pooled or r["gamma"] == gamma) and r["alpha"] == alpha
                        and not r["error"]]
                 if len(sel) < 3:
                     continue
@@ -451,7 +454,8 @@ def _cmd_threshold(args) -> int:
     print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed, "
           f"{len(result.fits)} fits)")
     for f in result.fits:
-        print(f"  {f['family']:16s} gamma={f['gamma']:g} alpha={f['alpha']:g} "
+        gamma = "log_lambda" if f["gamma"] is None else f"{f['gamma']:g}"
+        print(f"  {f['family']:16s} gamma={gamma} alpha={f['alpha']:g} "
               f"slope={f['slope']:+.3f} r2={f['r_squared']:.4f}")
     return 0 if failures == 0 else 1
 

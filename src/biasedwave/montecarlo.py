@@ -24,8 +24,9 @@ from numpy.fft import rfft
 from numpy.random import Generator, Philox
 
 from .fitting import fit_exponent
-from .model import WaveParams, build_directions, build_params, cutoff_value
-from .oscint import GRID_POINTS_PER_WAVELENGTH, PairKernel, grid_axis
+from .model import WaveParams, build_directions, build_params
+from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, _half_plane_window,
+                     grid_axis)
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
@@ -156,19 +157,6 @@ def _field_on_grid(params: WaveParams, signs: np.ndarray,
     return rows @ cols.T
 
 
-def _half_plane_window(params: WaveParams, axis: np.ndarray):
-    """|x| and the folded window on the grid rows x1 >= 0 of _field_on_grid.
-
-    The window is a_lam(x)**2, doubled on the rows x1 > 0: for an integrand f
-    with f(-x) = f(x), the full-grid sum of a_lam**2 f equals the sum of
-    window * f over these rows, the x1 = 0 row counted once.
-    """
-    r = np.hypot(axis[axis.size // 2:, None], axis[None, :])
-    window = cutoff_value(params.lam ** params.alpha * r) ** 2
-    window[1:] *= 2.0
-    return r, window
-
-
 def grid_quadrature_mass(params: WaveParams, coeffs,
                          points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH) -> float:
     """Trapezoid quadrature of a_lam**2 |u|**2 on a tensor grid; oracle path.
@@ -261,9 +249,9 @@ def darboux_error(params: WaveParams, x_magnitudes, n_doublings: int = 4) -> Dar
     riemann = np.empty((xs.size, gammas.size))
     gaps = np.empty_like(riemann)
     for g, gamma in enumerate(gammas):
-        n = int(round(gamma * params.lam))
-        theta = 2.0 * np.pi * np.arange(n) / n
-        dtheta = 2.0 * np.pi / n
+        pg = build_params(params.lam, gamma, params.alpha, params.p)
+        theta = build_directions(pg).angles
+        dtheta = 2.0 * np.pi / pg.n_dirs
         offsets = np.linspace(0.0, dtheta, _OSC_SUBSAMPLES)
         fine = theta[:, None] + offsets[None, :]
         for i, x in enumerate(xs):
@@ -286,8 +274,9 @@ class DiscretisationProbe:
     """Norms of the direction-sum discretisation error over a gamma ladder.
 
     literal_norms: grid L2 norm of a_lam * E with
-    E(x) = sum_j exp(i lam |x| cos theta_j) - gamma*lam*J0(lam |x|).  On exact
-    equispaced directions this is zero to machine precision (same mechanism as
+    E(x) = sum_j exp(i lam x . xi_j) - N*J0(lam |x|), N = round(gamma*lam) the
+    direction count at that gamma, not gamma*lam itself.  On exact equispaced
+    directions this is zero to machine precision at any lam (same mechanism as
     the Riemann error above).  pairwise_bound_norms carries the quantity the
     termwise estimates actually control: the square root of
     (lam**-2alpha / gamma) * sum_{j,l} (1 + |xi_j - xi_l| / lam**(alpha-1))**-2,
@@ -322,7 +311,7 @@ def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationPro
         pg = build_params(params.lam, gamma, params.alpha, params.p)
         ones = np.ones(pg.n_dirs)
         u_plus = _field_on_grid(pg, ones, axis)
-        err = u_plus - gamma * params.lam * j0_term
+        err = u_plus - pg.n_dirs * j0_term
         literal[g] = math.sqrt(h * h * float(np.sum(window * np.abs(err) ** 2)))
         bound[g] = _pairwise_bound_norm(pg)
     gamma_exponent = fit_exponent(gammas, bound).slope if gammas.size >= 3 else np.nan

@@ -232,34 +232,34 @@ def grid_axis(params: WaveParams,
     return h * np.arange(-m, m + 1), h
 
 
-def pair_integral_2d_parts(params: WaveParams, d: float,
-                           points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
-    """Direct tensor-grid quadrature of the planar integral; oracle path.
+def _half_plane_window(params: WaveParams, axis: np.ndarray):
+    """|x| and the folded window a_lam(x)**2 on the grid rows x1 >= 0.
 
-    Returns the cosine (real) and sine (imaginary) parts separately; the sine
-    part must vanish by symmetry.  The phase lam * d * x1 is constant along a
-    grid row, so each part is h**2 times the phase's cos or sin dotted with
-    the rows' window masses, which are summed in row blocks of bounded size.
+    Row k is x1 = axis[m + k] of the symmetric 2m + 1 node `axis`, over every
+    x2 in `axis`.  The rows x1 > 0 count twice, so for f(-x) = f(x) the
+    full-grid sum of a_lam**2 f is the sum of window * f over these rows.
+    """
+    r = np.hypot(axis[axis.size // 2:, None], axis[None, :])
+    window = cutoff_value(params.lam ** params.alpha * r) ** 2
+    window[1:] *= 2.0
+    return r, window
+
+
+def pair_integral_2d_oracle(params: WaveParams, d: float,
+                            points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH) -> float:
+    """Direct tensor-grid quadrature of the planar pair integral; oracle path.
+
+    The phase lam * d * x1 is constant along a grid row and even in x1, so the
+    integral is h**2 times cos(lam * d * x1) over the rows x1 >= 0, dotted
+    with the row sums of the folded window; the sine part cancels exactly.
     Refuses what grid_axis refuses.
     """
     if not 0.0 <= d <= 2.0:
         raise ValueError(f"chord separation must lie in [0, 2], got {d}")
     axis, h = grid_axis(params, points_per_wavelength)
-    scaled = params.lam ** params.alpha
-    rows = np.empty(axis.size)
-    block = max(1, MAX_GRID_NODES // (50 * axis.size))
-    for start in range(0, axis.size, block):
-        r = np.hypot(axis[start:start + block, None], axis[None, :])
-        rows[start:start + block] = np.sum(cutoff_value(scaled * r) ** 2, axis=1)
-    phase = params.lam * d * axis
-    return h * h * float(np.cos(phase) @ rows), h * h * float(np.sin(phase) @ rows)
-
-
-def pair_integral_2d_oracle(params: WaveParams, d: float,
-                            points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH) -> float:
-    """Real part of the direct 2-d quadrature of the pair integral."""
-    cos_part, _ = pair_integral_2d_parts(params, d, points_per_wavelength)
-    return cos_part
+    _, window = _half_plane_window(params, axis)
+    phase = params.lam * d * axis[axis.size // 2:]
+    return h * h * float(np.cos(phase) @ np.sum(window, axis=1))
 
 
 def _lah_number(n: int, k: int) -> int:

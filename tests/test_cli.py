@@ -230,6 +230,26 @@ class TestThresholdExperiment:
                             result.json_path.read_bytes(), meta))
         assert outputs[0] == outputs[1]
 
+    def test_log_lambda_fits_each_alpha_across_the_ladder(self, tmp_path, capsys):
+        # gamma = ceil(ln lam) is 5, 5, 6 here, so no gamma holds three rows
+        path = tmp_path / "config.json"
+        doc = base_config(
+            tmp_path,
+            lambda_ladder=[64.0, 128.0, 256.0],
+            gamma={"mode": "log_lambda"},
+            p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})
+        path.write_text(json.dumps(doc))
+        assert main(["threshold", str(path)]) == 0
+        out = capsys.readouterr().out
+        fits = json.loads((tmp_path / "run.meta.json").read_text())["fits"]
+        assert [f["family"] for f in fits] == ["fair", "at_threshold",
+                                               "super_threshold", "unfair"]
+        assert all(f["gamma"] is None and f["point_count"] == 3 for f in fits)
+        assert out.count("gamma=log_lambda alpha=0.5 ") == 4
+        slopes = {f["family"]: f["slope"] for f in fits}
+        assert slopes["fair"] == pytest.approx(0.0, abs=0.02)
+        assert slopes["unfair"] > 0.3
+
 
 class TestCommandLine:
     def test_sweep_command(self, tmp_path, capsys):

@@ -315,6 +315,11 @@ class TestDiscretisationProbe:
         probe = e1_error_norm(build_params(128, 8, 0.5, 0.5), n_doublings=2)
         assert np.max(probe.literal_norms) < 1e-8
 
+    def test_literal_error_vanishes_at_fractional_gamma_lam(self):
+        # N = round(gamma * lam) is 802, 1605 and 3210, never gamma * lam
+        probe = e1_error_norm(build_params(100.3, 8, 0.5, 0.5), n_doublings=2)
+        assert np.max(probe.literal_norms) < 1e-8
+
     def test_pairwise_bound_gamma_exponent(self):
         probe = e1_error_norm(build_params(256, 8, 0.5, 0.5), n_doublings=2)
         assert 0.4 <= probe.gamma_exponent <= 1.1

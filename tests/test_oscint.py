@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,13 @@ from biasedwave import (build_cutoff, build_directions, build_params,
                         cutoff_mass, cutoff_value, decay_bound,
                         dyadic_sum_check, exact_expectation,
                         export_kernel_csv, oscint,
-                        pair_integral, pair_integral_2d_oracle,
-                        pair_integral_2d_parts, run_sweep)
+                        pair_integral, pair_integral_2d_oracle, run_sweep)
 from biasedwave.cli import parse_config
 from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANELS,
                                QuadratureError, _table_panel, build_kernel,
-                               decay_constant, kernel_matrix, profile_table,
-                               profile_table_source, reduced_pair_integral)
+                               decay_constant, grid_axis, kernel_matrix,
+                               profile_table, profile_table_source,
+                               reduced_pair_integral)
 
 
 def profile_scale():
@@ -26,6 +27,17 @@ def profile_scale():
 
 def direct_profile(s_values):
     return np.array([reduced_pair_integral(s, GL_REFINE_ORDER) for s in s_values])
+
+
+def full_grid_pair_integral(params, d):
+    """The literal full-grid quadrature: h**2 * sum of a_lam**2 exp(i lam d x1)
+    over every node, cos and sin parts both."""
+    axis, h = grid_axis(params)
+    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
+    weight = cutoff_value(params.lam ** params.alpha * np.hypot(x1, x2)) ** 2
+    phase = params.lam * d * x1
+    return h * h * complex(np.sum(weight * np.cos(phase)),
+                           np.sum(weight * np.sin(phase)))
 
 
 class TestPairIntegral:
@@ -135,10 +147,28 @@ class TestPlanarOracle:
         fine = pair_integral_2d_oracle(params, 0.73, points_per_wavelength=24)
         assert abs(coarse - fine) <= 1e-5 * abs(fine)
 
-    def test_imaginary_part_vanishes(self):
-        params = build_params(64, 1, 0.3, 0.5)
-        _, sin_part = pair_integral_2d_parts(params, 0.9)
-        assert abs(sin_part) < 1e-8 * cutoff_mass(params)
+    @pytest.mark.parametrize("lam,alpha", [(64, 0.3), (96, 0.5)])
+    @pytest.mark.parametrize("d", [0.0, 0.11, 0.9, 2.0])
+    def test_half_plane_fold_matches_full_grid(self, lam, alpha, d):
+        # the rows x1 > 0 count twice, the row x1 = 0 once, and the sine
+        # part of the full grid vanishes
+        params = build_params(lam, 1, alpha, 0.5)
+        literal = full_grid_pair_integral(params, d)
+        assert abs(pair_integral_2d_oracle(params, d) - literal) <= (
+            1e-13 * cutoff_mass(params))
+
+    def test_peak_memory_is_bounded(self):
+        # about seven doubles per node of the half grid x1 >= 0
+        params = build_params(256, 1, 0.3, 0.5)
+        axis, _ = grid_axis(params)
+        half_nodes = (axis.size // 2 + 1) * axis.size
+        tracemalloc.start()
+        try:
+            pair_integral_2d_oracle(params, 0.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * half_nodes
 
     def test_refuses_oversized_grid(self):
         params = build_params(20_000, 0.01, 0.0, 0.5)
@@ -152,7 +182,7 @@ class TestPlanarOracle:
         monkeypatch.setattr(oscint, "cutoff_value", no_grid)
         params = build_params(1000, 0.01, 0.0, 0.5)
         with pytest.raises(ValueError, match="grid evaluation needs"):
-            pair_integral_2d_parts(params, 0.5)
+            pair_integral_2d_oracle(params, 0.5)
 
 
 class TestDecayBound:
