@@ -327,18 +327,18 @@ def _output_base(stem: str) -> Path:
 
 
 def _write_outputs(rows, columns, base: Path, meta: dict):
-    csv_path = base.with_suffix(".csv")
+    csv_path = base.with_name(base.name + ".csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row.get(c)) for c in columns])
-    json_path = base.with_suffix(".json")
+    json_path = base.with_name(base.name + ".json")
     with open(json_path, "w") as fh:
         json.dump([{c: row.get(c) for c in columns} for row in rows],
                   fh, indent=2, sort_keys=False)
         fh.write("\n")
-    meta_path = base.with_suffix(".meta.json")
+    meta_path = base.with_name(base.name + ".meta.json")
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

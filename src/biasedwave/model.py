@@ -72,6 +72,8 @@ def build_params(lam: float, gamma: float, alpha: float, p: float) -> WaveParams
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not math.isfinite(gamma * lam):
+        raise ValueError(f"gamma * lam = {gamma * lam} is not finite")
     n_dirs = int(round(gamma * lam))
     if n_dirs < 1:
         raise ValueError(f"gamma * lam = {gamma * lam} rounds to zero directions")
@@ -140,14 +142,6 @@ def cutoff_value(t):
 # blowup of repeated finite differencing.
 # ---------------------------------------------------------------------------
 
-def _jet_variable(t: np.ndarray, order: int) -> np.ndarray:
-    jet = np.zeros((order + 1, t.size))
-    jet[0] = t
-    if order >= 1:
-        jet[1] = 1.0
-    return jet
-
-
 def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order = a.shape[0] - 1
     out = np.zeros_like(a)
@@ -182,16 +176,14 @@ def _jet_exp(v: np.ndarray) -> np.ndarray:
 
 
 def _squared_cutoff_jet(t: np.ndarray, order: int) -> np.ndarray:
-    """Jet of a(t)**2 on grid points strictly inside (1, 2)."""
-    tj = _jet_variable(t, order)
-    one = np.zeros_like(tj)
-    one[0] = 1.0
-    two = np.zeros_like(tj)
-    two[0] = 2.0
-    s_outer = two - tj      # 2 - t
-    s_inner = tj - one      # t - 1
-    g_outer = _jet_exp(-_jet_div(one, s_outer))
-    g_inner = _jet_exp(-_jet_div(one, s_inner))
+    """Jet of a(t)**2 on grid points strictly inside (1, 2).
+
+    The exponents have closed-form jets: coefficient m of -1/(2 - t) is
+    -(2 - t)**-(m+1), and that of -1/(t - 1) is -(-1)**m * (t - 1)**-(m+1).
+    """
+    m = np.arange(order + 1.0)[:, None]
+    g_outer = _jet_exp(-(SUPPORT_RADIUS - t) ** (-m - 1.0))
+    g_inner = _jet_exp((-1.0) ** (m + 1.0) * (t - FLAT_RADIUS) ** (-m - 1.0))
     a = _jet_div(g_outer, g_outer + g_inner)
     return _jet_mul(a, a)
 
@@ -217,21 +209,37 @@ def _derivative_bounds(order: int = DERIVATIVE_ORDER,
     return bounds
 
 
+_gauss_legendre = lru_cache(leggauss)  # build_cutoff tiles two intervals at one order
+
+
+@lru_cache(maxsize=64)
+def _panel_rule(a: float, b: float, npanels: int, order: int):
+    """Gauss-Legendre nodes/weights of `order` tiled over npanels equal panels of [a, b].
+
+    The one quadrature rule of the bump: build_cutoff reads it for m2 and
+    oscint for the pair integrals W(s).
+    """
+    x, w = _gauss_legendre(order)
+    h = (b - a) / npanels
+    starts = a + h * np.arange(npanels)
+    nodes = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
+    weights = np.tile(0.5 * h * w, npanels)
+    return nodes, weights
+
+
 @lru_cache(maxsize=1)
 def build_cutoff() -> float:
     """The bump's squared radial mass m2 = integral_0^2 a(t)^2 t dt, computed once.
 
-    A fixed Gauss-Legendre rule of MASS_RULE_ORDER nodes on the flat part
-    [0, 1] and on each of MASS_RULE_PANELS equal panels of the transition band
-    [1, 2]; it agrees with adaptive quadrature to rounding (tests/test_model.py).
+    The panel rule of MASS_RULE_ORDER nodes on the flat part [0, 1] and on
+    each of MASS_RULE_PANELS equal panels of the transition band [1, 2]; it
+    agrees with adaptive quadrature to rounding (tests/test_model.py).
     The planar mass of a(lam**alpha |x|)^2 equals 2*pi*lam**(-2*alpha)*m2.
     """
-    x, w = leggauss(MASS_RULE_ORDER)
-    x, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
-    h = (SUPPORT_RADIUS - FLAT_RADIUS) / MASS_RULE_PANELS
-    starts = FLAT_RADIUS + h * np.arange(MASS_RULE_PANELS)
-    nodes = np.concatenate([x, (starts[:, None] + h * x).ravel()])
-    weights = np.concatenate([w, np.tile(h * w, MASS_RULE_PANELS)])
+    x_flat, w_flat = _panel_rule(0.0, FLAT_RADIUS, 1, MASS_RULE_ORDER)
+    x_band, w_band = _panel_rule(FLAT_RADIUS, SUPPORT_RADIUS, MASS_RULE_PANELS,
+                                 MASS_RULE_ORDER)
+    nodes, weights = np.concatenate([x_flat, x_band]), np.concatenate([w_flat, w_band])
     return float(np.sum(cutoff_value(nodes) ** 2 * nodes * weights))
 
 

@@ -87,7 +87,7 @@ def exact_variance_generic(kernel: PairKernel, p: float | None = None) -> float:
     if n > GENERIC_VARIANCE_LIMIT:
         raise ValueError(f"generic variance path limited to N <= {GENERIC_VARIANCE_LIMIT}")
     q = coin_pair_moment(kernel.params.p if p is None else p)
-    m = kernel_matrix(kernel, max_size=GENERIC_VARIANCE_LIMIT)
+    m = kernel_matrix(kernel)
     diag = np.diag(m)
     s2 = float(np.sum(m * m) - np.sum(diag ** 2))
     s2_t = float(np.sum(m * m.T) - np.sum(diag ** 2))
@@ -118,7 +118,7 @@ def enumerate_moments(kernel: PairKernel, p: float):
     n = kernel.size
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration limited to N <= {ENUMERATION_LIMIT}, got {n}")
-    m = kernel_matrix(kernel, max_size=ENUMERATION_LIMIT)
+    m = kernel_matrix(kernel)
     np.fill_diagonal(m, 0.0)
     lo = n // 2
     (a, wa), (b, wb) = _half_table(lo, p), _half_table(n - lo, p)

@@ -26,7 +26,7 @@ from numpy.random import Generator, Philox
 from .fitting import fit_exponent
 from .model import WaveParams, build_directions, build_params
 from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, _half_plane_window,
-                     grid_axis)
+                     dyadic_sum_check, grid_axis)
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
@@ -291,13 +291,6 @@ class DiscretisationProbe:
     gamma_exponent: float
 
 
-def _pairwise_bound_norm(params: WaveParams, decay_order: float = 2.0) -> float:
-    chords = build_directions(params).chord
-    sep = (1.0 + chords / params.separation_scale) ** (-decay_order)
-    total = params.n_dirs * float(np.sum(sep))
-    return math.sqrt(params.lam ** (-2.0 * params.alpha) / params.gamma * total)
-
-
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
     """Measure the discretisation-error norms across a gamma-doubling ladder."""
     gammas = params.gamma * 2.0 ** np.arange(n_doublings + 1)
@@ -313,7 +306,9 @@ def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationPro
         u_plus = _field_on_grid(pg, ones, axis)
         err = u_plus - pg.n_dirs * j0_term
         literal[g] = math.sqrt(h * h * float(np.sum(window * np.abs(err) ** 2)))
-        bound[g] = _pairwise_bound_norm(pg)
+        separation_sum, _ = dyadic_sum_check(pg, 2.0)  # l != j; the l == j term is 1
+        bound[g] = math.sqrt(pg.lam ** (-2.0 * pg.alpha) / pg.gamma
+                             * (pg.n_dirs * (1.0 + separation_sum)))
     gamma_exponent = fit_exponent(gammas, bound).slope if gammas.size >= 3 else np.nan
     return DiscretisationProbe(gammas=gammas, literal_norms=literal,
                                pairwise_bound_norms=bound,

@@ -30,11 +30,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
-from numpy.polynomial.legendre import leggauss
 
 from . import _wtable
-from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, build_cutoff,
-                    build_directions, cutoff_value)
+from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, _panel_rule,
+                    build_cutoff, build_directions, cutoff_value)
 from .specfun import bessel_j0
 
 GL_ORDER = 12
@@ -65,21 +64,10 @@ def _panel_count(s: float) -> int:
     return 8 * int(math.ceil(s / math.pi)) + 16
 
 
-@lru_cache(maxsize=64)
-def _panel_rule(npanels: int, order: int):
-    """Gauss-Legendre nodes/weights tiled over npanels equal panels of [0, 2]."""
-    x, w = leggauss(order)
-    h = SUPPORT_RADIUS / npanels
-    starts = h * np.arange(npanels)
-    nodes = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * h * w, npanels)
-    return nodes, weights
-
-
 def _rule_integrals(s_values, npanels: int, order: int) -> np.ndarray:
     """W(s) for every s by one shared panel rule, in row blocks of bounded size."""
     s_values = np.asarray(s_values, dtype=float)
-    nodes, weights = _panel_rule(npanels, order)
+    nodes, weights = _panel_rule(0.0, SUPPORT_RADIUS, npanels, order)
     f = cutoff_value(nodes) ** 2 * nodes * weights
     out = np.empty_like(s_values)
     rows = max(1, _BLOCK_NODES // nodes.size)
@@ -381,11 +369,11 @@ def build_kernel(params: WaveParams) -> PairKernel:
     return PairKernel(values=values, spectrum=spectrum, params=params)
 
 
-def kernel_matrix(kernel: PairKernel, max_size: int = 4096) -> np.ndarray:
-    """Dense circulant matrix (I_jl); only for modest N (oracle paths)."""
+def kernel_matrix(kernel: PairKernel) -> np.ndarray:
+    """Dense circulant matrix (I_jl); only for N <= 4096 (oracle paths)."""
     n = kernel.size
-    if n > max_size:
-        raise ValueError(f"dense kernel of size {n} > {max_size} refused")
+    if n > 4096:
+        raise ValueError(f"dense kernel of size {n} > 4096 refused")
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return kernel.values[idx]
 

@@ -163,8 +163,8 @@ def residual_probe_points(w_min: float, w_max: float) -> np.ndarray:
     envelope is cleanly sampled at these points; elsewhere sign changes make
     pointwise magnitudes unusable for slope fits.
     """
-    if not (0.0 < w_min < w_max):
-        raise ValueError("need 0 < w_min < w_max")
+    if not (0.0 < w_min < w_max and np.isfinite(w_max)):
+        raise ValueError(f"need finite 0 < w_min < w_max, got {w_min!r} and {w_max!r}")
     k_lo = int(np.ceil((w_min - 0.75 * np.pi) / np.pi))
     k_hi = int(np.floor((w_max - 0.75 * np.pi) / np.pi))
     if k_hi < k_lo:

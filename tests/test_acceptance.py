@@ -5,12 +5,9 @@ are shared through build_kernel's geometry memo, keeping the whole module
 within a desk-scale budget (lambda <= 4096).
 """
 
-import dataclasses
-import json
 import math
 
 import numpy as np
-import pytest
 
 from biasedwave import (build_params, calibrate_constants, cutoff_mass,
                         darboux_error, dyadic_sum_check, e1_error_norm,

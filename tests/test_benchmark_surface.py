@@ -6,7 +6,6 @@ the oracle audit or the traced pass.  These tests run both at the tiny sizes
 of perfbench/smoke.py, reading perfbench/ and writing only under tmp_path.
 """
 
-import sys
 from pathlib import Path
 
 import pytest

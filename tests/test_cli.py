@@ -180,6 +180,27 @@ class TestRunSweep:
         with pytest.raises(TypeError):
             run_sweep(parse_config(base_config(tmp_path)))
 
+    def test_dotted_stem_keeps_every_part(self, tmp_path):
+        for version in ("v1", "v2"):
+            stem = tmp_path / f"run.{version}"
+            result = run_sweep(parse_config(base_config(tmp_path, output_stem=str(stem))))
+            assert [p.name for p in (result.csv_path, result.json_path,
+                                     result.meta_path)] == [
+                f"run.{version}.csv", f"run.{version}.json", f"run.{version}.meta.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.v1.csv", "run.v1.json", "run.v1.meta.json",
+            "run.v2.csv", "run.v2.json", "run.v2.meta.json"]
+
+    def test_overflowing_direction_count_is_a_row_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path, lambda_ladder=[1e300], gamma={"mode": "fixed", "values": [1e10]})))
+        assert main(["sweep", str(path)]) == 1
+        assert "1 failed" in capsys.readouterr().out
+        rows = json.loads((tmp_path / "run.json").read_text())
+        assert rows[0]["error"].startswith("ValueError: gamma * lam = inf")
+        assert (tmp_path / "run.csv").exists() and (tmp_path / "run.meta.json").exists()
+
     def test_grid_check_column(self, tmp_path):
         doc = base_config(tmp_path, mc_samples=100, grid_check=True,
                           gamma={"mode": "fixed", "values": [1.0]})
@@ -344,6 +365,9 @@ class TestCommandLine:
         (["kernel", "--lambda", "64", "--gamma", "1", "--alpha", "1.5"], "alpha"),
         (["asymptotics", "--w-min", "0", "--w-max", "300"], "w_min"),
         (["asymptotics", "--w-min", "2", "--w-max", "3"], "points"),
+        (["kernel", "--lambda", "1e300", "--gamma", "1e10", "--alpha", "0.5"],
+         "gamma * lam"),
+        (["asymptotics", "--w-min", "10", "--w-max", "inf"], "finite"),
     ])
     def test_bad_arguments_print_one_line(self, tmp_path, capsys, argv, key):
         output = tmp_path / "kernel.csv"

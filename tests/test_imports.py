@@ -1,9 +1,9 @@
 """Every name a module imports is used there, and every private name is read.
 
 No linter is part of the toolchain, so this parses each hand-written module
-with `ast`.  It refuses imports that nothing in the module reads;
-`__init__.py` re-exports by design and `_wtable.py` is generated, so both are
-left out.  It also refuses a module-level private name (`_x`, not a dunder)
+with `ast`.  It refuses imports that nothing in the module or test file
+reads; `__init__.py` re-exports by design and `_wtable.py` is generated, so
+both are left out.  It also refuses a module-level private name (`_x`, not a dunder)
 that no package module reads as a name, an attribute or an import alias.
 """
 
@@ -21,6 +21,7 @@ import biasedwave
 PACKAGE = Path(biasedwave.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name not in ("__init__.py", "_wtable.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -69,7 +70,8 @@ def test_modules_found():
     assert {"cli.py", "moments.py", "montecarlo.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -26,6 +26,7 @@ class TestBuildParams:
         dict(lam=1.0), dict(lam=0.5), dict(lam=float("nan")),
         dict(lam=float("inf")), dict(gamma=0.0), dict(gamma=-2.0),
         dict(alpha=-0.1), dict(alpha=1.5), dict(p=-0.01), dict(p=1.01),
+        dict(lam=1e300, gamma=1e10),  # gamma * lam overflows to inf
     ])
     def test_rejects_bad_inputs(self, kwargs):
         good = dict(lam=64.0, gamma=2.0, alpha=0.5, p=0.5)

@@ -291,6 +291,11 @@ class TestKernel:
         assert np.allclose(np.sort(kernel.spectrum), dense,
                            atol=1e-8 * kernel.diagonal)
 
+    def test_dense_matrix_refused_above_4096(self):
+        kernel = build_kernel(build_params(4097, 1, 0.5, 0.5))
+        with pytest.raises(ValueError, match="4096"):
+            kernel_matrix(kernel)
+
     def test_off_diagonal_row_sum_scale_for_dense_directions(self, kernels):
         # full off-diagonal sum N * R against gamma**2 * lam**(1-alpha)
         for lam in (256, 512):

@@ -112,6 +112,10 @@ class TestAngularIntegral:
         far = asymptotic_check(residual_probe_points(100.0, 1e4))
         assert far.c_check <= 1.05 * near.c_check
 
+    def test_probe_window_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            residual_probe_points(10.0, np.inf)
+
     def test_check_requires_oscillatory_regime(self):
         with pytest.raises(ValueError):
             asymptotic_check([0.5, 2.0])
