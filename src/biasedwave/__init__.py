@@ -23,9 +23,8 @@ from .oscint import (PairKernel, QuadratureError, build_kernel, decay_bound,
                      dyadic_sum_check, export_kernel_csv, pair_integral,
                      pair_integral_2d_oracle)
 from .specfun import (AsymptoticCheck, EnvelopeTable, angular_integral,
-                      angular_integral_quadrature, asymptotic_check, bessel_j0,
-                      residual_probe_points, stationary_leading_term,
-                      surface_wave_envelope)
+                      asymptotic_check, bessel_j0, residual_probe_points,
+                      stationary_leading_term, surface_wave_envelope)
 from .cli import (SweepConfig, SweepResult, ThresholdResult, load_config,
                   parse_config, run_sweep, threshold_experiment)
 

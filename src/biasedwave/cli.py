@@ -241,21 +241,26 @@ def parse_config(doc: dict) -> SweepConfig:
     )
 
 
-def _read_config(path):
-    """The JSON document in the file at path; an unreadable file is a ConfigError."""
+def load_config(path, **overrides) -> SweepConfig:
+    """The config in the file at path, with overrides set as its keys.
+
+    The overrides are validated like the file's own keys.  The output paths
+    are settled here, before any row runs (see _output_paths): an unreadable
+    file, and a config whose outputs would overwrite the file, is a ConfigError.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-
-
-def load_config(path) -> SweepConfig:
-    return parse_config(_read_config(path))
-
-
-def _empty_row() -> dict:
-    return {name: None for name in SWEEP_COLUMNS}
+    if isinstance(doc, dict):
+        doc.update(overrides)
+    config = parse_config(doc)
+    for out in _output_paths(config.output_stem):
+        if out.exists() and out.samefile(path):
+            raise ConfigError(f"output_stem {config.output_stem!r} would overwrite "
+                              f"the config {path}")
+    return config
 
 
 def _sweep_rows(config: SweepConfig):
@@ -269,7 +274,7 @@ def _sweep_rows(config: SweepConfig):
             for alpha in config.alpha_list:
                 cal_key = (gamma, alpha)
                 for p in config.p_for(lam, gamma, alpha):
-                    row = _empty_row()
+                    row = dict.fromkeys(SWEEP_COLUMNS)
                     row.update({"lambda": lam, "gamma": gamma, "alpha": alpha,
                                 "p": p, "error": ""})
                     try:
@@ -313,36 +318,37 @@ def _format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _output_base(stem: str) -> Path:
-    """Path of the output stem, its directory created before any row runs.
+def _output_paths(stem: str) -> tuple:
+    """The stem's .csv, .json and .meta.json paths, their directory created.
 
-    A directory that cannot be created is a ConfigError naming output_stem.
+    A stem without a file name (".", "/" or "..") or whose directory cannot
+    be created is a ConfigError naming output_stem.
     """
     base = Path(stem)
+    if base.name in ("", ".."):
+        raise ConfigError(f"output_stem {stem!r} has no file name")
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_stem {stem!r} cannot be written: {exc}") from None
-    return base
+    return tuple(base.with_name(base.name + suffix)
+                 for suffix in (".csv", ".json", ".meta.json"))
 
 
-def _write_outputs(rows, columns, base: Path, meta: dict):
-    csv_path = base.with_name(base.name + ".csv")
+def _write_outputs(rows, columns, paths: tuple, meta: dict):
+    csv_path, json_path, meta_path = paths
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row.get(c)) for c in columns])
-    json_path = base.with_name(base.name + ".json")
     with open(json_path, "w") as fh:
         json.dump([{c: row.get(c) for c in columns} for row in rows],
                   fh, indent=2, sort_keys=False)
         fh.write("\n")
-    meta_path = base.with_name(base.name + ".meta.json")
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return csv_path, json_path, meta_path
 
 
 def _meta(config: SweepConfig, calibrations: dict) -> dict:
@@ -372,9 +378,9 @@ class SweepResult:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every grid point, write CSV/JSON/meta, and return the rows."""
-    base = _output_base(config.output_stem)
+    paths = _output_paths(config.output_stem)
     rows, calibrations = _sweep_rows(config)
-    paths = _write_outputs(rows, SWEEP_COLUMNS, base, _meta(config, calibrations))
+    _write_outputs(rows, SWEEP_COLUMNS, paths, _meta(config, calibrations))
     return SweepResult(rows, *paths)
 
 
@@ -402,7 +408,7 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     """
     if config.p_mode != "threshold":
         raise ConfigError("threshold experiment requires a threshold p_rule")
-    base = _output_base(config.output_stem)
+    paths = _output_paths(config.output_stem)
     config = dataclasses.replace(config, p_beta=None, p_beta_factor=None)
     all_rows = []
     fits = []
@@ -433,7 +439,7 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
                              "point_count": fit.point_count})
     meta = _meta(config, calibrations_all)
     meta["fits"] = fits
-    paths = _write_outputs(all_rows, THRESHOLD_COLUMNS, base, meta)
+    _write_outputs(all_rows, THRESHOLD_COLUMNS, paths, meta)
     return ThresholdResult(all_rows, fits, *paths)
 
 
@@ -441,23 +447,25 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
 # command-line interface
 # ---------------------------------------------------------------------------
 
-def _cmd_sweep(args) -> int:
-    result = run_sweep(load_config(args.config))
+def _summary(result) -> int:
+    """Print the `wrote` line (and a threshold run's fits); 1 if any row failed."""
     failures = sum(1 for r in result.rows if r["error"])
-    print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed)")
-    return 0 if failures == 0 else 1
-
-
-def _cmd_threshold(args) -> int:
-    result = threshold_experiment(load_config(args.config))
-    failures = sum(1 for r in result.rows if r["error"])
-    print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed, "
-          f"{len(result.fits)} fits)")
-    for f in result.fits:
+    fits = getattr(result, "fits", None)
+    tail = "" if fits is None else f", {len(fits)} fits"
+    print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed{tail})")
+    for f in fits or ():
         gamma = "log_lambda" if f["gamma"] is None else f"{f['gamma']:g}"
         print(f"  {f['family']:16s} gamma={gamma} alpha={f['alpha']:g} "
               f"slope={f['slope']:+.3f} r2={f['r_squared']:.4f}")
     return 0 if failures == 0 else 1
+
+
+def _cmd_sweep(args) -> int:
+    return _summary(run_sweep(load_config(args.config)))
+
+
+def _cmd_threshold(args) -> int:
+    return _summary(threshold_experiment(load_config(args.config)))
 
 
 def _cmd_kernel(args) -> int:
@@ -493,13 +501,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    doc = _read_config(args.config)
-    if isinstance(doc, dict):  # overrides are validated like the file itself
-        doc.update(mc_samples=args.samples, seed=args.seed)
-    result = run_sweep(parse_config(doc))
-    failures = sum(1 for r in result.rows if r["error"])
-    print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed)")
-    return 0 if failures == 0 else 1
+    return _summary(run_sweep(load_config(args.config, mc_samples=args.samples,
+                                          seed=args.seed)))
 
 
 def _cmd_fit(args) -> int:

@@ -196,7 +196,7 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     n = kernel.size
     masses = np.empty(samples)
-    batch = max(1, _MC_BATCH // max(n, 1))
+    batch = max(1, _MC_BATCH // n)
     block = np.empty((min(batch, samples), n))
     spectrum = np.empty((block.shape[0], n // 2 + 1), dtype=complex)
     for start in range(0, samples, batch):
@@ -211,11 +211,11 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     mean = float(masses[0]) + offset
     centered = shifted - offset
     m = samples
-    variance = float(centered @ centered / (m - 1))
-    se_mean = math.sqrt(variance / m)
-    # delete-one variances from the centered sums
     s1 = float(np.sum(centered))
     s2 = float(centered @ centered)
+    variance = s2 / (m - 1)
+    se_mean = math.sqrt(variance / m)
+    # delete-one variances from the centered sums
     loo_mean = (s1 - centered) / (m - 1)
     loo_var = (s2 - centered ** 2 - (m - 1) * loo_mean ** 2) / (m - 2)
     se_var = math.sqrt((m - 1) / m * float(np.sum((loo_var - loo_var.mean()) ** 2)))

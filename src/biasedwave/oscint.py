@@ -40,7 +40,9 @@ GL_ORDER = 12
 GL_REFINE_ORDER = 16
 PAIR_REL_TOL = 1e-8
 MAX_KERNEL_SIZE = 1_000_000
-KERNEL_MEMO_SIZE = 32  # > the 18 geometries of sweep_ladder, the largest in-repo sweep
+# a sweep re-reads only the last row's geometry (p is its innermost loop); the
+# memo serves threshold_experiment's four family passes and the tests' kernels
+KERNEL_MEMO_SIZE = 32
 MAX_GRID_NODES = 100_000_000
 MAX_GRID_LAMBDA_RATIO = 512.0
 GRID_POINTS_PER_WAVELENGTH = 12
@@ -341,8 +343,7 @@ def _geometry_row(n: int, lam: float, alpha: float):
 
     values = np.empty(n)
     values[:half + 1] = lam ** (-2.0 * alpha) * reduced
-    if n > 1:
-        values[half + 1:] = values[1:n - half][::-1]
+    values[half + 1:] = values[1:n - half][::-1]  # an empty slice at N = 1
     spectrum = fft(values).real.copy()
     floor = -PSD_TOL * values[0]
     if np.min(spectrum) < floor:

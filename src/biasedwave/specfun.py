@@ -6,7 +6,7 @@ The angular integral over the unit circle of exp(+-i w cos(theta)) equals
 is evaluated in numpy from two classical forms (DLMF 10.9.1 and 10.17.3; Watson,
 A Treatise on the Theory of Bessel Functions, 2.2 and 7.21): Bessel's integral
 by the trapezoid rule below J0_SWITCH, Hankel's asymptotic expansion from it on.
-The tests check it against mpmath, against scipy.special.j0 and against
+The tests check it against mpmath, against a second library's J0 and against
 adaptive quadrature of the angular integral.
 """
 
@@ -102,23 +102,6 @@ def bessel_j0(z):
 def angular_integral(w):
     """integral_{-pi}^{pi} exp(i w cos(theta)) dtheta = 2*pi*J0(w), real valued."""
     return 2.0 * np.pi * bessel_j0(w)
-
-
-def angular_integral_quadrature(w: float) -> float:
-    """Direct adaptive quadrature of cos(w cos(theta)); independent check path.
-
-    The sine component vanishes by the theta -> -theta symmetry, so only the
-    cosine part is integrated (over half the range, doubled).
-    """
-    from scipy.integrate import quad  # an oracle alone, so no command loads scipy
-
-    w = float(w)
-    if w < 0.0 or not np.isfinite(w):
-        raise ValueError("angular_integral_quadrature requires finite w >= 0")
-    limit = max(60, int(10 * w / np.pi) + 10)
-    val, _ = quad(lambda theta: np.cos(w * np.cos(theta)), 0.0, np.pi,
-                  limit=limit, epsabs=1e-12, epsrel=1e-12)
-    return 2.0 * val
 
 
 def stationary_leading_term(w):

@@ -38,6 +38,15 @@ def base_config(tmp_path, **overrides):
     return doc
 
 
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Make any row that runs fail the test."""
+    def no_row_may_run(*args, **kwargs):
+        raise AssertionError("a row ran before the output stem was checked")
+
+    monkeypatch.setattr(biasedwave.cli, "build_report", no_row_may_run)
+
+
 class TestConfigParsing:
     def test_minimal_valid(self, tmp_path):
         config = parse_config(base_config(tmp_path))
@@ -106,6 +115,14 @@ class TestConfigParsing:
         doc = base_config(tmp_path, p_rule={"mode": "fixed", "values": [1.2]})
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_load_config_sets_overrides_as_keys(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        config = load_config(path, mc_samples=150, seed=3)
+        assert (config.mc_samples, config.seed) == (150, 3)
+        with pytest.raises(ConfigError, match="mc_samples"):
+            load_config(path, mc_samples=150.0)
 
 
 class TestRunSweep:
@@ -381,11 +398,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["sweep", "threshold"])
     def test_unwritable_output_stem_prints_one_line(self, tmp_path, capsys,
-                                                     monkeypatch, command):
-        def no_row_may_run(*args, **kwargs):
-            raise AssertionError("a row ran before the output stem was checked")
-
-        monkeypatch.setattr(biasedwave.cli, "build_report", no_row_may_run)
+                                                     no_rows, command):
         path = tmp_path / "config.json"
         doc = base_config(tmp_path, output_stem=str(path / "run"))  # under a file
         if command == "threshold":
@@ -396,6 +409,40 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith("biasedwave: error: output_stem ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("stem", [".", "/", ".."])
+    def test_stem_without_file_name_prints_one_line(self, tmp_path, capsys,
+                                                     monkeypatch, no_rows, stem):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # ".." is tmp_path
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, output_stem=stem)))
+        assert main(["sweep", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"biasedwave: error: output_stem {stem!r} ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold", "mc"])
+    def test_outputs_may_not_overwrite_the_config(self, tmp_path, capsys,
+                                                  monkeypatch, no_rows, command):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.json"  # the stem "run" writes run.json
+        path.write_text(json.dumps(base_config(
+            tmp_path, output_stem="run",
+            p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})))
+        config_bytes = path.read_bytes()
+        argv = ([command, str(path)] if command != "mc" else
+                ["mc", "--config", str(path), "--samples", "100", "--seed", "0"])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: output_stem 'run' ")
+        assert str(path) in err and err.count("\n") == 1
+        assert path.read_bytes() == config_bytes
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_module_entry_point(self):
         src = str(Path(biasedwave.cli.__file__).parents[1])

@@ -4,7 +4,8 @@ No linter is part of the toolchain, so this parses each hand-written module
 with `ast`.  It refuses imports that nothing in the module or test file
 reads; `__init__.py` re-exports by design and `_wtable.py` is generated, so
 both are left out.  It also refuses a module-level private name (`_x`, not a dunder)
-that no package module reads as a name, an attribute or an import alias.
+that no package module reads as a name, an attribute or an import alias,
+and any import of scipy in a package module, however deeply nested.
 """
 
 import ast
@@ -66,6 +67,21 @@ def unread_private_names(sources: dict) -> list:
     return sorted(item for item in defined if item[1] not in read)
 
 
+def scipy_imports(source: str) -> list:
+    """Line of each import of scipy or a scipy submodule, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_modules_found():
     assert {"cli.py", "moments.py", "montecarlo.py"} <= {p.name for p in MODULES}
 
@@ -94,6 +110,19 @@ def test_checker_sees_an_unread_private_name():
         "b.py": "from .a import _helper\nimport a\nprint(a._other)\n_other = 1\n",
     }
     assert unread_private_names(sources) == [("a.py", "_FLOOR"), ("a.py", "_Unused")]
+
+
+def test_no_package_module_imports_scipy():
+    found = [(p.name, line) for p in sorted(PACKAGE.glob("*.py"))
+             for line in scipy_imports(p.read_text())]
+    assert found == []
+
+
+def test_checker_sees_a_nested_scipy_import():
+    source = ("import numpy\nfrom .scipy import x\ndef f():\n"
+              "    from scipy.integrate import quad\n"
+              "    if x:\n        import os, scipy.special as sp\n")
+    assert scipy_imports(source) == [4, 6]
 
 
 # A fresh interpreter imports the CLI and builds the cutoff (a command's

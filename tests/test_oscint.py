@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from biasedwave import (build_cutoff, build_directions, build_params,
                         cutoff_mass, cutoff_value, decay_bound,
@@ -69,7 +68,9 @@ class TestPairIntegral:
 
     def test_lipschitz_in_separation(self):
         params = build_params(128, 1, 0.4, 0.5)
-        m3, _ = quad(lambda t: cutoff_value(t) ** 2 * t * t, 0.0, 2.0, limit=100)
+        integrate = pytest.importorskip("scipy.integrate")
+        m3, _ = integrate.quad(lambda t: cutoff_value(t) ** 2 * t * t, 0.0, 2.0,
+                               limit=100)
         lip = 2 * np.pi * params.lam ** (1 - 3 * params.alpha) * m3
         grid = np.linspace(0.0, 2.0, 160)
         vals = [pair_integral(params, d) for d in grid]
