@@ -25,6 +25,6 @@ from .oscint import (PairKernel, QuadratureError, build_kernel, decay_bound,
 from .specfun import (AsymptoticCheck, EnvelopeTable, angular_integral,
                       asymptotic_check, bessel_j0, residual_probe_points,
                       stationary_leading_term, surface_wave_envelope)
-from .cli import (SweepConfig, SweepResult, ThresholdResult, load_config,
-                  parse_config, run_sweep, threshold_experiment)
+from .cli import (SweepConfig, SweepResult, load_config, parse_config, run_sweep,
+                  threshold_experiment)
 

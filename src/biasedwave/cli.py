@@ -40,6 +40,7 @@ SWEEP_COLUMNS = [
     "grid_rel_diff", "error",
 ]
 THRESHOLD_COLUMNS = ["family", "beta"] + SWEEP_COLUMNS
+ASYMPTOTICS_MAX_RADII = 1 << 22  # the envelope's samples in `asymptotics`
 
 # each family's p-rule fields; the threshold families keep the config's c
 THRESHOLD_FAMILIES = {
@@ -124,11 +125,17 @@ class SweepConfig:
             return self.p_beta
         return self.p_beta_factor * alpha
 
-    def p_for(self, lam: float, gamma: float, alpha: float) -> tuple:
-        if self.p_mode == "fixed":
-            return self.p_values
-        beta = self.beta_for(alpha)
-        return (0.5 + self.p_coefficient * lam ** (-beta) / math.sqrt(gamma),)
+    def points(self):
+        """(lam, gamma, alpha, p) of every row, in config order, p innermost."""
+        for lam in self.lambda_ladder:
+            for gamma in self.gammas_for(lam):
+                for alpha in self.alpha_list:
+                    if self.p_mode == "fixed":
+                        yield from ((lam, gamma, alpha, p) for p in self.p_values)
+                    else:
+                        beta = self.beta_for(alpha)
+                        yield lam, gamma, alpha, (
+                            0.5 + self.p_coefficient * lam ** (-beta) / math.sqrt(gamma))
 
 
 def parse_config(doc: dict) -> SweepConfig:
@@ -202,9 +209,6 @@ def parse_config(doc: dict) -> SweepConfig:
     seed = _integer(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
-    rows = len(ladder) * len(alphas) * (len(gamma_values) or 1) * (len(p_values) or 1)
-    if seed + rows - 1 >= 2 ** 64:  # row i keys its Philox stream with seed + i
-        raise ConfigError(f"seed + {rows - 1} (last row) must be < 2**64, got {seed}")
 
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -231,7 +235,7 @@ def parse_config(doc: dict) -> SweepConfig:
     if not isinstance(stem, str) or not stem:
         raise ConfigError("output_stem must be a non-empty string")
 
-    return SweepConfig(
+    config = SweepConfig(
         lambda_ladder=ladder, gamma_mode=gamma["mode"], gamma_values=gamma_values,
         alpha_list=alphas, p_mode=p_rule["mode"], p_values=p_values,
         p_coefficient=p_coefficient, p_beta=p_beta, p_beta_factor=p_beta_factor,
@@ -239,6 +243,10 @@ def parse_config(doc: dict) -> SweepConfig:
         delta=delta, kappa=kappa, gamma_min=gamma_min,
         grid_check=grid_check, grid_check_lambda_cap=grid_cap,
     )
+    rows = sum(1 for _ in config.points())
+    if seed + rows - 1 >= 2 ** 64:  # row i keys its Philox stream with seed + i
+        raise ConfigError(f"seed + {rows - 1} (last row) must be < 2**64, got {seed}")
+    return config
 
 
 def load_config(path, **overrides) -> SweepConfig:
@@ -263,46 +271,35 @@ def load_config(path, **overrides) -> SweepConfig:
     return config
 
 
-def _sweep_rows(config: SweepConfig):
-    """Yield rows in config order together with the calibration table."""
-    lam_cal = config.lambda_ladder[0]
-    calibrations: dict = {}
+def _sweep_rows(config: SweepConfig, calibrations: dict) -> list:
+    """The rows in config order; row i keys its Monte Carlo stream with seed + i.
+
+    Each (gamma, alpha) is calibrated once, at the smallest ladder frequency,
+    into the caller's table, which may already hold it from an earlier call.
+    """
     rows = []
-    index = 0
-    for lam in config.lambda_ladder:
-        for gamma in config.gammas_for(lam):
-            for alpha in config.alpha_list:
-                cal_key = (gamma, alpha)
-                for p in config.p_for(lam, gamma, alpha):
-                    row = dict.fromkeys(SWEEP_COLUMNS)
-                    row.update({"lambda": lam, "gamma": gamma, "alpha": alpha,
-                                "p": p, "error": ""})
-                    try:
-                        if cal_key not in calibrations:
-                            reference = build_params(lam_cal, gamma, alpha, 0.5)
-                            calibrations[cal_key] = calibrate_constants(
-                                build_kernel(reference))
-                        constants = calibrations[cal_key]
-                        kernel = build_kernel(build_params(lam, gamma, alpha, p))
-                        row.update(build_report(kernel, constants=constants,
-                                                delta=config.delta,
-                                                kappa=config.kappa,
-                                                gamma_min=config.gamma_min))
-                        if config.mc_samples > 0:
-                            row.update(mc_moments(kernel, config.mc_samples,
-                                                  config.seed + index))
-                            if (config.grid_check
-                                    and lam <= config.grid_check_lambda_cap):
-                                coeffs = sample_coefficients(
-                                    kernel.params, config.seed + index)
-                                fast = mass_quadratic_form(kernel, coeffs)
-                                slow = grid_quadrature_mass(kernel.params, coeffs)
-                                row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
-                    except (ValueError, RuntimeError) as exc:  # recorded, sweep continues
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                    rows.append(row)
-                    index += 1
-    return rows, calibrations
+    for index, (lam, gamma, alpha, p) in enumerate(config.points()):
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update({"lambda": lam, "gamma": gamma, "alpha": alpha, "p": p, "error": ""})
+        try:
+            if (gamma, alpha) not in calibrations:
+                reference = build_params(config.lambda_ladder[0], gamma, alpha, 0.5)
+                calibrations[gamma, alpha] = calibrate_constants(build_kernel(reference))
+            kernel = build_kernel(build_params(lam, gamma, alpha, p))
+            row.update(build_report(kernel, constants=calibrations[gamma, alpha],
+                                    delta=config.delta, kappa=config.kappa,
+                                    gamma_min=config.gamma_min))
+            if config.mc_samples > 0:
+                row.update(mc_moments(kernel, config.mc_samples, config.seed + index))
+                if config.grid_check and lam <= config.grid_check_lambda_cap:
+                    coeffs = sample_coefficients(kernel.params, config.seed + index)
+                    fast = mass_quadratic_form(kernel, coeffs)
+                    slow = grid_quadrature_mass(kernel.params, coeffs)
+                    row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
+        except (ValueError, RuntimeError) as exc:  # recorded, sweep continues
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
 
 def _format_cell(value) -> str:
@@ -370,30 +367,25 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A run's rows and output paths; fits is None except for a threshold run."""
+
     rows: list
     csv_path: Path
     json_path: Path
     meta_path: Path
+    fits: list | None = None
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every grid point, write CSV/JSON/meta, and return the rows."""
     paths = _output_paths(config.output_stem)
-    rows, calibrations = _sweep_rows(config)
+    calibrations: dict = {}
+    rows = _sweep_rows(config, calibrations)
     _write_outputs(rows, SWEEP_COLUMNS, paths, _meta(config, calibrations))
     return SweepResult(rows, *paths)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    rows: list
-    fits: list
-    csv_path: Path
-    json_path: Path
-    meta_path: Path
-
-
-def threshold_experiment(config: SweepConfig) -> ThresholdResult:
+def threshold_experiment(config: SweepConfig) -> SweepResult:
     """Run the fair / at-threshold / super-threshold / fully-biased families.
 
     For each (family, gamma, alpha) the lambda-exponent of E_norm / vol_norm
@@ -412,12 +404,11 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
     config = dataclasses.replace(config, p_beta=None, p_beta_factor=None)
     all_rows = []
     fits = []
-    calibrations_all: dict = {}
+    calibrations: dict = {}  # the families share the ladder, so one table serves all
     pooled = config.gamma_mode == "log_lambda"  # gamma moves with lam
     for family, rule in THRESHOLD_FAMILIES.items():
         fam_config = dataclasses.replace(config, **rule)
-        rows, calibrations = _sweep_rows(fam_config)
-        calibrations_all.update(calibrations)
+        rows = _sweep_rows(fam_config, calibrations)
         for row in rows:
             row["family"] = family
             row["beta"] = (fam_config.beta_for(row["alpha"])
@@ -437,10 +428,10 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
                              "beta": sel[0]["beta"], "slope": fit.slope,
                              "r_squared": fit.r_squared,
                              "point_count": fit.point_count})
-    meta = _meta(config, calibrations_all)
+    meta = _meta(config, calibrations)
     meta["fits"] = fits
     _write_outputs(all_rows, THRESHOLD_COLUMNS, paths, meta)
-    return ThresholdResult(all_rows, fits, *paths)
+    return SweepResult(all_rows, *paths, fits)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +441,9 @@ def threshold_experiment(config: SweepConfig) -> ThresholdResult:
 def _summary(result) -> int:
     """Print the `wrote` line (and a threshold run's fits); 1 if any row failed."""
     failures = sum(1 for r in result.rows if r["error"])
-    fits = getattr(result, "fits", None)
-    tail = "" if fits is None else f", {len(fits)} fits"
+    tail = "" if result.fits is None else f", {len(result.fits)} fits"
     print(f"wrote {result.csv_path} ({len(result.rows)} rows, {failures} failed{tail})")
-    for f in fits or ():
+    for f in result.fits or ():
         gamma = "log_lambda" if f["gamma"] is None else f"{f['gamma']:g}"
         print(f"  {f['family']:16s} gamma={gamma} alpha={f['alpha']:g} "
               f"slope={f['slope']:+.3f} r2={f['r_squared']:.4f}")
@@ -482,11 +472,15 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    n_radii = 8 * (args.w_max - args.w_min) / np.pi  # 8 per probe point
+    if math.isfinite(args.w_max) and n_radii > ASYMPTOTICS_MAX_RADII:
+        max_width = ASYMPTOTICS_MAX_RADII * np.pi / 8
+        raise ConfigError(f"--w-max - --w-min must be at most {max_width:.0f}, "
+                          f"got {args.w_max - args.w_min:g}")
     try:  # a window without enough probe points or maxima is a bad argument
         check = asymptotic_check(residual_probe_points(args.w_min, args.w_max))
         slope = check.residual_slope()
-        radii = np.linspace(args.w_min, args.w_max,
-                            max(2048, int(8 * (args.w_max - args.w_min) / np.pi)))
+        radii = np.linspace(args.w_min, args.w_max, max(2048, int(n_radii)))
         envelope = surface_wave_envelope(2.0, radii / 2.0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -501,6 +495,9 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.samples < MIN_MC_SAMPLES:  # mc_samples 0 (no Monte Carlo) is for sweep
+        raise ConfigError(f"--samples (the config's mc_samples) must be at least "
+                          f"{MIN_MC_SAMPLES} for mc, got {args.samples}")
     return _summary(run_sweep(load_config(args.config, mc_samples=args.samples,
                                           seed=args.seed)))
 

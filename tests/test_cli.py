@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,7 +53,7 @@ class TestConfigParsing:
         config = parse_config(base_config(tmp_path))
         assert config.lambda_ladder == (64.0,)
         assert config.gammas_for(64.0) == (8.0,)
-        assert config.p_for(64.0, 8.0, 0.5) == (0.5,)
+        assert list(config.points()) == [(64.0, 8.0, 0.5, 0.5)]
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -91,8 +92,9 @@ class TestConfigParsing:
         doc["p_rule"] = {"mode": "threshold", "c": 1.0, "beta_factor": 0.5}
         config = parse_config(doc)
         assert config.beta_for(0.5) == 0.25
-        p, = config.p_for(256.0, 4.0, 0.5)
-        assert p == pytest.approx(0.5 + 256 ** -0.25 / 2.0, rel=1e-14)
+        [(lam, gamma, alpha, p)] = config.points()
+        assert (lam, gamma, alpha) == (64.0, 8.0, 0.5)
+        assert p == pytest.approx(0.5 + 64 ** -0.25 / 8 ** 0.5, rel=1e-14)
 
     def test_small_mc_sample_count_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -164,13 +166,20 @@ class TestRunSweep:
         assert meta["config"]["seed"] == 0
         assert 0.0 <= meta["quadrature"]["table_max_drift"] <= PAIR_REL_TOL
 
-    def test_largest_seed_runs_and_one_more_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("rule,rows", [
+        pytest.param({"p_rule": {"mode": "fixed", "values": [0.5, 0.9]}}, 2, id="fixed"),
+        pytest.param({"lambda_ladder": [64.0, 128.0], "gamma": {"mode": "log_lambda"}},
+                     2, id="log_lambda"),
+        pytest.param({"lambda_ladder": [64.0, 128.0], "alpha_list": [0.3, 0.5],
+                      "p_rule": {"mode": "threshold", "c": 1.0, "beta_factor": 0.5}},
+                     4, id="threshold"),
+    ])
+    def test_largest_seed_runs_and_one_more_is_refused(self, tmp_path, rule, rows):
         # row i keys Philox with seed + i, which must fit in 64 bits
-        doc = base_config(tmp_path, mc_samples=100, seed=2 ** 64 - 2,
-                          p_rule={"mode": "fixed", "values": [0.5, 0.9]})
+        doc = base_config(tmp_path, mc_samples=100, seed=2 ** 64 - rows, **rule)
         result = run_sweep(parse_config(doc))
-        assert [r["error"] for r in result.rows] == ["", ""]
-        assert result.rows[1]["mc_seed"] == 2 ** 64 - 1
+        assert [r["error"] for r in result.rows] == [""] * rows
+        assert result.rows[-1]["mc_seed"] == 2 ** 64 - 1
         doc["seed"] += 1
         with pytest.raises(ConfigError, match="seed"):
             parse_config(doc)
@@ -250,6 +259,25 @@ class TestThresholdExperiment:
         with open(result.csv_path, newline="") as fh:
             header = fh.readline().strip().split(",")
         assert header == THRESHOLD_COLUMNS
+
+    def test_each_gamma_alpha_is_calibrated_once_per_run(self, tmp_path, monkeypatch):
+        calibrated = []
+        calibrate = biasedwave.cli.calibrate_constants
+
+        def counted(kernel):
+            calibrated.append((kernel.params.gamma, kernel.params.alpha))
+            return calibrate(kernel)
+
+        monkeypatch.setattr(biasedwave.cli, "calibrate_constants", counted)
+        doc = base_config(  # gamma = ceil(ln lam) is 5, 5, 6, 7
+            tmp_path, lambda_ladder=[64.0, 128.0, 256.0, 512.0],
+            gamma={"mode": "log_lambda"}, alpha_list=[0.3, 0.5],
+            p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})
+        result = threshold_experiment(parse_config(doc))
+        assert len(result.rows) == 4 * 4 * 2
+        assert sorted(calibrated) == [(g, a) for g in (5.0, 6.0, 7.0) for a in (0.3, 0.5)]
+        meta = json.loads(result.meta_path.read_text())
+        assert len(meta["calibrations"]) == 6
 
     def test_config_beta_changes_neither_rows_nor_meta(self, tmp_path):
         outputs = []
@@ -346,6 +374,20 @@ class TestCommandLine:
         key = "mc_samples" if samples == "20" else "seed"
         assert err.startswith("biasedwave: error: ") and key in err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_mc_command_refuses_too_few_samples(self, tmp_path, capsys, samples):
+        # mc_samples 0 turns Monte Carlo off in a sweep; mc must run it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path, output_stem=str(tmp_path / "out" / "run"))))
+        assert main(["mc", "--config", str(path), "--samples", samples,
+                     "--seed", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: --samples ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("command", ["sweep", "mc"])
     @pytest.mark.parametrize("overrides,key", [({"seed": -1}, "seed"),
                                                ({"sede": 0}, "sede")])
@@ -385,6 +427,7 @@ class TestCommandLine:
         (["kernel", "--lambda", "1e300", "--gamma", "1e10", "--alpha", "0.5"],
          "gamma * lam"),
         (["asymptotics", "--w-min", "10", "--w-max", "inf"], "finite"),
+        (["asymptotics", "--w-min", "10", "--w-max", "1e15"], "--w-max"),
     ])
     def test_bad_arguments_print_one_line(self, tmp_path, capsys, argv, key):
         output = tmp_path / "kernel.csv"
@@ -499,3 +542,25 @@ class TestCommandLine:
         path.write_text(json.dumps(doc))
         assert main(["threshold", str(path)]) == 1
         assert "4 failed" in capsys.readouterr().out
+
+
+class TestReadmeExamples:
+    """The README's config schema and command block match the program."""
+
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_config_schema_example_parses(self, tmp_path):
+        block = re.search(r"### Config schema\s+```json\n(.*?)```", self.README, re.S)
+        doc = json.loads(block.group(1))
+        doc["output_stem"] = str(tmp_path / "out" / "run")
+        config = parse_config(doc)
+        assert config.output_stem == doc["output_stem"]
+
+    def test_command_block_names_only_subcommands(self, capsys):
+        block = re.search(r"## Command line\s+```\n(.*?)```", self.README, re.S)
+        commands = re.findall(r"^biasedwave (\S+)", block.group(1), re.M)
+        assert len(commands) == 6
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0, command
