@@ -86,11 +86,36 @@ def _numbers(values, where: str) -> tuple:
     return tuple(_number(v, where) for v in values)
 
 
+def _non_negative(value, where: str) -> float:
+    number = _number(value, where)
+    if number < 0.0:
+        raise ConfigError(f"{where} must be non-negative")
+    return number
+
+
 def _positive_floats(values, where: str) -> tuple:
     out = _numbers(values, where)
     if any(v <= 0 for v in out):
         raise ConfigError(f"{where} entries must be positive finite numbers")
     return out
+
+
+def _rule(doc: dict, name: str, modes: dict):
+    """The mode and object of the rule doc[name], an object with a 'mode' key.
+
+    modes maps each mode to its (required, optional) keys besides 'mode'.  A
+    tuple of the names is searched, so a list or object mode is an unknown mode.
+    """
+    rule = doc[name]
+    if not isinstance(rule, dict) or "mode" not in rule:
+        raise ConfigError(f"{name} must be an object with a 'mode'")
+    names = tuple(modes)
+    if rule["mode"] not in names:
+        raise ConfigError(f"{name}.mode must be {' or '.join(map(repr, names))}, "
+                          f"got {rule['mode']!r}")
+    required, optional = modes[rule["mode"]]
+    _require_keys(rule, {"mode", *required}, set(optional), name)
+    return rule["mode"], rule
 
 
 @dataclass(frozen=True)
@@ -152,55 +177,29 @@ def parse_config(doc: dict) -> SweepConfig:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("lambda_ladder must be strictly increasing")
 
-    gamma = doc["gamma"]
-    if not isinstance(gamma, dict) or "mode" not in gamma:
-        raise ConfigError("gamma must be an object with a 'mode'")
-    if gamma["mode"] == "fixed":
-        _require_keys(gamma, {"mode", "values"}, set(), "gamma")
-        gamma_values = _positive_floats(gamma["values"], "gamma.values")
-    elif gamma["mode"] == "log_lambda":
-        _require_keys(gamma, {"mode"}, set(), "gamma")
-        gamma_values = ()
-    else:
-        raise ConfigError(f"gamma.mode must be 'fixed' or 'log_lambda', "
-                          f"got {gamma['mode']!r}")
+    gamma_mode, gamma = _rule(doc, "gamma", {"fixed": ({"values"}, ()),
+                                             "log_lambda": ((), ())})
+    gamma_values = (_positive_floats(gamma["values"], "gamma.values")
+                    if gamma_mode == "fixed" else ())
 
     alphas = _numbers(doc["alpha_list"], "alpha_list")
     if any(not 0.0 <= a < 1.0 for a in alphas):
         raise ConfigError("alpha_list entries must lie in [0, 1)")
 
-    p_rule = doc["p_rule"]
-    if not isinstance(p_rule, dict) or "mode" not in p_rule:
-        raise ConfigError("p_rule must be an object with a 'mode'")
-    p_values: tuple = ()
-    p_coefficient = 0.0
-    p_beta = None
-    p_beta_factor = None
-    if p_rule["mode"] == "fixed":
-        _require_keys(p_rule, {"mode", "values"}, set(), "p_rule")
+    p_mode, p_rule = _rule(doc, "p_rule", {"fixed": ({"values"}, ()),
+                                           "threshold": ({"c"}, ("beta", "beta_factor"))})
+    p_values, p_coefficient, p_beta, p_beta_factor = (), 0.0, None, None
+    if p_mode == "fixed":
         p_values = _numbers(p_rule["values"], "p_rule.values")
         if any(not 0.0 <= v <= 1.0 for v in p_values):
             raise ConfigError("p_rule.values must lie in [0, 1]")
-    elif p_rule["mode"] == "threshold":
-        _require_keys(p_rule, {"mode", "c"}, {"beta", "beta_factor"}, "p_rule")
-        p_coefficient = _number(p_rule["c"], "p_rule.c")
-        if p_coefficient < 0.0:
-            raise ConfigError("p_rule.c must be non-negative")
-        has_beta = "beta" in p_rule
-        has_factor = "beta_factor" in p_rule
-        if has_beta == has_factor:
-            raise ConfigError("p_rule needs exactly one of 'beta' or 'beta_factor'")
-        if has_beta:
-            p_beta = _number(p_rule["beta"], "p_rule.beta")
-            if p_beta < 0.0:
-                raise ConfigError("p_rule.beta must be non-negative")
-        else:
-            p_beta_factor = _number(p_rule["beta_factor"], "p_rule.beta_factor")
-            if p_beta_factor < 0.0:
-                raise ConfigError("p_rule.beta_factor must be non-negative")
     else:
-        raise ConfigError(f"p_rule.mode must be 'fixed' or 'threshold', "
-                          f"got {p_rule['mode']!r}")
+        p_coefficient = _non_negative(p_rule["c"], "p_rule.c")
+        if ("beta" in p_rule) == ("beta_factor" in p_rule):
+            raise ConfigError("p_rule needs exactly one of 'beta' or 'beta_factor'")
+        p_beta, p_beta_factor = (_non_negative(p_rule[key], f"p_rule.{key}")
+                                 if key in p_rule else None
+                                 for key in ("beta", "beta_factor"))
 
     mc_samples = _integer(doc.get("mc_samples", 0), "mc_samples")
     if mc_samples < 0 or 0 < mc_samples < MIN_MC_SAMPLES:
@@ -226,6 +225,9 @@ def parse_config(doc: dict) -> SweepConfig:
     grid_check = doc.get("grid_check", False)
     if not isinstance(grid_check, bool):
         raise ConfigError(f"grid_check must be true or false, got {grid_check!r}")
+    if grid_check and mc_samples == 0:  # the check reads a row's first Monte Carlo sample
+        raise ConfigError("grid_check needs Monte Carlo: set mc_samples to at least "
+                          f"{MIN_MC_SAMPLES} or grid_check to false")
     grid_cap = _number(doc.get("grid_check_lambda_cap", 256.0),
                        "grid_check_lambda_cap")
     if grid_cap <= 0:
@@ -236,8 +238,8 @@ def parse_config(doc: dict) -> SweepConfig:
         raise ConfigError("output_stem must be a non-empty string")
 
     config = SweepConfig(
-        lambda_ladder=ladder, gamma_mode=gamma["mode"], gamma_values=gamma_values,
-        alpha_list=alphas, p_mode=p_rule["mode"], p_values=p_values,
+        lambda_ladder=ladder, gamma_mode=gamma_mode, gamma_values=gamma_values,
+        alpha_list=alphas, p_mode=p_mode, p_values=p_values,
         p_coefficient=p_coefficient, p_beta=p_beta, p_beta_factor=p_beta_factor,
         mc_samples=mc_samples, seed=seed, output_stem=stem,
         delta=delta, kappa=kappa, gamma_min=gamma_min,
@@ -339,13 +341,9 @@ def _write_outputs(rows, columns, paths: tuple, meta: dict):
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row.get(c)) for c in columns])
-    with open(json_path, "w") as fh:
-        json.dump([{c: row.get(c) for c in columns} for row in rows],
-                  fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path.write_text(json.dumps([{c: row.get(c) for c in columns} for row in rows],
+                                    indent=2) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _meta(config: SweepConfig, calibrations: dict) -> dict:

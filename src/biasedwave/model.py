@@ -53,6 +53,11 @@ class WaveParams:
         return self.lam ** (-1.0 + self.alpha)
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer that is not a bool; nothing else is coerced."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_params(lam: float, gamma: float, alpha: float, p: float) -> WaveParams:
     """Validate raw inputs and derive the direction count.
 

@@ -24,7 +24,7 @@ from numpy.fft import rfft
 from numpy.random import Generator, Philox
 
 from .fitting import fit_exponent
-from .model import WaveParams, build_directions, build_params
+from .model import WaveParams, _is_integer, build_directions, build_params
 from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, _half_plane_window,
                      dyadic_sum_check, grid_axis)
 from .specfun import bessel_j0
@@ -33,11 +33,6 @@ MIN_MC_SAMPLES = 100
 MAX_GRID_DIRECTIONS = 4096
 _OSC_SUBSAMPLES = 17
 _MC_BATCH = 1 << 22
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer that is not a bool; nothing else is coerced."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
@@ -240,28 +235,33 @@ class DarbouxProbe:
     gap_exponents: np.ndarray
 
 
+def _gamma_ladder(params: WaveParams, n_doublings: int):
+    """gamma, 2 gamma, ..., 2**n_doublings gamma at fixed lam, and each rung's params."""
+    if not _is_integer(n_doublings) or n_doublings < 0:
+        raise ValueError(f"n_doublings must be a non-negative integer, got {n_doublings!r}")
+    gammas = params.gamma * 2.0 ** np.arange(n_doublings + 1)
+    return gammas, [build_params(params.lam, gamma, params.alpha, params.p)
+                    for gamma in gammas]
+
+
 def darboux_error(params: WaveParams, x_magnitudes, n_doublings: int = 4) -> DarbouxProbe:
     """Riemann error and Darboux gap across gamma, gamma*2, ..., at fixed lam."""
     xs = np.atleast_1d(np.asarray(x_magnitudes, dtype=float))
     if np.any(xs < 0.0) or np.any(xs > 2.0 * params.ball_radius):
         raise ValueError("|x| must lie in [0, 2 * lam**-alpha]")
-    gammas = params.gamma * 2.0 ** np.arange(n_doublings + 1)
+    gammas, rungs = _gamma_ladder(params, n_doublings)
+    w = params.lam * xs
     riemann = np.empty((xs.size, gammas.size))
     gaps = np.empty_like(riemann)
-    for g, gamma in enumerate(gammas):
-        pg = build_params(params.lam, gamma, params.alpha, params.p)
+    for g, pg in enumerate(rungs):
         theta = build_directions(pg).angles
         dtheta = 2.0 * np.pi / pg.n_dirs
-        offsets = np.linspace(0.0, dtheta, _OSC_SUBSAMPLES)
-        fine = theta[:, None] + offsets[None, :]
-        for i, x in enumerate(xs):
-            w = params.lam * x
-            vals = np.exp(1j * w * np.cos(theta))
-            riemann[i, g] = abs(dtheta * np.sum(vals) - 2.0 * np.pi * bessel_j0(w))
-            fine_vals = w * np.cos(fine)
-            osc_re = np.ptp(np.cos(fine_vals), axis=1)
-            osc_im = np.ptp(np.sin(fine_vals), axis=1)
-            gaps[i, g] = dtheta * float(np.sum(osc_re + osc_im))
+        sums = np.sum(_phases(1.0, w, np.cos(theta)), axis=1)  # w = lam |x| is scaled
+        riemann[:, g] = np.abs(dtheta * sums - 2.0 * np.pi * bessel_j0(w))
+        cells = theta[:, None] + np.linspace(0.0, dtheta, _OSC_SUBSAMPLES)
+        fine = w[:, None, None] * np.cos(cells)  # every |x| over each node's cell
+        gaps[:, g] = dtheta * np.sum(np.ptp(np.cos(fine), axis=2)
+                                     + np.ptp(np.sin(fine), axis=2), axis=1)
     exponents = np.array([
         fit_exponent(gammas, gaps[i]).slope if np.all(gaps[i] > 0.0) else np.nan
         for i in range(xs.size)])
@@ -293,15 +293,14 @@ class DiscretisationProbe:
 
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
     """Measure the discretisation-error norms across a gamma-doubling ladder."""
-    gammas = params.gamma * 2.0 ** np.arange(n_doublings + 1)
+    gammas, rungs = _gamma_ladder(params, n_doublings)
     axis, h = grid_axis(params)
     # E is conj-symmetric (real J0 term), so |E|**2 folds onto the half plane
     r, window = _half_plane_window(params, axis)
     j0_term = bessel_j0(params.lam * r)
     literal = np.empty(gammas.size)
     bound = np.empty(gammas.size)
-    for g, gamma in enumerate(gammas):
-        pg = build_params(params.lam, gamma, params.alpha, params.p)
+    for g, pg in enumerate(rungs):
         ones = np.ones(pg.n_dirs)
         u_plus = _field_on_grid(pg, ones, axis)
         err = u_plus - pg.n_dirs * j0_term

@@ -32,8 +32,8 @@ from numpy.fft import fft
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from . import _wtable
-from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, _panel_rule,
-                    build_cutoff, build_directions, cutoff_value)
+from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, _is_integer,
+                    _panel_rule, build_cutoff, build_directions, cutoff_value)
 from .specfun import bessel_j0
 
 GL_ORDER = 12
@@ -181,6 +181,15 @@ def profile_table(s_values):
     return out.reshape(shape) if shape else float(out[0])
 
 
+def _separations(d) -> np.ndarray:
+    """d as a float array; each entry, NaN included, must lie in [0, 2]."""
+    arr = np.asarray(d, dtype=float)
+    outside = ~((arr >= 0.0) & (arr <= 2.0))
+    if outside.any():
+        raise ValueError(f"chord separation must lie in [0, 2], got {arr[outside][0]}")
+    return arr
+
+
 def pair_integral(params: WaveParams, d: float) -> float:
     """I(d) for chord separation d in [0, 2], accurate to PAIR_REL_TOL * I(0).
 
@@ -188,8 +197,7 @@ def pair_integral(params: WaveParams, d: float) -> float:
     disagreement beyond PAIR_REL_TOL * I(0) raises QuadratureError rather than
     returning a silently degraded value.
     """
-    if not 0.0 <= d <= 2.0:
-        raise ValueError(f"chord separation must lie in [0, 2], got {d}")
+    _separations(d)
     s = params.lam ** (1.0 - params.alpha) * d
     coarse = reduced_pair_integral(s)
     fine = reduced_pair_integral(s, GL_REFINE_ORDER)
@@ -205,9 +213,13 @@ def grid_axis(params: WaveParams,
               points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
     """Symmetric axis (and step h) of a tensor grid over the cutoff support.
 
-    The step puts points_per_wavelength nodes on each wavelength 2*pi/lam.
-    Refuses lam**(1-alpha) > MAX_GRID_LAMBDA_RATIO or more than MAX_GRID_NODES nodes.
+    The step puts points_per_wavelength nodes on each wavelength 2*pi/lam;
+    that count must be a positive integer (not a bool).  Refuses
+    lam**(1-alpha) > MAX_GRID_LAMBDA_RATIO or more than MAX_GRID_NODES nodes.
     """
+    if not _is_integer(points_per_wavelength) or points_per_wavelength < 1:
+        raise ValueError(f"points_per_wavelength must be a positive integer, "
+                         f"got {points_per_wavelength!r}")
     ratio = params.lam ** (1.0 - params.alpha)
     if ratio > MAX_GRID_LAMBDA_RATIO:
         raise ValueError(f"grid evaluation needs lam**(1-alpha) <= "
@@ -244,8 +256,7 @@ def pair_integral_2d_oracle(params: WaveParams, d: float,
     with the row sums of the folded window; the sine part cancels exactly.
     Refuses what grid_axis refuses.
     """
-    if not 0.0 <= d <= 2.0:
-        raise ValueError(f"chord separation must lie in [0, 2], got {d}")
+    _separations(d)
     axis, h = grid_axis(params, points_per_wavelength)
     _, window = _half_plane_window(params, axis)
     phase = params.lam * d * axis[axis.size // 2:]
@@ -267,8 +278,8 @@ def decay_constant(n: int) -> float:
     single (1 + d/scale)**-n form, and 4*pi is the support volume factor.  One
     shared constant per band (n <= 4, n <= 8) keeps the bound monotone in n.
     """
-    if n < 0:
-        raise ValueError("decay order must be non-negative")
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"decay order must be a non-negative integer, got {n!r}")
     bounds = _derivative_bounds()
     order = bounds.shape[0] - 1
     if n > order:
@@ -281,9 +292,9 @@ def decay_constant(n: int) -> float:
 
 
 def decay_bound(params: WaveParams, d, n: int) -> float:
-    """Upper bound c_n * lam**(-2*alpha) * (1 + d / lam**(alpha-1))**-n on |I(d)|."""
+    """Bound c_n * lam**(-2*alpha) * (1 + d / lam**(alpha-1))**-n on |I(d)|, d in [0, 2]."""
     c_n = decay_constant(n)
-    d = np.asarray(d, dtype=float)
+    d = _separations(d)
     value = (c_n * params.lam ** (-2.0 * params.alpha)
              * (1.0 + d / params.separation_scale) ** (-float(n)))
     return float(value) if value.ndim == 0 else value
@@ -297,7 +308,7 @@ def dyadic_sum_check(params: WaveParams, a_exponent: float):
     ratio to gamma * lam**alpha.  The dyadic-decomposition bound requires
     A >= 2; smaller A is rejected.
     """
-    if a_exponent < 2.0:
+    if not a_exponent >= 2.0:  # NaN is refused too
         raise ValueError(f"dyadic bound needs exponent A >= 2, got {a_exponent}")
     chords = build_directions(params).chord[1:]
     direct_sum = float(np.sum((1.0 + chords / params.separation_scale)

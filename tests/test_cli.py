@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import biasedwave
 import biasedwave.cli
 import biasedwave.montecarlo
 from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
@@ -112,6 +113,21 @@ class TestConfigParsing:
     def test_mistyped_values_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(base_config(tmp_path, **{key: value}))
+
+    @pytest.mark.parametrize("key,rule", [
+        ("gamma", {"mode": ["fixed"], "values": [8.0]}),
+        ("p_rule", {"mode": {"a": 1}, "values": [0.5]}),
+    ])
+    def test_rule_mode_of_wrong_type_rejected(self, tmp_path, key, rule):
+        with pytest.raises(ConfigError, match=rf"^{key}\.mode must be "):
+            parse_config(base_config(tmp_path, **{key: rule}))
+
+    def test_grid_check_without_monte_carlo_rejected(self, tmp_path):
+        # the check compares one Monte Carlo sample; mc_samples 0 draws none
+        doc = base_config(tmp_path, grid_check=True)
+        with pytest.raises(ConfigError, match="^grid_check "):
+            parse_config(doc)
+        assert parse_config(dict(doc, mc_samples=100)).grid_check
 
     def test_bad_probability_values(self, tmp_path):
         doc = base_config(tmp_path, p_rule={"mode": "fixed", "values": [1.2]})
@@ -374,6 +390,17 @@ class TestCommandLine:
         key = "mc_samples" if samples == "20" else "seed"
         assert err.startswith("biasedwave: error: ") and key in err
 
+    def test_mc_command_runs_the_grid_check_sweep_refuses(self, tmp_path, capsys):
+        # mc sets mc_samples before the file is parsed, so grid_check stands
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(
+            tmp_path, grid_check=True, gamma={"mode": "fixed", "values": [1.0]})))
+        assert main(["sweep", str(path)]) == 2
+        assert main(["mc", "--config", str(path), "--samples", "100",
+                     "--seed", "3"]) == 0
+        rows = json.loads((tmp_path / "run.json").read_text())
+        assert rows[0]["grid_rel_diff"] < 1e-3
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_mc_command_refuses_too_few_samples(self, tmp_path, capsys, samples):
         # mc_samples 0 turns Monte Carlo off in a sweep; mc must run it
@@ -555,6 +582,18 @@ class TestReadmeExamples:
         doc["output_stem"] = str(tmp_path / "out" / "run")
         config = parse_config(doc)
         assert config.output_stem == doc["output_stem"]
+
+    def test_library_table_names_resolve(self):
+        # a backticked identifier in a module's row names that module's or the
+        # package's attribute, or a sweep column
+        table = re.search(r"## Library layout\n(.*?)\n\n", self.README, re.S).group(1)
+        rows = re.findall(r"^\| `biasedwave\.(\w+)` *\|(.*)\|$", table, re.M)
+        assert len(rows) == 7
+        for module, contents in rows:
+            names = [n for n in re.findall(r"`([^`]+)`", contents) if n.isidentifier()]
+            for name in names:
+                assert (hasattr(getattr(biasedwave, module), name)
+                        or hasattr(biasedwave, name) or name in SWEEP_COLUMNS), (module, name)
 
     def test_command_block_names_only_subcommands(self, capsys):
         block = re.search(r"## Command line\s+```\n(.*?)```", self.README, re.S)

@@ -11,6 +11,7 @@ from biasedwave import (build_params, cutoff_mass, darboux_error, e1_error_norm,
 from biasedwave import montecarlo
 from biasedwave.model import build_directions, cutoff_value
 from biasedwave.oscint import build_kernel, grid_axis
+from biasedwave.specfun import bessel_j0
 
 
 def full_grid_mass(params, signs):
@@ -308,6 +309,37 @@ class TestDarbouxProbe:
         params = build_params(64, 2, 0.5, 0.5)
         with pytest.raises(ValueError):
             darboux_error(params, [3.0 * params.ball_radius])
+
+    def test_matches_a_loop_over_each_point(self):
+        # the literal probe: one complex exp per |x| and gamma; the gaps take
+        # the same arithmetic, the sums may differ by rounding of the phases
+        params = build_params(100.3, 3, 0.3, 0.7)
+        xs = np.linspace(0.0, 2.0 * params.ball_radius, 5)
+        probe = darboux_error(params, xs, n_doublings=2)
+        for g, gamma in enumerate(probe.gammas):
+            pg = build_params(params.lam, gamma, params.alpha, params.p)
+            theta = build_directions(pg).angles
+            dtheta = 2.0 * np.pi / pg.n_dirs
+            fine = theta[:, None] + np.linspace(0.0, dtheta, montecarlo._OSC_SUBSAMPLES)
+            for i, x in enumerate(xs):
+                w = params.lam * x
+                riemann = abs(dtheta * np.sum(np.exp(1j * w * np.cos(theta)))
+                              - 2.0 * np.pi * bessel_j0(w))
+                assert abs(probe.riemann_errors[i, g] - riemann) <= 8 * np.pi * 2.0 ** -52
+                fine_vals = w * np.cos(fine)
+                gap = dtheta * float(np.sum(np.ptp(np.cos(fine_vals), axis=1)
+                                            + np.ptp(np.sin(fine_vals), axis=1)))
+                assert probe.gaps[i, g] == gap
+
+
+@pytest.mark.parametrize("probe", [
+    lambda params, n: darboux_error(params, [params.ball_radius], n_doublings=n),
+    lambda params, n: e1_error_norm(params, n_doublings=n),
+], ids=["darboux", "e1"])
+@pytest.mark.parametrize("n_doublings", [-1, 1.5, True])
+def test_probes_refuse_a_bad_doubling_count(probe, n_doublings):
+    with pytest.raises(ValueError, match="n_doublings"):
+        probe(build_params(64, 8, 0.5, 0.5), n_doublings)
 
 
 class TestDiscretisationProbe:

@@ -186,6 +186,15 @@ class TestPlanarOracle:
             pair_integral_2d_oracle(params, 0.5)
 
 
+    @pytest.mark.parametrize("points", [0, -12, 2.5, True, 12.0])
+    def test_refuses_points_per_wavelength_that_is_not_a_positive_integer(self, points):
+        params = build_params(64, 8, 0.5, 0.5)
+        for call in (lambda: grid_axis(params, points),
+                     lambda: pair_integral_2d_oracle(params, 0.5, points)):
+            with pytest.raises(ValueError, match="points_per_wavelength"):
+                call()
+
+
 class TestDecayBound:
     def test_zero_separation_gives_constant_times_volume_scale(self):
         params = build_params(128, 1, 0.5, 0.5)
@@ -230,10 +239,26 @@ class TestDecayBound:
             decay_bound(params, 0.5, 9)
 
 
+    @pytest.mark.parametrize("d", [-1.0, -64 ** -0.5, 3.0, math.nan])
+    def test_rejects_separation_outside_zero_to_two(self, d):
+        params = build_params(64, 8, 0.5, 0.5)
+        for value in (d, np.array([0.0, d, 1.0])):
+            with pytest.raises(ValueError, match=r"chord separation must lie in \[0, 2\]"):
+                decay_bound(params, value, 2)
+
+    def test_rejects_fractional_order(self):
+        with pytest.raises(ValueError, match="decay order"):
+            decay_constant(2.5)
+
+
 class TestDyadicSum:
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             dyadic_sum_check(build_params(64, 1, 0.5, 0.5), 1.9)
+
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="exponent A >= 2"):
+            dyadic_sum_check(build_params(64, 1, 0.5, 0.5), math.nan)
 
     def test_four_direction_enumeration(self):
         # N=4, lam=4, alpha=0: chords (sqrt2, 2, sqrt2), scale lam**-1 = 1/4
