@@ -232,6 +232,9 @@ def parse_config(doc: dict) -> SweepConfig:
                        "grid_check_lambda_cap")
     if grid_cap <= 0:
         raise ConfigError("grid_check_lambda_cap must be positive")
+    if grid_check and grid_cap < ladder[0]:  # the check runs on rows with lambda <= cap
+        raise ConfigError(f"grid_check_lambda_cap {grid_cap} is below every lambda_ladder "
+                          "entry, so grid_check would check no row")
 
     stem = doc["output_stem"]
     if not isinstance(stem, str) or not stem:

@@ -3,9 +3,12 @@
 Sampling is counter-based: the sign vector of sample i under master seed s is
 +1 where Generator(Philox(key=[s, i])).random(N) falls below p, a pure function
 of (s, i, coefficient index), so results are reproducible under any execution
-schedule.  A batch of samples re-keys one Philox bit generator per row of a
+schedule.  A block of samples re-keys one Philox bit generator per row of a
 preallocated block; no generator is built and no OS entropy is drawn per
-sample, and the streams are the keyed streams bit for bit.  Masses use the
+sample, and the streams are the keyed streams bit for bit.  Monte Carlo
+walks fixed 2 MiB sign blocks on a thread pool with one worker per CPU of the
+process's affinity; the block boundaries depend only on N and the sample
+count, so the mc_* columns do not depend on the worker count.  Masses use the
 circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
 O(N**2) quadratic form into a real-input FFT over the half spectrum; Monte
 Carlo and single-sample masses share both steps.  The module also probes how
@@ -32,7 +35,7 @@ from .specfun import bessel_j0
 MIN_MC_SAMPLES = 100
 MAX_GRID_DIRECTIONS = 4096
 _OSC_SUBSAMPLES = 17
-_MC_BATCH = 1 << 22
+_MC_BATCH = 1 << 18  # doubles per sign block: 2 MiB
 
 
 def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
@@ -173,18 +176,35 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     return float(h * h * np.sum(window * (u.real ** 2 + u.imag ** 2)))
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on; all CPUs where affinity is unknown
+    (os.sched_getaffinity does not exist on macOS or Windows)."""
+    import os
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     """The six mc_* sweep columns: mass mean, variance and their standard
     errors over `samples` realisations, with the count and the seed.
 
-    Realisation i uses the keyed stream (seed, i).  Each batch re-keys one
-    Philox bit generator per row of a reused sign block (no OS entropy is
-    drawn; the streams match sample_coefficients bit for bit), and its masses
-    come from one real-input FFT over the half spectrum, written into a reused
-    spectrum block.  `samples` must be an int or numpy integer (not a bool)
-    of at least MIN_MC_SAMPLES; it is never coerced.  The variance
-    standard error is a delete-one jackknife over the realisations.
+    Realisation i uses the keyed stream (seed, i).  The samples go in fixed
+    blocks of max(1, _MC_BATCH // N) rows, and worker w of a thread pool (one
+    worker per CPU of the process's affinity, at most one per block) takes
+    blocks w, w + workers, ...  Each worker re-keys one Philox bit generator
+    per row of its own sign block (no OS entropy is drawn; the streams match
+    sample_coefficients bit for bit) and gets the block's masses from one
+    real-input FFT over the half spectrum, written into its own spectrum
+    block; the fill, the elementwise passes and the FFT release the GIL.  The
+    block boundaries depend only on N and `samples`, so the columns do not
+    depend on the worker count; an error in any block is raised here.
+    `samples` must be an int or numpy integer (not a bool) of at least
+    MIN_MC_SAMPLES; it is never coerced.  The variance standard error is a
+    delete-one jackknife over the realisations.
     """
+    # imported here: at module level it would add to every command's import time
+    from concurrent.futures import ThreadPoolExecutor
     if not _is_integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < MIN_MC_SAMPLES:
@@ -192,12 +212,19 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     n = kernel.size
     masses = np.empty(samples)
     batch = max(1, _MC_BATCH // n)
-    block = np.empty((min(batch, samples), n))
-    spectrum = np.empty((block.shape[0], n // 2 + 1), dtype=complex)
-    for start in range(0, samples, batch):
-        stop = min(start + batch, samples)
-        signs = _keyed_signs(seed, start, block[:stop - start], kernel.params.p)
-        masses[start:stop] = _block_masses(kernel, signs, spectrum[:stop - start])
+    workers = min(_worker_count(), -(-samples // batch))
+
+    def fill(first: int) -> None:
+        block = np.empty((min(batch, samples), n))
+        spectrum = np.empty((block.shape[0], n // 2 + 1), dtype=complex)
+        for start in range(first, samples, workers * batch):
+            stop = min(start + batch, samples)
+            signs = _keyed_signs(seed, start, block[:stop - start], kernel.params.p)
+            masses[start:stop] = _block_masses(kernel, signs, spectrum[:stop - start])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(fill, w * batch) for w in range(workers)]:
+            future.result()
     # centering against the first sample keeps degenerate (single-atom)
     # distributions at exactly zero variance; the extra shift is otherwise
     # numerically neutral
@@ -247,8 +274,8 @@ def _gamma_ladder(params: WaveParams, n_doublings: int):
 def darboux_error(params: WaveParams, x_magnitudes, n_doublings: int = 4) -> DarbouxProbe:
     """Riemann error and Darboux gap across gamma, gamma*2, ..., at fixed lam."""
     xs = np.atleast_1d(np.asarray(x_magnitudes, dtype=float))
-    if np.any(xs < 0.0) or np.any(xs > 2.0 * params.ball_radius):
-        raise ValueError("|x| must lie in [0, 2 * lam**-alpha]")
+    if not np.all((xs >= 0.0) & (xs <= 2.0 * params.ball_radius)):  # NaN fails both
+        raise ValueError("|x| must be finite and lie in [0, 2 * lam**-alpha]")
     gammas, rungs = _gamma_ladder(params, n_doublings)
     w = params.lam * xs
     riemann = np.empty((xs.size, gammas.size))

@@ -129,6 +129,15 @@ class TestConfigParsing:
             parse_config(doc)
         assert parse_config(dict(doc, mc_samples=100)).grid_check
 
+    def test_grid_check_cap_below_the_ladder_rejected(self, tmp_path):
+        # no row has lambda <= cap, so every grid_rel_diff would be null
+        doc = base_config(tmp_path, mc_samples=100, grid_check=True,
+                          grid_check_lambda_cap=32.0)
+        with pytest.raises(ConfigError, match="^grid_check_lambda_cap 32.0 is below"):
+            parse_config(doc)
+        assert parse_config(dict(doc, grid_check_lambda_cap=64.0)).grid_check
+        assert not parse_config(dict(doc, grid_check=False)).grid_check
+
     def test_bad_probability_values(self, tmp_path):
         doc = base_config(tmp_path, p_rule={"mode": "fixed", "values": [1.2]})
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -68,13 +70,17 @@ class TestSampling:
             assert np.array_equal(
                 sample_coefficients(kernel.params, seed, i),
                 expected[i - 3])
-        stream = []
+        # the pool fills blocks in no fixed order: key each by its first sample
+        blocks = {}
+        keyed_signs = montecarlo._keyed_signs
 
-        def record(_, signs, *__):
-            stream.append(signs.copy())
-            return np.zeros(len(signs))
-        monkeypatch.setattr(montecarlo, "_block_masses", record)
+        def record(seed_, start, out, p_):
+            blocks[start] = keyed_signs(seed_, start, out, p_).copy()
+            return out
+        monkeypatch.setattr(montecarlo, "_keyed_signs", record)
         mc_moments(kernel, 100, seed)
+        stream = [blocks[start] for start in sorted(blocks)]
+        assert sorted(blocks) == list(range(0, 100, 5))
         assert [len(b) for b in stream] == [5] * 20
         assert np.array_equal(np.concatenate(stream)[3:13], expected)
 
@@ -277,6 +283,62 @@ class TestMcMoments:
         with pytest.raises(ValueError):
             mc_moments(kernels(64, 2, 0.5), 10, seed=0)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_columns_do_not_depend_on_the_worker_count(self, kernels, monkeypatch,
+                                                        workers):
+        # 16-row blocks, so 120 samples cross seven block boundaries; the
+        # literals are the columns of the serial loop over the same blocks
+        monkeypatch.setattr(montecarlo, "_MC_BATCH", 16 * 256)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        kernel = kernels(128, 2, 0.5, p=0.6)
+        assert kernel.size == 256
+        assert mc_moments(kernel, 120, 2026) == {
+            "mc_samples": 120, "mc_seed": 2026,
+            "mc_mean": float.fromhex("0x1.182a15423cc74p+4"),
+            "mc_var": float.fromhex("0x1.175bdbbb6a523p+4"),
+            "mc_se_mean": float.fromhex("0x1.8699354d52f51p-2"),
+            "mc_se_var": float.fromhex("0x1.1c0da6cf8782ap+1")}
+
+    def test_more_workers_than_cores_fill_every_sample(self, kernels, monkeypatch):
+        # 60 two-row blocks on 8 threads that switch as often as they can; an
+        # unwritten slot of the masses would leave garbage in the columns
+        monkeypatch.setattr(montecarlo, "_MC_BATCH", 2 * 256)
+        kernel = kernels(128, 2, 0.5, p=0.6)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+        serial = mc_moments(kernel, 120, 2026)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert mc_moments(kernel, 120, 2026) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_error_in_a_worker_is_raised(self, kernels, monkeypatch):
+        # with two workers, the second block (samples 16..31) is worker 1's
+        monkeypatch.setattr(montecarlo, "_MC_BATCH", 16 * 256)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        keyed_signs = montecarlo._keyed_signs
+
+        def fail_second_block(seed, start, out, p):
+            if start == 16:
+                raise ValueError("second block failed")
+            return keyed_signs(seed, start, out, p)
+        monkeypatch.setattr(montecarlo, "_keyed_signs", fail_second_block)
+        with pytest.raises(ValueError, match="^second block failed$"):
+            mc_moments(kernels(128, 2, 0.5, p=0.6), 120, 2026)
+
+
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    # os.sched_getaffinity does not exist on macOS or Windows
+    if hasattr(os, "sched_getaffinity"):
+        assert montecarlo._worker_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert montecarlo._worker_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert montecarlo._worker_count() == 1
+
 
 class TestDarbouxProbe:
     def test_constant_integrand_has_no_error(self):
@@ -309,6 +371,13 @@ class TestDarbouxProbe:
         params = build_params(64, 2, 0.5, 0.5)
         with pytest.raises(ValueError):
             darboux_error(params, [3.0 * params.ball_radius])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_point(self, x):
+        # NaN compares false with both bounds of the range
+        params = build_params(64, 2, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"^\|x\| must be finite"):
+            darboux_error(params, [0.0, x], n_doublings=2)
 
     def test_matches_a_loop_over_each_point(self):
         # the literal probe: one complex exp per |x| and gamma; the gaps take
