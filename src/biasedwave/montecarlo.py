@@ -28,7 +28,7 @@ from numpy.random import Generator, Philox
 
 from .fitting import fit_exponent
 from .model import WaveParams, _is_integer, build_directions, build_params
-from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, _half_plane_window,
+from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, _quarter_plane_window,
                      dyadic_sum_check, grid_axis)
 from .specfun import bessel_j0
 
@@ -126,33 +126,48 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     return acc
 
 
-def _phases(lam: float, t: np.ndarray, component: np.ndarray) -> np.ndarray:
-    """exp(i lam outer(t, component)), with cos written into .real and sin into
-    .imag: real trig is cheaper than a complex exp."""
-    angle = lam * np.outer(t, component)
-    phases = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phases.real)
-    np.sin(angle, out=phases.imag)
-    return phases
+def _field_on_grid(params: WaveParams, signs: np.ndarray, axis: np.ndarray):
+    """u(x) = sum_j c_j exp(i lam x . xi_j) on the quarter grid, as four real blocks.
 
+    `axis` is the symmetric grid_axis of 2m + 1 nodes; entry (k, l) of each
+    block is x = (axis[m + k], axis[m + l]).  For even N the direction j + N/2
+    is -xi_j, so u = sum_{j < N/2} s_j cos(phi_j) + i d_j sin(phi_j) with
+    s = c_j + c_{j+N/2} and d = c_j - c_{j+N/2}; for odd N, s = d = c.  With
+    phi_j = a + b split into a = lam x1 xi_j1 and b = lam x2 xi_j2, two real
+    GEMMs against cos b and sin b give A, B, C and D, and since cos b is even
+    and sin b odd in x2,
 
-def _field_on_grid(params: WaveParams, signs: np.ndarray,
-                   axis: np.ndarray) -> np.ndarray:
-    """u(x) = sum_j c_j exp(i lam x . xi_j) on the grid rows x1 >= 0, via one GEMM.
+        Re u(x1, +-x2) = A -+ C,    Im u(x1, +-x2) = B +- D;
 
-    `axis` is the symmetric grid_axis of 2m + 1 nodes, so axis[m] == 0 and
-    row k of the result is x1 = axis[m + k], over every x2 in `axis`.  Real
-    signs give u(-x) = conj u(x), so these rows determine u on the whole grid.
-    The row phases (x1 >= 0) are scaled by the signs in place and meet the
-    column phases (all of `axis`) in one complex GEMM.
+    real signs give u(-x) = conj u(x), so the blocks determine u on the
+    whole grid.  The trig and its sign products are written into
+    preallocated halves of the two GEMM operands.
     """
-    unit = build_directions(params).unit_vectors
-    # the larger column array first: under glibc's dynamic mmap threshold this
-    # order measured the lower peak RSS in Monte Carlo sweeps with grid checks
-    cols = _phases(params.lam, axis, unit[:, 1])
-    rows = _phases(params.lam, axis[axis.size // 2:], unit[:, 0])
-    rows *= signs
-    return rows @ cols.T
+    n = params.n_dirs
+    half = n if n % 2 else n // 2
+    lo, hi = (signs, 0.0) if n % 2 else (signs[:half], signs[half:])
+    s, d = lo + hi, lo - hi
+    unit = build_directions(params).unit_vectors[:half]
+    t = axis[axis.size // 2:]
+    q = t.size
+    cos_b = np.outer(t, unit[:, 1])
+    cos_b *= params.lam
+    sin_b = np.sin(cos_b)
+    np.cos(cos_b, out=cos_b)
+    even = np.empty((2 * q, half))  # [cos a * s; sin a * d]
+    odd = np.empty((2 * q, half))  # [sin a * s; cos a * d]
+    angle = np.outer(t, unit[:, 0], out=odd[:q])
+    angle *= params.lam
+    np.cos(angle, out=even[:q])
+    np.sin(angle, out=even[q:])
+    np.multiply(even[q:], s, out=odd[:q])
+    np.multiply(even[:q], d, out=odd[q:])
+    even[:q] *= s
+    even[q:] *= d
+    ab = even @ cos_b.T
+    del even, cos_b  # lowers the peak: the second GEMM runs without them
+    cd = odd @ sin_b.T
+    return ab[:q], ab[q:], cd[:q], cd[q:]
 
 
 def grid_quadrature_mass(params: WaveParams, coeffs,
@@ -162,18 +177,19 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     The grid places points_per_wavelength nodes per wavelength 2*pi/lam across
     the cutoff support; since the integrand vanishes smoothly at the boundary
     the trapezoid rule reduces to h**2 times the plain sum.  Real signs make
-    |u|**2 (and the even weight a_lam**2) point-symmetric, so u is evaluated
-    on the half plane x1 >= 0 only: each row x1 > 0 counts twice, the row
-    x1 = 0 once.  The phases come from real cos and sin, not a complex exp.
-    Refuses lam**(1-alpha) > 512 or more than MAX_GRID_NODES nodes.
+    |u|**2 point-symmetric, and |u(x1, x2)|**2 + |u(x1, -x2)|**2 is
+    2 (A**2 + B**2 + C**2 + D**2) in the blocks of _field_on_grid, so u is
+    evaluated on the quarter plane x1, x2 >= 0 only and weighted by the
+    quarter-plane window.  Refuses N > MAX_GRID_DIRECTIONS, and what
+    grid_axis refuses: lam**(1-alpha) > 512 or more than MAX_GRID_NODES nodes.
     """
     if params.n_dirs > MAX_GRID_DIRECTIONS:
         raise ValueError(f"grid evaluation limited to N <= {MAX_GRID_DIRECTIONS}")
     signs = _as_signs(coeffs, params.n_dirs)
     axis, h = grid_axis(params, points_per_wavelength)
-    u = _field_on_grid(params, signs, axis)
-    _, window = _half_plane_window(params, axis)
-    return float(h * h * np.sum(window * (u.real ** 2 + u.imag ** 2)))
+    a, b, c, d = _field_on_grid(params, signs, axis)
+    _, window = _quarter_plane_window(params, axis)
+    return float(h * h * np.sum(window * (a * a + b * b + c * c + d * d)))
 
 
 def _worker_count() -> int:
@@ -283,7 +299,8 @@ def darboux_error(params: WaveParams, x_magnitudes, n_doublings: int = 4) -> Dar
     for g, pg in enumerate(rungs):
         theta = build_directions(pg).angles
         dtheta = 2.0 * np.pi / pg.n_dirs
-        sums = np.sum(_phases(1.0, w, np.cos(theta)), axis=1)  # w = lam |x| is scaled
+        angle = np.outer(w, np.cos(theta))  # w = lam |x| is scaled
+        sums = np.sum(np.cos(angle), axis=1) + 1j * np.sum(np.sin(angle), axis=1)
         riemann[:, g] = np.abs(dtheta * sums - 2.0 * np.pi * bessel_j0(w))
         cells = theta[:, None] + np.linspace(0.0, dtheta, _OSC_SUBSAMPLES)
         fine = w[:, None, None] * np.cos(cells)  # every |x| over each node's cell
@@ -322,16 +339,17 @@ def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationPro
     """Measure the discretisation-error norms across a gamma-doubling ladder."""
     gammas, rungs = _gamma_ladder(params, n_doublings)
     axis, h = grid_axis(params)
-    # E is conj-symmetric (real J0 term), so |E|**2 folds onto the half plane
-    r, window = _half_plane_window(params, axis)
+    # the J0 term is real and even in x1 and x2, so E folds onto the quarter
+    # plane like u, with A - N J0 in place of A
+    r, window = _quarter_plane_window(params, axis)
     j0_term = bessel_j0(params.lam * r)
     literal = np.empty(gammas.size)
     bound = np.empty(gammas.size)
     for g, pg in enumerate(rungs):
-        ones = np.ones(pg.n_dirs)
-        u_plus = _field_on_grid(pg, ones, axis)
-        err = u_plus - pg.n_dirs * j0_term
-        literal[g] = math.sqrt(h * h * float(np.sum(window * np.abs(err) ** 2)))
+        a, b, c, d = _field_on_grid(pg, np.ones(pg.n_dirs), axis)
+        a = a - pg.n_dirs * j0_term
+        power = a * a + b * b + c * c + d * d
+        literal[g] = math.sqrt(h * h * float(np.sum(window * power)))
         separation_sum, _ = dyadic_sum_check(pg, 2.0)  # l != j; the l == j term is 1
         bound[g] = math.sqrt(pg.lam ** (-2.0 * pg.alpha) / pg.gamma
                              * (pg.n_dirs * (1.0 + separation_sum)))

@@ -234,16 +234,19 @@ def grid_axis(params: WaveParams,
     return h * np.arange(-m, m + 1), h
 
 
-def _half_plane_window(params: WaveParams, axis: np.ndarray):
-    """|x| and the folded window a_lam(x)**2 on the grid rows x1 >= 0.
+def _quarter_plane_window(params: WaveParams, axis: np.ndarray):
+    """|x| and the folded window a_lam(x)**2 on the quarter grid x1, x2 >= 0.
 
-    Row k is x1 = axis[m + k] of the symmetric 2m + 1 node `axis`, over every
-    x2 in `axis`.  The rows x1 > 0 count twice, so for f(-x) = f(x) the
-    full-grid sum of a_lam**2 f is the sum of window * f over these rows.
+    Entry (k, l) is x = (axis[m + k], axis[m + l]) of the symmetric 2m + 1
+    node `axis`.  Entries off the axis x1 = 0 count twice and entries off
+    x2 = 0 twice again, so the full-grid sum of a_lam**2 f is the sum of
+    window * f where f is the mean over the mirror images (+-x1, +-x2).
     """
-    r = np.hypot(axis[axis.size // 2:, None], axis[None, :])
+    half = axis[axis.size // 2:]
+    r = np.hypot(half[:, None], half[None, :])
     window = cutoff_value(params.lam ** params.alpha * r) ** 2
     window[1:] *= 2.0
+    window[:, 1:] *= 2.0
     return r, window
 
 
@@ -253,12 +256,12 @@ def pair_integral_2d_oracle(params: WaveParams, d: float,
 
     The phase lam * d * x1 is constant along a grid row and even in x1, so the
     integral is h**2 times cos(lam * d * x1) over the rows x1 >= 0, dotted
-    with the row sums of the folded window; the sine part cancels exactly.
-    Refuses what grid_axis refuses.
+    with the row sums of the quarter-plane window; the sine part cancels
+    exactly.  Refuses what grid_axis refuses.
     """
     _separations(d)
     axis, h = grid_axis(params, points_per_wavelength)
-    _, window = _half_plane_window(params, axis)
+    _, window = _quarter_plane_window(params, axis)
     phase = params.lam * d * axis[axis.size // 2:]
     return h * h * float(np.cos(phase) @ np.sum(window, axis=1))
 

@@ -16,14 +16,21 @@ from biasedwave.oscint import build_kernel, grid_axis
 from biasedwave.specfun import bessel_j0
 
 
-def full_grid_mass(params, signs):
-    """The literal full-grid quadrature: two exp phase arrays, one complex
-    GEMM and h**2 * sum of a_lam**2 |u|**2 over every node."""
-    axis, h = grid_axis(params)
+def full_grid_field(params, signs):
+    """The literal field u on every grid node: two exp phase arrays and one
+    complex GEMM over all N directions."""
+    axis, _ = grid_axis(params)
     unit = build_directions(params).unit_vectors
     phase_x = np.exp(1j * params.lam * np.outer(axis, unit[:, 0]))
     phase_y = np.exp(1j * params.lam * np.outer(axis, unit[:, 1]))
-    u = (phase_x * signs[None, :]) @ phase_y.T
+    return (phase_x * signs[None, :]) @ phase_y.T
+
+
+def full_grid_mass(params, signs):
+    """The literal full-grid quadrature: h**2 * sum of a_lam**2 |u|**2 over
+    every node of full_grid_field."""
+    axis, h = grid_axis(params)
+    u = full_grid_field(params, signs)
     r = np.hypot(axis[:, None], axis[None, :])
     weight = cutoff_value(params.lam ** params.alpha * r) ** 2
     return h * h * float(np.sum(weight * (u.real ** 2 + u.imag ** 2)))
@@ -192,15 +199,34 @@ class TestGridQuadrature:
     @pytest.mark.parametrize("gamma,n", [(4, 256), (4 + 1 / 64, 257)])
     @pytest.mark.parametrize("biased", [True, False])
     def test_half_plane_fold_matches_full_grid(self, gamma, n, biased):
-        # the rows x1 > 0 count twice and the row x1 = 0 once
+        # the quarter-plane fold: entries off each axis count twice per axis
         params = build_params(64, gamma, 0.3, 0.37)
         assert params.n_dirs == n
         signs = sample_coefficients(params, 31) if biased else np.ones(n)
         assert grid_quadrature_mass(params, signs) == pytest.approx(
             full_grid_mass(params, signs), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [256, 258, 257])
+    @pytest.mark.parametrize("biased", [True, False])
+    def test_quarter_blocks_rebuild_the_field_on_every_quadrant(self, n, biased):
+        # N = 0 and 2 (mod 4) pair antipodal directions; odd N uses every one
+        params = build_params(64, n / 64, 0.3, 0.37)
+        assert params.n_dirs == n
+        signs = sample_coefficients(params, 31) if biased else np.ones(n)
+        axis, _ = grid_axis(params)
+        a, b, c, d = montecarlo._field_on_grid(params, signs, axis)
+        upper = (a - c) + 1j * (b + d)  # x1 >= 0, x2 >= 0
+        lower = (a + c) + 1j * (b - d)  # x1 >= 0, x2 <= 0
+        m = axis.size // 2
+        u = full_grid_field(params, signs)
+        for got, want in [(upper, u[m:, m:]), (lower, u[m:, m::-1]),
+                          (np.conj(lower), u[m::-1, m:]),
+                          (np.conj(upper), u[m::-1, m::-1])]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * n
+
     def test_peak_memory_is_bounded(self):
-        # at most 2.5 complex (side x N) phase arrays alive at once
+        # at most 1.0 complex (side x N) array alive at once: the two real GEMM
+        # operands hold (side/2) x (N/2) doubles four times, the x2 trig twice
         params = build_params(256, 4, 0.3, 0.5)
         axis, _ = grid_axis(params)
         assert (params.n_dirs, axis.size) == (1024, 373)
@@ -210,7 +236,7 @@ class TestGridQuadrature:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * axis.size * params.n_dirs * 16
+        assert peak <= 1.0 * axis.size * params.n_dirs * 16
 
     def test_refuses_infeasible_parameters(self):
         params = build_params(600, 1, 0.0, 0.5)

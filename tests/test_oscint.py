@@ -151,25 +151,25 @@ class TestPlanarOracle:
     @pytest.mark.parametrize("lam,alpha", [(64, 0.3), (96, 0.5)])
     @pytest.mark.parametrize("d", [0.0, 0.11, 0.9, 2.0])
     def test_half_plane_fold_matches_full_grid(self, lam, alpha, d):
-        # the rows x1 > 0 count twice, the row x1 = 0 once, and the sine
-        # part of the full grid vanishes
+        # entries off each axis count twice per axis, and the sine part of
+        # the full grid vanishes
         params = build_params(lam, 1, alpha, 0.5)
         literal = full_grid_pair_integral(params, d)
         assert abs(pair_integral_2d_oracle(params, d) - literal) <= (
             1e-13 * cutoff_mass(params))
 
     def test_peak_memory_is_bounded(self):
-        # about seven doubles per node of the half grid x1 >= 0
+        # about seven doubles per node of the quarter grid x1, x2 >= 0
         params = build_params(256, 1, 0.3, 0.5)
         axis, _ = grid_axis(params)
-        half_nodes = (axis.size // 2 + 1) * axis.size
+        quarter_nodes = (axis.size // 2 + 1) ** 2
         tracemalloc.start()
         try:
             pair_integral_2d_oracle(params, 0.37)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 8 * half_nodes
+        assert peak <= 8 * 8 * quarter_nodes
 
     def test_refuses_oversized_grid(self):
         params = build_params(20_000, 0.01, 0.0, 0.5)
