@@ -20,11 +20,10 @@ from .montecarlo import (DarbouxProbe, DiscretisationProbe, darboux_error,
                          e1_error_norm, grid_quadrature_mass, mass_double_sum,
                          mass_quadratic_form, mc_moments, sample_coefficients)
 from .oscint import (PairKernel, QuadratureError, build_kernel, decay_bound,
-                     dyadic_sum_check, export_kernel_csv, pair_integral,
-                     pair_integral_2d_oracle)
+                     dyadic_sum_check, pair_integral, pair_integral_2d_oracle)
 from .specfun import (AsymptoticCheck, EnvelopeTable, angular_integral,
                       asymptotic_check, bessel_j0, residual_probe_points,
                       stationary_leading_term, surface_wave_envelope)
-from .cli import (SweepConfig, SweepResult, load_config, parse_config, run_sweep,
-                  threshold_experiment)
+from .cli import (SweepConfig, SweepResult, export_kernel_csv, load_config,
+                  parse_config, run_sweep, threshold_experiment)
 

@@ -2,7 +2,8 @@
 
 A sweep walks the (lambda, gamma, alpha, p) grid in config order, emits one
 moment report per point (plus optional Monte Carlo columns), and writes
-<stem>.csv, <stem>.json, and <stem>.meta.json.  All numeric CSV fields use
+<stem>.csv, <stem>.json, and <stem>.meta.json.  The kernel table (k, d_k, I_k,
+mu_k) is written by the same CSV writer.  All numeric CSV fields use
 17-significant-digit scientific notation with LF line endings so repeated runs
 are byte-identical; the sweep touches no random state unless Monte Carlo is
 enabled.
@@ -23,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .fitting import fit_exponent
-from .model import build_params
+from .model import build_directions, build_params
 from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       build_report, calibrate_constants)
 from .montecarlo import (MIN_MC_SAMPLES, grid_quadrature_mass, mass_quadratic_form,
                          mc_moments, sample_coefficients)
 from .oscint import (GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, S_CUT,
                      TABLE_DEGREE, TABLE_MAX_DRIFT, TABLE_PANEL_WIDTH,
-                     build_kernel, export_kernel_csv)
+                     build_kernel)
 from .specfun import asymptotic_check, residual_probe_points, surface_wave_envelope
 
 SWEEP_COLUMNS = [
@@ -254,20 +255,18 @@ def parse_config(doc: dict) -> SweepConfig:
     return config
 
 
-def load_config(path, **overrides) -> SweepConfig:
-    """The config in the file at path, with overrides set as its keys.
+def load_config(path) -> SweepConfig:
+    """The config in the file at path.
 
-    The overrides are validated like the file's own keys.  The output paths
-    are settled here, before any row runs (see _output_paths): an unreadable
-    file, and a config whose outputs would overwrite the file, is a ConfigError.
+    The output paths are named here, before any row runs or any directory is
+    created (see _output_paths): an unreadable file, and a config whose
+    outputs would overwrite the file, is a ConfigError.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if isinstance(doc, dict):
-        doc.update(overrides)
     config = parse_config(doc)
     for out in _output_paths(config.output_stem):
         if out.exists() and out.samefile(path):
@@ -321,29 +320,50 @@ def _format_cell(value) -> str:
 
 
 def _output_paths(stem: str) -> tuple:
-    """The stem's .csv, .json and .meta.json paths, their directory created.
+    """The stem's .csv, .json and .meta.json paths; nothing is created.
 
-    A stem without a file name (".", "/" or "..") or whose directory cannot
-    be created is a ConfigError naming output_stem.
+    A stem whose text does not end in its file name (".", "/", "..", or one
+    ending in a separator such as "results/") is a ConfigError naming
+    output_stem.
     """
     base = Path(stem)
-    if base.name in ("", ".."):
+    if base.name in ("", "..") or not stem.endswith(base.name):
         raise ConfigError(f"output_stem {stem!r} has no file name")
-    try:
-        base.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output_stem {stem!r} cannot be written: {exc}") from None
     return tuple(base.with_name(base.name + suffix)
                  for suffix in (".csv", ".json", ".meta.json"))
 
 
-def _write_outputs(rows, columns, paths: tuple, meta: dict):
-    csv_path, json_path, meta_path = paths
-    with open(csv_path, "w", newline="") as fh:
+def _created_output_paths(stem: str) -> tuple:
+    """The stem's output paths, their directory created before any row runs.
+
+    A directory that cannot be created is a ConfigError naming output_stem.
+    """
+    paths = _output_paths(stem)
+    try:
+        paths[0].parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_stem {stem!r} cannot be written: {exc}") from None
+    return paths
+
+
+def _write_csv(path, columns, rows):
+    """A header of columns and one line of _format_cell cells per row, LF-ended."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
+        writer.writerows([_format_cell(value) for value in row] for row in rows)
+
+
+def export_kernel_csv(kernel, path) -> None:
+    """Write the kernel's k, d_k, I_k, mu_k rows in the sweep's cell format."""
+    chord = build_directions(kernel.params).chord
+    _write_csv(path, ["k", "d_k", "I_k", "mu_k"],
+               zip(range(kernel.size), chord, kernel.values, kernel.spectrum))
+
+
+def _write_outputs(rows, columns, paths: tuple, meta: dict):
+    csv_path, json_path, meta_path = paths
+    _write_csv(csv_path, columns, ([row.get(c) for c in columns] for row in rows))
     json_path.write_text(json.dumps([{c: row.get(c) for c in columns} for row in rows],
                                     indent=2) + "\n")
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -379,7 +399,7 @@ class SweepResult:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every grid point, write CSV/JSON/meta, and return the rows."""
-    paths = _output_paths(config.output_stem)
+    paths = _created_output_paths(config.output_stem)
     calibrations: dict = {}
     rows = _sweep_rows(config, calibrations)
     _write_outputs(rows, SWEEP_COLUMNS, paths, _meta(config, calibrations))
@@ -401,7 +421,7 @@ def threshold_experiment(config: SweepConfig) -> SweepResult:
     """
     if config.p_mode != "threshold":
         raise ConfigError("threshold experiment requires a threshold p_rule")
-    paths = _output_paths(config.output_stem)
+    paths = _created_output_paths(config.output_stem)
     config = dataclasses.replace(config, p_beta=None, p_beta_factor=None)
     all_rows = []
     fits = []
@@ -495,14 +515,6 @@ def _cmd_asymptotics(args) -> int:
     return 0
 
 
-def _cmd_mc(args) -> int:
-    if args.samples < MIN_MC_SAMPLES:  # mc_samples 0 (no Monte Carlo) is for sweep
-        raise ConfigError(f"--samples (the config's mc_samples) must be at least "
-                          f"{MIN_MC_SAMPLES} for mc, got {args.samples}")
-    return _summary(run_sweep(load_config(args.config, mc_samples=args.samples,
-                                          seed=args.seed)))
-
-
 def _cmd_fit(args) -> int:
     try:  # a missing column, an unreadable file or too few points is a bad argument
         with open(args.csv, newline="") as fh:
@@ -555,12 +567,6 @@ def main(argv=None) -> int:
     p_asy.add_argument("--w-min", type=float, required=True)
     p_asy.add_argument("--w-max", type=float, required=True)
     p_asy.set_defaults(func=_cmd_asymptotics)
-
-    p_mc = sub.add_parser("mc", help="run a sweep with Monte Carlo overrides")
-    p_mc.add_argument("--config", required=True)
-    p_mc.add_argument("--samples", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.set_defaults(func=_cmd_mc)
 
     p_fit = sub.add_parser("fit", help="fit a power-law exponent from CSV columns")
     p_fit.add_argument("csv")

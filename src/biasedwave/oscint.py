@@ -391,13 +391,3 @@ def kernel_matrix(kernel: PairKernel) -> np.ndarray:
         raise ValueError(f"dense kernel of size {n} > 4096 refused")
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return kernel.values[idx]
-
-
-def export_kernel_csv(kernel: PairKernel, path) -> None:
-    """Write k, d_k, I_k, mu_k rows with 17 significant digits."""
-    chord = build_directions(kernel.params).chord
-    with open(path, "w", newline="") as fh:
-        fh.write("k,d_k,I_k,mu_k\n")
-        for k in range(kernel.size):
-            fh.write(f"{k},{chord[k]:.16e},{kernel.values[k]:.16e},"
-                     f"{kernel.spectrum[k]:.16e}\n")

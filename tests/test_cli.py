@@ -98,8 +98,9 @@ class TestConfigParsing:
         assert p == pytest.approx(0.5 + 64 ** -0.25 / 8 ** 0.5, rel=1e-14)
 
     def test_small_mc_sample_count_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(base_config(tmp_path, mc_samples=50))
+        for samples in (50, -5):
+            with pytest.raises(ConfigError, match="^mc_samples "):
+                parse_config(base_config(tmp_path, mc_samples=samples))
 
     @pytest.mark.parametrize("key,value", [
         ("grid_check", "false"),
@@ -142,14 +143,6 @@ class TestConfigParsing:
         doc = base_config(tmp_path, p_rule={"mode": "fixed", "values": [1.2]})
         with pytest.raises(ConfigError):
             parse_config(doc)
-
-    def test_load_config_sets_overrides_as_keys(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(tmp_path)))
-        config = load_config(path, mc_samples=150, seed=3)
-        assert (config.mc_samples, config.seed) == (150, 3)
-        with pytest.raises(ConfigError, match="mc_samples"):
-            load_config(path, mc_samples=150.0)
 
 
 class TestRunSweep:
@@ -377,80 +370,28 @@ class TestCommandLine:
         assert payload["residual_slope"] == pytest.approx(-1.5, abs=0.1)
         assert payload["envelope_exponent"] == pytest.approx(-0.5, abs=0.05)
 
-    def test_mc_command(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(
-            tmp_path, gamma={"mode": "fixed", "values": [1.0]})))
-        assert main(["mc", "--config", str(path), "--samples", "150",
-                     "--seed", "3"]) == 0
-        with open(tmp_path / "run.csv", newline="") as fh:
-            row = next(csv.DictReader(fh))
-        assert row["mc_samples"] == "150"
-        assert row["mc_seed"] == "3"
-
-    @pytest.mark.parametrize("samples,seed", [("20", "3"), ("150", "-3")])
-    def test_mc_command_validates_overrides(self, tmp_path, capsys, samples,
-                                            seed):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(tmp_path)))
-        assert main(["mc", "--config", str(path), "--samples", samples,
-                     "--seed", seed]) == 2
-        err = capsys.readouterr().err
-        key = "mc_samples" if samples == "20" else "seed"
-        assert err.startswith("biasedwave: error: ") and key in err
-
-    def test_mc_command_runs_the_grid_check_sweep_refuses(self, tmp_path, capsys):
-        # mc sets mc_samples before the file is parsed, so grid_check stands
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(
-            tmp_path, grid_check=True, gamma={"mode": "fixed", "values": [1.0]})))
-        assert main(["sweep", str(path)]) == 2
-        assert main(["mc", "--config", str(path), "--samples", "100",
-                     "--seed", "3"]) == 0
-        rows = json.loads((tmp_path / "run.json").read_text())
-        assert rows[0]["grid_rel_diff"] < 1e-3
-
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_mc_command_refuses_too_few_samples(self, tmp_path, capsys, samples):
-        # mc_samples 0 turns Monte Carlo off in a sweep; mc must run it
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(
-            tmp_path, output_stem=str(tmp_path / "out" / "run"))))
-        assert main(["mc", "--config", str(path), "--samples", samples,
-                     "--seed", "3"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("biasedwave: error: --samples ")
-        assert err.count("\n") == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
-
-    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    @pytest.mark.parametrize("command", ["sweep"])
     @pytest.mark.parametrize("overrides,key", [({"seed": -1}, "seed"),
                                                ({"sede": 0}, "sede")])
     def test_bad_config_prints_one_line(self, tmp_path, capsys, command,
                                         overrides, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config(tmp_path, **overrides)))
-        argv = (["sweep", str(path)] if command == "sweep" else
-                ["mc", "--config", str(path), "--samples", "100",
-                 "--seed", str(overrides.get("seed", 0))])
-        assert main(argv) == 2
+        assert main([command, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("biasedwave: error: ") and key in err
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    @pytest.mark.parametrize("command", ["sweep"])
     @pytest.mark.parametrize("content", ["{bad", None])
     def test_unreadable_config_prints_one_line(self, tmp_path, capsys, command,
                                                content):
         path = tmp_path / "config.json"
         if content is not None:
             path.write_text(content)
-        argv = (["sweep", str(path)] if command == "sweep" else
-                ["mc", "--config", str(path), "--samples", "100", "--seed", "0"])
-        assert main(argv) == 2
+        assert main([command, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("biasedwave: error: ") and str(path) in err
@@ -489,7 +430,7 @@ class TestCommandLine:
         assert err.startswith("biasedwave: error: output_stem ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("stem", [".", "/", ".."])
+    @pytest.mark.parametrize("stem", [".", "/", "..", "results/", "results/."])
     def test_stem_without_file_name_prints_one_line(self, tmp_path, capsys,
                                                      monkeypatch, no_rows, stem):
         work = tmp_path / "work"
@@ -504,7 +445,7 @@ class TestCommandLine:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
 
-    @pytest.mark.parametrize("command", ["sweep", "threshold", "mc"])
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
     def test_outputs_may_not_overwrite_the_config(self, tmp_path, capsys,
                                                   monkeypatch, no_rows, command):
         monkeypatch.chdir(tmp_path)
@@ -513,9 +454,7 @@ class TestCommandLine:
             tmp_path, output_stem="run",
             p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})))
         config_bytes = path.read_bytes()
-        argv = ([command, str(path)] if command != "mc" else
-                ["mc", "--config", str(path), "--samples", "100", "--seed", "0"])
-        assert main(argv) == 2
+        assert main([command, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("biasedwave: error: output_stem 'run' ")
@@ -579,6 +518,17 @@ class TestCommandLine:
         assert main(["threshold", str(path)]) == 1
         assert "4 failed" in capsys.readouterr().out
 
+    def test_refused_threshold_creates_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "config.json"  # a fixed p_rule: threshold refuses it
+        path.write_text(json.dumps(base_config(
+            tmp_path, output_stem=str(tmp_path / "newdir" / "sub" / "run"))))
+        assert main(["threshold", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("biasedwave: error: threshold experiment requires a "
+                       "threshold p_rule\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestReadmeExamples:
     """The README's config schema and command block match the program."""
@@ -605,9 +555,14 @@ class TestReadmeExamples:
                         or hasattr(biasedwave, name) or name in SWEEP_COLUMNS), (module, name)
 
     def test_command_block_names_only_subcommands(self, capsys):
+        # the block and the parser's subcommands (its usage line) are one set
         block = re.search(r"## Command line\s+```\n(.*?)```", self.README, re.S)
         commands = re.findall(r"^biasedwave (\S+)", block.group(1), re.M)
-        assert len(commands) == 6
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = re.search(r"^usage: biasedwave \[-h\] \{([\w,]+)\}",
+                            capsys.readouterr().out).group(1)
+        assert sorted(commands) == sorted(choices.split(","))
         for command in commands:
             with pytest.raises(SystemExit) as exc:
                 main([command, "--help"])

@@ -368,3 +368,17 @@ class TestKernel:
             assert float(rows[k]["I_k"]) == kernel.values[k]
             assert float(rows[k]["mu_k"]) == kernel.spectrum[k]
             assert float(rows[k]["d_k"]) == chord[k]
+
+    @pytest.mark.parametrize("key,parity", [((64, 1, 0.5), 0), ((65, 3, 0.3), 1)],
+                             ids=["even", "odd"])
+    def test_csv_export_bytes(self, kernels, tmp_path, key, parity):
+        # decimal k, 17 significant digits in every float cell, LF line ends
+        kernel = kernels(*key)
+        assert kernel.size % 2 == parity
+        path = tmp_path / "kernel.csv"
+        export_kernel_csv(kernel, path)
+        chord = build_directions(kernel.params).chord
+        expected = "k,d_k,I_k,mu_k\n" + "".join(
+            f"{k},{chord[k]:.16e},{kernel.values[k]:.16e},{kernel.spectrum[k]:.16e}\n"
+            for k in range(kernel.size))
+        assert path.read_bytes() == expected.encode()
