@@ -84,7 +84,10 @@ def _integer(value, where: str) -> int:
 def _numbers(values, where: str) -> tuple:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where} must be a non-empty list")
-    return tuple(_number(v, where) for v in values)
+    out = tuple(_number(v, where) for v in values)
+    if len(set(out)) < len(out):  # a repeat would run, and fit, rows twice
+        raise ConfigError(f"{where} entries must be distinct")
+    return out
 
 
 def _non_negative(value, where: str) -> float:
@@ -335,10 +338,12 @@ def _output_paths(stem: str) -> tuple:
 
 def _created_output_paths(stem: str) -> tuple:
     """The stem's output paths, their directory created before any row runs.
-
-    A directory that cannot be created is a ConfigError naming output_stem.
-    """
+    A path that is a directory, or a directory that cannot be created, is a
+    ConfigError naming output_stem."""
     paths = _output_paths(stem)
+    for out in paths:
+        if out.is_dir():
+            raise ConfigError(f"output_stem {stem!r} would write over the directory {out}")
     try:
         paths[0].parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -28,12 +28,12 @@ from numpy.random import Generator, Philox
 
 from .fitting import fit_exponent
 from .model import WaveParams, _is_integer, build_directions, build_params
-from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, _quarter_plane_window,
-                     dyadic_sum_check, grid_axis)
+from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, dyadic_sum_check,
+                     quarter_grid)
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
-MAX_GRID_DIRECTIONS = 4096
+MAX_GRID_FIELD = 1 << 23  # N * t.size of a grid field; N 4096 fits lam**(1-alpha) 512
 _OSC_SUBSAMPLES = 17
 _MC_BATCH = 1 << 18  # doubles per sign block: 2 MiB
 
@@ -126,12 +126,12 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     return acc
 
 
-def _field_on_grid(params: WaveParams, signs: np.ndarray, axis: np.ndarray):
+def _field_on_grid(params: WaveParams, signs: np.ndarray, t: np.ndarray):
     """u(x) = sum_j c_j exp(i lam x . xi_j) on the quarter grid, as four real blocks.
 
-    `axis` is the symmetric grid_axis of 2m + 1 nodes; entry (k, l) of each
-    block is x = (axis[m + k], axis[m + l]).  For even N the direction j + N/2
-    is -xi_j, so u = sum_{j < N/2} s_j cos(phi_j) + i d_j sin(phi_j) with
+    `t` is quarter_grid's half axis; entry (k, l) of each block is
+    x = (t[k], t[l]).  For even N the direction j + N/2 is -xi_j, so
+    u = sum_{j < N/2} s_j cos(phi_j) + i d_j sin(phi_j) with
     s = c_j + c_{j+N/2} and d = c_j - c_{j+N/2}; for odd N, s = d = c.  With
     phi_j = a + b split into a = lam x1 xi_j1 and b = lam x2 xi_j2, two real
     GEMMs against cos b and sin b give A, B, C and D, and since cos b is even
@@ -140,20 +140,22 @@ def _field_on_grid(params: WaveParams, signs: np.ndarray, axis: np.ndarray):
         Re u(x1, +-x2) = A -+ C,    Im u(x1, +-x2) = B +- D;
 
     real signs give u(-x) = conj u(x), so the blocks determine u on the
-    whole grid.  The trig and its sign products are written into
-    preallocated halves of the two GEMM operands.
+    whole grid.  The GEMM operands, about N * t.size doubles each, are filled
+    in place, sin b over cos b after the first GEMM; a field with
+    N * t.size > MAX_GRID_FIELD is refused before anything is allocated.
     """
     n = params.n_dirs
+    q = t.size
+    if n * q > MAX_GRID_FIELD:
+        raise ValueError(f"grid field of N * q = {n} * {q} = {n * q} direction-node "
+                         f"pairs exceeds {MAX_GRID_FIELD}; reduce N or lam**(1-alpha)")
     half = n if n % 2 else n // 2
     lo, hi = (signs, 0.0) if n % 2 else (signs[:half], signs[half:])
     s, d = lo + hi, lo - hi
     unit = build_directions(params).unit_vectors[:half]
-    t = axis[axis.size // 2:]
-    q = t.size
-    cos_b = np.outer(t, unit[:, 1])
-    cos_b *= params.lam
-    sin_b = np.sin(cos_b)
-    np.cos(cos_b, out=cos_b)
+    trig_b = np.outer(t, unit[:, 1])  # cos b, then sin b over it
+    trig_b *= params.lam
+    np.cos(trig_b, out=trig_b)
     even = np.empty((2 * q, half))  # [cos a * s; sin a * d]
     odd = np.empty((2 * q, half))  # [sin a * s; cos a * d]
     angle = np.outer(t, unit[:, 0], out=odd[:q])
@@ -164,9 +166,12 @@ def _field_on_grid(params: WaveParams, signs: np.ndarray, axis: np.ndarray):
     np.multiply(even[:q], d, out=odd[q:])
     even[:q] *= s
     even[q:] *= d
-    ab = even @ cos_b.T
-    del even, cos_b  # lowers the peak: the second GEMM runs without them
-    cd = odd @ sin_b.T
+    ab = even @ trig_b.T
+    del even  # lowers the peak: the second GEMM runs without it
+    np.outer(t, unit[:, 1], out=trig_b)
+    trig_b *= params.lam
+    np.sin(trig_b, out=trig_b)
+    cd = odd @ trig_b.T
     return ab[:q], ab[q:], cd[:q], cd[q:]
 
 
@@ -179,16 +184,12 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     the trapezoid rule reduces to h**2 times the plain sum.  Real signs make
     |u|**2 point-symmetric, and |u(x1, x2)|**2 + |u(x1, -x2)|**2 is
     2 (A**2 + B**2 + C**2 + D**2) in the blocks of _field_on_grid, so u is
-    evaluated on the quarter plane x1, x2 >= 0 only and weighted by the
-    quarter-plane window.  Refuses N > MAX_GRID_DIRECTIONS, and what
-    grid_axis refuses: lam**(1-alpha) > 512 or more than MAX_GRID_NODES nodes.
+    evaluated on quarter_grid only, weighted by its folded window.  Refuses
+    what quarter_grid refuses and N * t.size > MAX_GRID_FIELD.
     """
-    if params.n_dirs > MAX_GRID_DIRECTIONS:
-        raise ValueError(f"grid evaluation limited to N <= {MAX_GRID_DIRECTIONS}")
     signs = _as_signs(coeffs, params.n_dirs)
-    axis, h = grid_axis(params, points_per_wavelength)
-    a, b, c, d = _field_on_grid(params, signs, axis)
-    _, window = _quarter_plane_window(params, axis)
+    t, h, _, window = quarter_grid(params, points_per_wavelength)
+    a, b, c, d = _field_on_grid(params, signs, t)
     return float(h * h * np.sum(window * (a * a + b * b + c * c + d * d)))
 
 
@@ -336,17 +337,17 @@ class DiscretisationProbe:
 
 
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
-    """Measure the discretisation-error norms across a gamma-doubling ladder."""
+    """Measure the discretisation-error norms across a gamma-doubling ladder;
+    a rung whose field has N * t.size > MAX_GRID_FIELD raises ValueError."""
     gammas, rungs = _gamma_ladder(params, n_doublings)
-    axis, h = grid_axis(params)
     # the J0 term is real and even in x1 and x2, so E folds onto the quarter
     # plane like u, with A - N J0 in place of A
-    r, window = _quarter_plane_window(params, axis)
+    t, h, r, window = quarter_grid(params)
     j0_term = bessel_j0(params.lam * r)
     literal = np.empty(gammas.size)
     bound = np.empty(gammas.size)
     for g, pg in enumerate(rungs):
-        a, b, c, d = _field_on_grid(pg, np.ones(pg.n_dirs), axis)
+        a, b, c, d = _field_on_grid(pg, np.ones(pg.n_dirs), t)
         a = a - pg.n_dirs * j0_term
         power = a * a + b * b + c * c + d * d
         literal[g] = math.sqrt(h * h * float(np.sum(window * power)))

@@ -209,13 +209,18 @@ def pair_integral(params: WaveParams, d: float) -> float:
     return params.lam ** (-2.0 * params.alpha) * fine
 
 
-def grid_axis(params: WaveParams,
-              points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
-    """Symmetric axis (and step h) of a tensor grid over the cutoff support.
+def quarter_grid(params: WaveParams,
+                 points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
+    """The tensor grid over the cutoff support, folded onto x1, x2 >= 0.
 
-    The step puts points_per_wavelength nodes on each wavelength 2*pi/lam;
-    that count must be a positive integer (not a bool).  Refuses
-    lam**(1-alpha) > MAX_GRID_LAMBDA_RATIO or more than MAX_GRID_NODES nodes.
+    The step h puts points_per_wavelength nodes, a positive integer (not a
+    bool), on each wavelength 2*pi/lam.  Returns the half axis
+    t = h * arange(m + 1) of the full 2m + 1 node axis, h, and |x| and the
+    folded window a_lam(x)**2 at x = (t[k], t[l]): entries off x1 = 0 count
+    twice and entries off x2 = 0 twice again, so the full-grid sum of
+    a_lam**2 f is the sum of window * f, f the mean over the mirror images
+    (+-x1, +-x2).  Refuses lam**(1-alpha) > MAX_GRID_LAMBDA_RATIO or more
+    than MAX_GRID_NODES full-grid nodes before it builds any array.
     """
     if not _is_integer(points_per_wavelength) or points_per_wavelength < 1:
         raise ValueError(f"points_per_wavelength must be a positive integer, "
@@ -231,23 +236,12 @@ def grid_axis(params: WaveParams,
         raise ValueError(
             f"tensor grid would need {side * side} nodes "
             f"(> {MAX_GRID_NODES}); reduce lam**(1-alpha)")
-    return h * np.arange(-m, m + 1), h
-
-
-def _quarter_plane_window(params: WaveParams, axis: np.ndarray):
-    """|x| and the folded window a_lam(x)**2 on the quarter grid x1, x2 >= 0.
-
-    Entry (k, l) is x = (axis[m + k], axis[m + l]) of the symmetric 2m + 1
-    node `axis`.  Entries off the axis x1 = 0 count twice and entries off
-    x2 = 0 twice again, so the full-grid sum of a_lam**2 f is the sum of
-    window * f where f is the mean over the mirror images (+-x1, +-x2).
-    """
-    half = axis[axis.size // 2:]
-    r = np.hypot(half[:, None], half[None, :])
+    t = h * np.arange(m + 1)
+    r = np.hypot(t[:, None], t[None, :])
     window = cutoff_value(params.lam ** params.alpha * r) ** 2
     window[1:] *= 2.0
     window[:, 1:] *= 2.0
-    return r, window
+    return t, h, r, window
 
 
 def pair_integral_2d_oracle(params: WaveParams, d: float,
@@ -257,13 +251,11 @@ def pair_integral_2d_oracle(params: WaveParams, d: float,
     The phase lam * d * x1 is constant along a grid row and even in x1, so the
     integral is h**2 times cos(lam * d * x1) over the rows x1 >= 0, dotted
     with the row sums of the quarter-plane window; the sine part cancels
-    exactly.  Refuses what grid_axis refuses.
+    exactly.  Refuses what quarter_grid refuses.
     """
     _separations(d)
-    axis, h = grid_axis(params, points_per_wavelength)
-    _, window = _quarter_plane_window(params, axis)
-    phase = params.lam * d * axis[axis.size // 2:]
-    return h * h * float(np.cos(phase) @ np.sum(window, axis=1))
+    t, h, _, window = quarter_grid(params, points_per_wavelength)
+    return h * h * float(np.cos(params.lam * d * t) @ np.sum(window, axis=1))
 
 
 def _lah_number(n: int, k: int) -> int:

@@ -16,6 +16,8 @@ from biasedwave import load_config, parse_config, run_sweep, threshold_experimen
 from biasedwave.cli import SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main
 from biasedwave.oscint import PAIR_REL_TOL
 
+MISSING = object()  # a test_mistyped_values_rejected value that deletes its key
+
 
 def cell_as(value, text: str):
     """The CSV cell text read back as the type of the JSON value."""
@@ -110,10 +112,27 @@ class TestConfigParsing:
         ("alpha_list", ["0.5"]),
         ("grid_check_lambda_cap", -1.0),
         ("tolerances", {"gamma_min": -3}),
+        ("alpha_list", [0.5, 0.5]),
+        ("gamma", {"mode": "fixed", "values": [8.0, 8.0]}),
+        ("config", [64.0]),  # the whole document
+        ("lambda_ladder", MISSING),
+        ("gamma", [8.0]),
+        ("p_rule", "fixed"),
+        ("lambda_ladder", [1.0, 64.0]),
+        ("alpha_list", [1.0]),
+        ("tolerances", {"delta": 0.0}),
+        ("tolerances", {"kappa": 1.0}),
+        ("output_stem", 5),
+        ("p_rule", {"mode": "threshold", "c": -1.0, "beta": 0.2}),
+        ("gamma", {"mode": "fixed", "values": [8.0, 0.0]}),
+        ("p_rule", {"mode": "fixed", "values": [0.5, 0.9, 0.5]}),
     ])
     def test_mistyped_values_rejected(self, tmp_path, key, value):
+        doc = value if key == "config" else base_config(tmp_path, **{key: value})
+        if value is MISSING:
+            del doc[key]
         with pytest.raises(ConfigError, match=key):
-            parse_config(base_config(tmp_path, **{key: value}))
+            parse_config(doc)
 
     @pytest.mark.parametrize("key,rule", [
         ("gamma", {"mode": ["fixed"], "values": [8.0]}),
@@ -252,6 +271,14 @@ class TestRunSweep:
         row = result.rows[0]
         assert row["error"] == ""
         assert row["grid_rel_diff"] is not None
+        assert row["grid_rel_diff"] < 1e-3
+
+    def test_grid_check_runs_beyond_4096_directions(self, tmp_path):
+        # N 8192 at lam**(1-alpha) 16: a field of 8192 * 63 direction-node pairs
+        doc = base_config(tmp_path, lambda_ladder=[256.0], mc_samples=100,
+                          grid_check=True, gamma={"mode": "fixed", "values": [32.0]})
+        [row] = run_sweep(parse_config(doc)).rows
+        assert (row["N"], row["error"]) == (8192, "")
         assert row["grid_rel_diff"] < 1e-3
 
 
@@ -429,6 +456,23 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith("biasedwave: error: output_stem ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    @pytest.mark.parametrize("suffix", [".csv", ".meta.json"])
+    def test_output_path_that_is_a_directory_prints_one_line(
+            self, tmp_path, capsys, no_rows, command, suffix):
+        (tmp_path / f"run{suffix}").mkdir()
+        path = tmp_path / "config.json"
+        doc = base_config(tmp_path)
+        if command == "threshold":
+            doc["p_rule"] = {"mode": "threshold", "c": 1.0, "beta_factor": 0.5}
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: output_stem ") and f"run{suffix}" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", f"run{suffix}"]
 
     @pytest.mark.parametrize("stem", [".", "/", "..", "results/", "results/."])
     def test_stem_without_file_name_prints_one_line(self, tmp_path, capsys,

@@ -32,6 +32,8 @@ def test_non_positive_rejected():
         fit_exponent(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
         fit_exponent(np.array([1.0, -2.0, 3.0]), np.array([1.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        fit_exponent(np.array([1.0, 2.0, 3.0]), np.array([1.0, np.nan, 2.0]))
 
 
 @pytest.mark.parametrize("y", [[1.0, 2.0, 3.0], [3.0, 3.0, 3.0]])

@@ -4,13 +4,16 @@ No linter is part of the toolchain, so this parses each hand-written module
 with `ast`.  It refuses imports that nothing in the module or test file
 reads; `__init__.py` re-exports by design and `_wtable.py` is generated, so
 both are left out.  It also refuses a module-level private name (`_x`, not a dunder)
-that no package module reads as a name, an attribute or an import alias,
-and any import of scipy in a package module, however deeply nested.
+that no package module reads as a name, an attribute or an import alias; a
+module-level UPPER_CASE constant (`_X` included) that no package module, test
+or `perfbench/` file reads; and any import of scipy in a package module,
+however deeply nested.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,7 @@ PACKAGE = Path(biasedwave.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name not in ("__init__.py", "_wtable.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,31 +44,47 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, name) of each module-level private name no source reads."""
-    defined = []
+def top_level_names(source: str) -> list:
+    """Names bound by a module's top-level def, class and assignment statements."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def read_names(source: str) -> set:
+    """Names a source reads: loaded names, attributes and import aliases."""
     read = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, ast.Assign):
-                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                targets = [node.target.id]
-            else:
-                targets = []
-            defined += [(module, name) for name in targets
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-    return sorted(item for item in defined if item[1] not in read)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def is_constant(name: str) -> bool:
+    return re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name) is not None
+
+
+def unread_names(sources: dict, readers, kind) -> list:
+    """(module, name) of each top-level name of `sources` that satisfies
+    kind and that no source in `readers` reads."""
+    read = set().union(*map(read_names, readers))
+    return sorted((module, name) for module, source in sources.items()
+                  for name in top_level_names(source)
+                  if kind(name) and name not in read)
 
 
 def scipy_imports(source: str) -> list:
@@ -97,10 +117,21 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(source) == [(1, "math"), (2, "path")]
 
 
+def package_sources() -> dict:
+    return {p.name: p.read_text() for p in PACKAGE.glob("*.py")
+            if p.name != "_wtable.py"}
+
+
 def test_every_private_name_is_read():
-    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")
-               if p.name != "_wtable.py"}
-    assert unread_private_names(sources) == []
+    sources = package_sources()
+    assert unread_names(sources, sources.values(), is_private) == []
+
+
+def test_every_constant_is_read():
+    sources = package_sources()
+    readers = [*sources.values(), *(p.read_text() for p in TESTS + PERFBENCH)]
+    assert len(PERFBENCH) > 0
+    assert unread_names(sources, readers, is_constant) == []
 
 
 def test_checker_sees_an_unread_private_name():
@@ -109,7 +140,17 @@ def test_checker_sees_an_unread_private_name():
                  "def _helper():\n    return _LIMIT\nclass _Unused: pass\n"),
         "b.py": "from .a import _helper\nimport a\nprint(a._other)\n_other = 1\n",
     }
-    assert unread_private_names(sources) == [("a.py", "_FLOOR"), ("a.py", "_Unused")]
+    assert unread_names(sources, sources.values(), is_private) == [
+        ("a.py", "_FLOOR"), ("a.py", "_Unused")]
+
+
+def test_checker_sees_an_unread_constant():
+    sources = {"a.py": ("LIMIT = 5\n_BATCH = 2\nTABLE: dict = {}\nSPARE = 1\n"
+                        "Mixed_Case = 3\n__version__ = '1'\ndef f():\n"
+                        "    return LIMIT\n")}
+    readers = [*sources.values(), "import a\nprint(a.TABLE)\n",
+               "from a import _BATCH as batch\n"]
+    assert unread_names(sources, readers, is_constant) == [("a.py", "SPARE")]
 
 
 def test_no_package_module_imports_scipy():

@@ -12,14 +12,21 @@ from biasedwave import (build_params, cutoff_mass, darboux_error, e1_error_norm,
                         mass_quadratic_form, mc_moments, sample_coefficients)
 from biasedwave import montecarlo
 from biasedwave.model import build_directions, cutoff_value
-from biasedwave.oscint import build_kernel, grid_axis
+from biasedwave.oscint import build_kernel, quarter_grid
 from biasedwave.specfun import bessel_j0
+
+
+def full_axis(params):
+    """The symmetric 2m + 1 node axis that quarter_grid's half axis t folds,
+    with the step h."""
+    t, h, _, _ = quarter_grid(params)
+    return np.concatenate([-t[:0:-1], t]), h
 
 
 def full_grid_field(params, signs):
     """The literal field u on every grid node: two exp phase arrays and one
     complex GEMM over all N directions."""
-    axis, _ = grid_axis(params)
+    axis, _ = full_axis(params)
     unit = build_directions(params).unit_vectors
     phase_x = np.exp(1j * params.lam * np.outer(axis, unit[:, 0]))
     phase_y = np.exp(1j * params.lam * np.outer(axis, unit[:, 1]))
@@ -29,7 +36,7 @@ def full_grid_field(params, signs):
 def full_grid_mass(params, signs):
     """The literal full-grid quadrature: h**2 * sum of a_lam**2 |u|**2 over
     every node of full_grid_field."""
-    axis, h = grid_axis(params)
+    axis, h = full_axis(params)
     u = full_grid_field(params, signs)
     r = np.hypot(axis[:, None], axis[None, :])
     weight = cutoff_value(params.lam ** params.alpha * r) ** 2
@@ -213,11 +220,11 @@ class TestGridQuadrature:
         params = build_params(64, n / 64, 0.3, 0.37)
         assert params.n_dirs == n
         signs = sample_coefficients(params, 31) if biased else np.ones(n)
-        axis, _ = grid_axis(params)
-        a, b, c, d = montecarlo._field_on_grid(params, signs, axis)
+        t, _, _, _ = quarter_grid(params)
+        a, b, c, d = montecarlo._field_on_grid(params, signs, t)
         upper = (a - c) + 1j * (b + d)  # x1 >= 0, x2 >= 0
         lower = (a + c) + 1j * (b - d)  # x1 >= 0, x2 <= 0
-        m = axis.size // 2
+        m = t.size - 1
         u = full_grid_field(params, signs)
         for got, want in [(upper, u[m:, m:]), (lower, u[m:, m::-1]),
                           (np.conj(lower), u[m::-1, m:]),
@@ -226,17 +233,17 @@ class TestGridQuadrature:
 
     def test_peak_memory_is_bounded(self):
         # at most 1.0 complex (side x N) array alive at once: the two real GEMM
-        # operands hold (side/2) x (N/2) doubles four times, the x2 trig twice
+        # operands hold (side/2) x (N/2) doubles four times, the x2 trig once
         params = build_params(256, 4, 0.3, 0.5)
-        axis, _ = grid_axis(params)
-        assert (params.n_dirs, axis.size) == (1024, 373)
+        side = 2 * quarter_grid(params)[0].size - 1
+        assert (params.n_dirs, side) == (1024, 373)
         tracemalloc.start()
         try:
             grid_quadrature_mass(params, np.ones(params.n_dirs))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.0 * axis.size * params.n_dirs * 16
+        assert peak <= 1.0 * side * params.n_dirs * 16
 
     def test_refuses_infeasible_parameters(self):
         params = build_params(600, 1, 0.0, 0.5)
@@ -244,14 +251,17 @@ class TestGridQuadrature:
             grid_quadrature_mass(params, np.ones(params.n_dirs))
 
     def test_refuses_large_frequency_ratio_on_refined_grid(self, monkeypatch):
-        # the stub keeps a missed refusal from allocating the ~9169**2 grid
+        # the stub keeps a missed refusal from allocating the ~9169**2 grid,
+        # or the 11737**2 node grid of lam 512 at 36 points per wavelength
         def no_grid(*_):
             raise AssertionError("grid was evaluated instead of refused")
         monkeypatch.setattr(montecarlo, "_field_on_grid", no_grid)
-        params = build_params(600, 1 / 600, 0.0, 0.5)
-        with pytest.raises(ValueError, match="grid evaluation needs"):
-            grid_quadrature_mass(params, np.ones(params.n_dirs),
-                                 points_per_wavelength=24)
+        for lam, points, match in [(600, 24, "grid evaluation needs"),
+                                   (512, 36, "tensor grid would need 137757169 ")]:
+            params = build_params(lam, 1 / lam, 0.0, 0.5)
+            with pytest.raises(ValueError, match=match):
+                grid_quadrature_mass(params, np.ones(params.n_dirs),
+                                     points_per_wavelength=points)
 
 
 class TestMcMoments:
@@ -456,6 +466,22 @@ class TestDiscretisationProbe:
         measured = probe.pairwise_bound_norms[-1] / probe.pairwise_bound_norms[0]
         predicted = (probe.gammas[-1] / probe.gammas[0]) ** probe.gamma_exponent
         assert abs(measured - predicted) <= 0.2 * predicted
+
+    def test_refuses_a_field_beyond_the_bound_before_allocating_it(self):
+        # rung 0 has N 32768 on a half axis of 1292 nodes: each GEMM operand
+        # would hold 2 * 1292 * 16384 doubles, about 339 MB
+        params = build_params(4096, 8, 0.3, 0.5)
+        q = quarter_grid(params)[0].size
+        assert (params.n_dirs, q) == (32768, 1292)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=rf"N \* q = 32768 \* 1292 = {32768 * q} "):
+                e1_error_norm(params, n_doublings=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < q * params.n_dirs * 8
 
     def test_norm_scale_bounded_across_frequencies(self):
         # bound-norm / lam**((1-alpha)/2) stays within a fixed band

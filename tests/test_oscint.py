@@ -14,9 +14,9 @@ from biasedwave import (build_cutoff, build_directions, build_params,
 from biasedwave.cli import parse_config
 from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANELS,
                                QuadratureError, _table_panel, build_kernel,
-                               decay_constant, grid_axis, kernel_matrix,
+                               decay_constant, kernel_matrix,
                                profile_table, profile_table_source,
-                               reduced_pair_integral)
+                               quarter_grid, reduced_pair_integral)
 
 
 def profile_scale():
@@ -31,7 +31,8 @@ def direct_profile(s_values):
 def full_grid_pair_integral(params, d):
     """The literal full-grid quadrature: h**2 * sum of a_lam**2 exp(i lam d x1)
     over every node, cos and sin parts both."""
-    axis, h = grid_axis(params)
+    t, h, _, _ = quarter_grid(params)
+    axis = np.concatenate([-t[:0:-1], t])
     x1, x2 = np.meshgrid(axis, axis, indexing="ij")
     weight = cutoff_value(params.lam ** params.alpha * np.hypot(x1, x2)) ** 2
     phase = params.lam * d * x1
@@ -161,8 +162,7 @@ class TestPlanarOracle:
     def test_peak_memory_is_bounded(self):
         # about seven doubles per node of the quarter grid x1, x2 >= 0
         params = build_params(256, 1, 0.3, 0.5)
-        axis, _ = grid_axis(params)
-        quarter_nodes = (axis.size // 2 + 1) ** 2
+        quarter_nodes = quarter_grid(params)[0].size ** 2
         tracemalloc.start()
         try:
             pair_integral_2d_oracle(params, 0.37)
@@ -189,7 +189,7 @@ class TestPlanarOracle:
     @pytest.mark.parametrize("points", [0, -12, 2.5, True, 12.0])
     def test_refuses_points_per_wavelength_that_is_not_a_positive_integer(self, points):
         params = build_params(64, 8, 0.5, 0.5)
-        for call in (lambda: grid_axis(params, points),
+        for call in (lambda: quarter_grid(params, points),
                      lambda: pair_integral_2d_oracle(params, 0.5, points)):
             with pytest.raises(ValueError, match="points_per_wavelength"):
                 call()
@@ -329,6 +329,24 @@ class TestKernel:
             total = kernel.size * np.sum(kernel.values[1:])
             ratio = total / (8 ** 2 * lam ** 0.5)
             assert 0.2 <= ratio <= 10.0
+
+    def test_spectrum_below_the_psd_floor_is_refused(self, tmp_path, monkeypatch):
+        # the row [1, -0.9, ..., -0.9] has the eigenvalue 1 - 0.9 (N - 1) < 0
+        oscint._geometry_row.cache_clear()
+        monkeypatch.setattr(oscint, "profile_table",
+                            lambda s: np.where(s == 0, 1.0, -0.9))
+        try:
+            with pytest.raises(RuntimeError, match="positive-semidefinite floor"):
+                build_kernel(build_params(64, 1, 0.5, 0.5))
+            doc = {"lambda_ladder": [64.0], "gamma": {"mode": "fixed", "values": [1]},
+                   "alpha_list": [0.5], "p_rule": {"mode": "fixed", "values": [0.5]},
+                   "output_stem": str(tmp_path / "run")}
+            [row] = run_sweep(parse_config(doc)).rows
+            assert row["error"].startswith("RuntimeError: kernel spectrum")
+            assert "positive-semidefinite floor" in row["error"]
+        finally:
+            monkeypatch.undo()
+            oscint._geometry_row.cache_clear()
 
     def test_table_drift_check_names_s(self, monkeypatch):
         monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)

@@ -128,6 +128,8 @@ class TestAngularIntegral:
     def test_probe_window_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             residual_probe_points(10.0, np.inf)
+        with pytest.raises(ValueError, match="no probe points"):
+            residual_probe_points(3.0, 3.1)  # between 0.75 pi and 1.75 pi
 
     def test_check_requires_oscillatory_regime(self):
         with pytest.raises(ValueError):
@@ -167,3 +169,5 @@ class TestSurfaceWaveEnvelope:
             surface_wave_envelope(8.0, np.array([-1.0, 0.5, 2.0]))
         with pytest.raises(ValueError):
             surface_wave_envelope(8.0, np.linspace(0.001, 0.002, 10))
+        with pytest.raises(ValueError, match="at least 3"):
+            surface_wave_envelope(8.0, np.array([1.0, 2.0]))
