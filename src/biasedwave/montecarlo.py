@@ -52,12 +52,12 @@ def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray
     bitgen = Philox(0)
     gen = Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for r in range(out.shape[0]):
-        key = np.array([seed, start + r], dtype=np.uint64)
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zeros, "key": key},
-                        "buffer": zeros, "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
+        key[1] = start + r
+        bitgen.state = state  # the setter copies the values
         gen.random(out=out[r])
     np.less(out, p, out=out)
     out *= 2.0
@@ -126,6 +126,41 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     return acc
 
 
+def _field_size_check(n: int, q: int) -> None:
+    if n * q > MAX_GRID_FIELD:
+        raise ValueError(f"grid field of N * q = {n} * {q} = {n * q} direction-node "
+                         f"pairs exceeds {MAX_GRID_FIELD}; reduce N or lam**(1-alpha)")
+
+
+def _angle_addition(t: np.ndarray, f: np.ndarray):
+    """cos and sin of np.outer(t, f) for an arithmetic half axis t = h * arange(q).
+
+    Row k = K i + l, K = ceil(sqrt(q)), has the phase t[l] f + t[K i] f, so the
+    cos and sin of the K fine rows t[:K] and the ceil(q/K) coarse rows t[::K],
+    2 (K + ceil(q/K)) * f.size trig values in place of 2 q * f.size, give
+    every row by cos(x+y) = cos x cos y - sin x sin y and
+    sin(x+y) = sin x cos y + cos x sin y.  Returns fill(out, sine, weight=1.0),
+    which writes the cos table (sine false) or the sin table, each column
+    times weight (a scalar or an f.size vector, applied to the fine rows),
+    into the q x f.size array `out` and returns it.
+    """
+    step = math.isqrt(t.size - 1) + 1
+    fine = np.outer(t[:step], f)
+    cos_fine, sin_fine = np.cos(fine), np.sin(fine, out=fine)
+    coarse = np.outer(t[::step], f)
+    coarse = np.stack([np.cos(coarse), np.sin(coarse)], axis=1)  # cos y, sin y
+
+    def fill(out: np.ndarray, sine: bool, weight=1.0) -> np.ndarray:
+        # cos(x+y) and sin(x+y) as a dot of these two fine rows with (cos y, sin y)
+        pair = np.stack([sin_fine, cos_fine] if sine else [cos_fine, -sin_fine])
+        pair *= weight
+        for i, cos_sin in enumerate(coarse):
+            rows = out[i * step:(i + 1) * step]
+            np.einsum("tkj,tj->kj", pair[:, :len(rows)], cos_sin, out=rows)
+        return out
+    return fill
+
+
 def _field_on_grid(params: WaveParams, signs: np.ndarray, t: np.ndarray):
     """u(x) = sum_j c_j exp(i lam x . xi_j) on the quarter grid, as four real blocks.
 
@@ -140,38 +175,31 @@ def _field_on_grid(params: WaveParams, signs: np.ndarray, t: np.ndarray):
         Re u(x1, +-x2) = A -+ C,    Im u(x1, +-x2) = B +- D;
 
     real signs give u(-x) = conj u(x), so the blocks determine u on the
-    whole grid.  The GEMM operands, about N * t.size doubles each, are filled
-    in place, sin b over cos b after the first GEMM; a field with
-    N * t.size > MAX_GRID_FIELD is refused before anything is allocated.
+    whole grid.  The q x N/2 tables of cos and sin of a and b come from
+    _angle_addition, about 4 sqrt(q) * N trig values in place of 2 q * N,
+    with s and d applied to a's fine rows.  The two GEMMs share one operand
+    of about N * t.size doubles and one x2 table of half that: after the
+    first GEMM, [sin a * s; cos a * d] is written over [cos a * s; sin a * d]
+    and sin b over cos b.  A field with N * t.size > MAX_GRID_FIELD is
+    refused before anything is allocated.
     """
     n = params.n_dirs
     q = t.size
-    if n * q > MAX_GRID_FIELD:
-        raise ValueError(f"grid field of N * q = {n} * {q} = {n * q} direction-node "
-                         f"pairs exceeds {MAX_GRID_FIELD}; reduce N or lam**(1-alpha)")
+    _field_size_check(n, q)
     half = n if n % 2 else n // 2
     lo, hi = (signs, 0.0) if n % 2 else (signs[:half], signs[half:])
     s, d = lo + hi, lo - hi
-    unit = build_directions(params).unit_vectors[:half]
-    trig_b = np.outer(t, unit[:, 1])  # cos b, then sin b over it
-    trig_b *= params.lam
-    np.cos(trig_b, out=trig_b)
-    even = np.empty((2 * q, half))  # [cos a * s; sin a * d]
-    odd = np.empty((2 * q, half))  # [sin a * s; cos a * d]
-    angle = np.outer(t, unit[:, 0], out=odd[:q])
-    angle *= params.lam
-    np.cos(angle, out=even[:q])
-    np.sin(angle, out=even[q:])
-    np.multiply(even[q:], s, out=odd[:q])
-    np.multiply(even[:q], d, out=odd[q:])
-    even[:q] *= s
-    even[q:] *= d
-    ab = even @ trig_b.T
-    del even  # lowers the peak: the second GEMM runs without it
-    np.outer(t, unit[:, 1], out=trig_b)
-    trig_b *= params.lam
-    np.sin(trig_b, out=trig_b)
-    cd = odd @ trig_b.T
+    freq = params.lam * build_directions(params).unit_vectors[:half]
+    fill_a = _angle_addition(t, freq[:, 0])
+    fill_b = _angle_addition(t, freq[:, 1])
+    trig_b = np.empty((q, half))  # cos b, then sin b
+    operand = np.empty((2 * q, half))  # [cos a * s; sin a * d], then [sin a * s; cos a * d]
+    blocks = []
+    for sine in (False, True):
+        fill_a(operand[:q], sine, s)
+        fill_a(operand[q:], not sine, d)
+        blocks.append(operand @ fill_b(trig_b, sine).T)
+    ab, cd = blocks
     return ab[:q], ab[q:], cd[:q], cd[q:]
 
 
@@ -338,11 +366,14 @@ class DiscretisationProbe:
 
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
     """Measure the discretisation-error norms across a gamma-doubling ladder;
-    a rung whose field has N * t.size > MAX_GRID_FIELD raises ValueError."""
+    a rung whose field has N * t.size > MAX_GRID_FIELD raises ValueError
+    before any J0 or field work."""
     gammas, rungs = _gamma_ladder(params, n_doublings)
     # the J0 term is real and even in x1 and x2, so E folds onto the quarter
     # plane like u, with A - N J0 in place of A
     t, h, r, window = quarter_grid(params)
+    for pg in rungs:
+        _field_size_check(pg.n_dirs, t.size)
     j0_term = bessel_j0(params.lam * r)
     literal = np.empty(gammas.size)
     bound = np.empty(gammas.size)

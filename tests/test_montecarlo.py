@@ -213,11 +213,16 @@ class TestGridQuadrature:
         assert grid_quadrature_mass(params, signs) == pytest.approx(
             full_grid_mass(params, signs), rel=1e-13)
 
-    @pytest.mark.parametrize("n", [256, 258, 257])
+    @pytest.mark.parametrize("lam,n", [
+        pytest.param(64, 256, id="256"), pytest.param(64, 258, id="258"),
+        pytest.param(64, 257, id="257"), pytest.param(1024, 64, id="lam1024-64"),
+        pytest.param(1024, 66, id="lam1024-66"), pytest.param(1024, 65, id="lam1024-65")])
     @pytest.mark.parametrize("biased", [True, False])
-    def test_quarter_blocks_rebuild_the_field_on_every_quadrant(self, n, biased):
-        # N = 0 and 2 (mod 4) pair antipodal directions; odd N uses every one
-        params = build_params(64, n / 64, 0.3, 0.37)
+    def test_quarter_blocks_rebuild_the_field_on_every_quadrant(self, lam, n, biased):
+        # N = 0 and 2 (mod 4) pair antipodal directions; odd N uses every one.
+        # At lam 1024 the phases reach about 256 rad and the half axis has 490
+        # nodes, so the last block of the angle-addition tables is ragged
+        params = build_params(lam, n / lam, 0.3, 0.37)
         assert params.n_dirs == n
         signs = sample_coefficients(params, 31) if biased else np.ones(n)
         t, _, _, _ = quarter_grid(params)
@@ -231,9 +236,47 @@ class TestGridQuadrature:
                           (np.conj(upper), u[m::-1, m::-1])]:
             assert np.max(np.abs(got - want)) <= 1e-12 * n
 
+    @pytest.mark.parametrize("q", [1, 2, 16, 17, 490])
+    def test_angle_addition_matches_the_direct_tables(self, q):
+        # 490 = 22 * 23 - 16: a ragged last block of K = 23 rows
+        h = 2.0 * np.pi / 1024 / 12
+        t = h * np.arange(q)
+        f = 1024 * np.cos(np.linspace(0.0, np.pi, 41))
+        fill = montecarlo._angle_addition(t, f)
+        step = math.isqrt(q - 1) + 1
+        for sine, trig in [(False, np.cos), (True, np.sin)]:
+            got = fill(np.empty((q, f.size)), sine)
+            want = trig(np.outer(h * np.arange(q), f))
+            # rows k = 0, K, 2K, ... take one coarse row times cos 0 = 1
+            # and sin 0 = 0, so they equal the direct table bit for bit
+            assert np.array_equal(got[::step], want[::step])
+            # elsewhere both round a phase of up to 256 rad (ulp 5.7e-14)
+            assert np.max(np.abs(got - want), initial=0.0) <= 2e-13
+
+    def test_field_evaluates_few_trig_values(self, monkeypatch):
+        params = build_params(1024, 64 / 1024, 0.3, 0.5)
+        t = quarter_grid(params)[0]
+        n, q = params.n_dirs, t.size
+        assert (n, q) == (64, 490)
+        count = [0]
+
+        def counted(trig):
+            def call(x, *args, **kwargs):
+                count[0] += np.size(x)
+                return trig(x, *args, **kwargs)
+            return call
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        montecarlo._field_on_grid(params, np.ones(n), t)
+        monkeypatch.undo()
+        # direct tables would evaluate 2 q N: cos and sin of q x N/2 phases
+        # on each axis
+        assert 0 < count[0] < q * n / 4
+
     def test_peak_memory_is_bounded(self):
-        # at most 1.0 complex (side x N) array alive at once: the two real GEMM
-        # operands hold (side/2) x (N/2) doubles four times, the x2 trig once
+        # at most 1.0 complex (side x N) array alive at once: the GEMM operand
+        # the two GEMMs share holds (side/2) x (N/2) doubles twice, the x2
+        # trig once
         params = build_params(256, 4, 0.3, 0.5)
         side = 2 * quarter_grid(params)[0].size - 1
         assert (params.n_dirs, side) == (1024, 373)
@@ -482,6 +525,18 @@ class TestDiscretisationProbe:
         finally:
             tracemalloc.stop()
         assert peak < q * params.n_dirs * 8
+
+    @pytest.mark.parametrize("lam,gamma,n_doublings,q", [(4096, 8, 2, 1292),
+                                                         (1024, 4, 3, 490)])
+    def test_refuses_a_field_before_any_j0_or_field_work(self, monkeypatch, lam,
+                                                          gamma, n_doublings, q):
+        # the refused rung is the first at (4096, 8) and the last at (1024, 4)
+        def no_work(*_):
+            raise AssertionError("work ran before the field size was checked")
+        monkeypatch.setattr(montecarlo, "bessel_j0", no_work)
+        monkeypatch.setattr(montecarlo, "_field_on_grid", no_work)
+        with pytest.raises(ValueError, match=rf"N \* q = 32768 \* {q} = {32768 * q} "):
+            e1_error_norm(build_params(lam, gamma, 0.3, 0.5), n_doublings=n_doublings)
 
     def test_norm_scale_bounded_across_frequencies(self):
         # bound-norm / lam**((1-alpha)/2) stays within a fixed band
