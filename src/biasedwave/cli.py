@@ -325,10 +325,12 @@ def _format_cell(value) -> str:
 def _output_paths(stem: str) -> tuple:
     """The stem's .csv, .json and .meta.json paths; nothing is created.
 
-    A stem whose text does not end in its file name (".", "/", "..", or one
-    ending in a separator such as "results/") is a ConfigError naming
-    output_stem.
+    A stem holding a NUL byte, or whose text does not end in its file name
+    (".", "/", "..", or one ending in a separator such as "results/"), is a
+    ConfigError naming output_stem.
     """
+    if "\0" in stem:
+        raise ConfigError(f"output_stem {stem!r} holds a NUL byte")
     base = Path(stem)
     if base.name in ("", "..") or not stem.endswith(base.name):
         raise ConfigError(f"output_stem {stem!r} has no file name")

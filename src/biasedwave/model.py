@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -62,13 +63,14 @@ def build_params(lam: float, gamma: float, alpha: float, p: float) -> WaveParams
     """Validate raw inputs and derive the direction count.
 
     Rejects alpha >= 1 (the moment asymptotics hold only below the wavelength
-    scale), non-finite inputs, and parameter combinations that round to zero
-    directions.  The count uses round-half-to-even so that fractional
-    gamma * lam resolves deterministically.
+    scale), inputs that are bools (numpy's too) or not finite real numbers,
+    and parameter combinations that round to zero directions.  The count uses
+    round-half-to-even so that fractional gamma * lam resolves deterministically.
     """
     for name, value in (("lam", lam), ("gamma", gamma), ("alpha", alpha), ("p", p)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (isinstance(value, Real) and math.isfinite(value)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a finite real number (not a bool), "
+                             f"got {value!r}")
     if lam <= 1.0:
         raise ValueError(f"lam must exceed 1, got {lam}")
     if gamma <= 0.0:

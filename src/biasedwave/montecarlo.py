@@ -33,7 +33,6 @@ from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, dyadic_sum_check,
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
-MAX_GRID_FIELD = 1 << 23  # N * t.size of a grid field; N 4096 fits lam**(1-alpha) 512
 _OSC_SUBSAMPLES = 17
 _MC_BATCH = 1 << 18  # doubles per sign block: 2 MiB
 
@@ -126,12 +125,6 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     return acc
 
 
-def _field_size_check(n: int, q: int) -> None:
-    if n * q > MAX_GRID_FIELD:
-        raise ValueError(f"grid field of N * q = {n} * {q} = {n * q} direction-node "
-                         f"pairs exceeds {MAX_GRID_FIELD}; reduce N or lam**(1-alpha)")
-
-
 def _angle_addition(t: np.ndarray, f: np.ndarray):
     """cos and sin of np.outer(t, f) for an arithmetic half axis t = h * arange(q).
 
@@ -180,12 +173,10 @@ def _field_on_grid(params: WaveParams, signs: np.ndarray, t: np.ndarray):
     with s and d applied to a's fine rows.  The two GEMMs share one operand
     of about N * t.size doubles and one x2 table of half that: after the
     first GEMM, [sin a * s; cos a * d] is written over [cos a * s; sin a * d]
-    and sin b over cos b.  A field with N * t.size > MAX_GRID_FIELD is
-    refused before anything is allocated.
+    and sin b over cos b; quarter_grid bounds N * t.size for the caller.
     """
     n = params.n_dirs
     q = t.size
-    _field_size_check(n, q)
     half = n if n % 2 else n // 2
     lo, hi = (signs, 0.0) if n % 2 else (signs[:half], signs[half:])
     s, d = lo + hi, lo - hi
@@ -213,10 +204,10 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     |u|**2 point-symmetric, and |u(x1, x2)|**2 + |u(x1, -x2)|**2 is
     2 (A**2 + B**2 + C**2 + D**2) in the blocks of _field_on_grid, so u is
     evaluated on quarter_grid only, weighted by its folded window.  Refuses
-    what quarter_grid refuses and N * t.size > MAX_GRID_FIELD.
+    what quarter_grid refuses for the one field of N directions.
     """
     signs = _as_signs(coeffs, params.n_dirs)
-    t, h, _, window = quarter_grid(params, points_per_wavelength)
+    t, h, _, window = quarter_grid(params, points_per_wavelength, (params.n_dirs,))
     a, b, c, d = _field_on_grid(params, signs, t)
     return float(h * h * np.sum(window * (a * a + b * b + c * c + d * d)))
 
@@ -366,14 +357,12 @@ class DiscretisationProbe:
 
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
     """Measure the discretisation-error norms across a gamma-doubling ladder;
-    a rung whose field has N * t.size > MAX_GRID_FIELD raises ValueError
-    before any J0 or field work."""
+    quarter_grid refuses the first rung whose field has
+    N * t.size > MAX_GRID_FIELD before it builds the grid."""
     gammas, rungs = _gamma_ladder(params, n_doublings)
     # the J0 term is real and even in x1 and x2, so E folds onto the quarter
     # plane like u, with A - N J0 in place of A
-    t, h, r, window = quarter_grid(params)
-    for pg in rungs:
-        _field_size_check(pg.n_dirs, t.size)
+    t, h, r, window = quarter_grid(params, fields=[pg.n_dirs for pg in rungs])
     j0_term = bessel_j0(params.lam * r)
     literal = np.empty(gammas.size)
     bound = np.empty(gammas.size)

@@ -43,8 +43,8 @@ MAX_KERNEL_SIZE = 1_000_000
 # a sweep re-reads only the last row's geometry (p is its innermost loop); the
 # memo serves threshold_experiment's four family passes and the tests' kernels
 KERNEL_MEMO_SIZE = 32
-MAX_GRID_NODES = 100_000_000
-MAX_GRID_LAMBDA_RATIO = 512.0
+MAX_GRID_NODES = 1 << 24  # full-grid nodes; lam**(1-alpha) 535 at 12 per wavelength
+MAX_GRID_FIELD = 1 << 23  # N * t.size of a grid field; N 4096 fits q 2048
 GRID_POINTS_PER_WAVELENGTH = 12
 PSD_TOL = 1e-9
 TABLE_PANEL_WIDTH = 32.0
@@ -210,7 +210,8 @@ def pair_integral(params: WaveParams, d: float) -> float:
 
 
 def quarter_grid(params: WaveParams,
-                 points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH):
+                 points_per_wavelength: int = GRID_POINTS_PER_WAVELENGTH,
+                 fields=()):
     """The tensor grid over the cutoff support, folded onto x1, x2 >= 0.
 
     The step h puts points_per_wavelength nodes, a positive integer (not a
@@ -219,24 +220,25 @@ def quarter_grid(params: WaveParams,
     folded window a_lam(x)**2 at x = (t[k], t[l]): entries off x1 = 0 count
     twice and entries off x2 = 0 twice again, so the full-grid sum of
     a_lam**2 f is the sum of window * f, f the mean over the mirror images
-    (+-x1, +-x2).  Refuses lam**(1-alpha) > MAX_GRID_LAMBDA_RATIO or more
-    than MAX_GRID_NODES full-grid nodes before it builds any array.
+    (+-x1, +-x2).  Before it builds any array it refuses more than
+    MAX_GRID_NODES full-grid nodes, then the first direction count N in
+    fields (one per field the caller evaluates) with N * t.size > MAX_GRID_FIELD.
     """
     if not _is_integer(points_per_wavelength) or points_per_wavelength < 1:
         raise ValueError(f"points_per_wavelength must be a positive integer, "
                          f"got {points_per_wavelength!r}")
-    ratio = params.lam ** (1.0 - params.alpha)
-    if ratio > MAX_GRID_LAMBDA_RATIO:
-        raise ValueError(f"grid evaluation needs lam**(1-alpha) <= "
-                         f"{MAX_GRID_LAMBDA_RATIO}, got {ratio:.1f}")
     h = (2.0 * np.pi / params.lam) / points_per_wavelength
     m = int(math.ceil(SUPPORT_RADIUS * params.ball_radius / h))
-    side = 2 * m + 1
+    side, q = 2 * m + 1, m + 1
     if side * side > MAX_GRID_NODES:
         raise ValueError(
             f"tensor grid would need {side * side} nodes "
             f"(> {MAX_GRID_NODES}); reduce lam**(1-alpha)")
-    t = h * np.arange(m + 1)
+    for n in fields:
+        if n * q > MAX_GRID_FIELD:
+            raise ValueError(f"grid field of N * q = {n} * {q} = {n * q} direction-node "
+                             f"pairs exceeds {MAX_GRID_FIELD}; reduce N or lam**(1-alpha)")
+    t = h * np.arange(q)
     r = np.hypot(t[:, None], t[None, :])
     window = cutoff_value(params.lam ** params.alpha * r) ** 2
     window[1:] *= 2.0
@@ -251,7 +253,7 @@ def pair_integral_2d_oracle(params: WaveParams, d: float,
     The phase lam * d * x1 is constant along a grid row and even in x1, so the
     integral is h**2 times cos(lam * d * x1) over the rows x1 >= 0, dotted
     with the row sums of the quarter-plane window; the sine part cancels
-    exactly.  Refuses what quarter_grid refuses.
+    exactly.  Refuses what quarter_grid refuses for a grid without fields.
     """
     _separations(d)
     t, h, _, window = quarter_grid(params, points_per_wavelength)

@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -474,20 +476,26 @@ class TestCommandLine:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", f"run{suffix}"]
 
-    @pytest.mark.parametrize("stem", [".", "/", "..", "results/", "results/."])
+    # Path.exists and is_dir return False for a stem holding a NUL byte, so it
+    # is refused by name, like a stem without a file name
+    @pytest.mark.parametrize("stem", [".", "/", "..", "results/", "results/.",
+                                      "a\0b"])
     def test_stem_without_file_name_prints_one_line(self, tmp_path, capsys,
                                                      monkeypatch, no_rows, stem):
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)  # ".." is tmp_path
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(tmp_path, output_stem=stem)))
-        assert main(["sweep", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"biasedwave: error: output_stem {stem!r} ")
-        assert err.count("\n") == 1
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
+        path.write_text(json.dumps(base_config(
+            tmp_path, output_stem=stem,
+            p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})))
+        for command in ("sweep", "threshold"):
+            assert main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"biasedwave: error: output_stem {stem!r} ")
+            assert err.count("\n") == 1
+            assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
 
     @pytest.mark.parametrize("command", ["sweep", "threshold"])
     def test_outputs_may_not_overwrite_the_config(self, tmp_path, capsys,
@@ -597,6 +605,26 @@ class TestReadmeExamples:
             for name in names:
                 assert (hasattr(getattr(biasedwave, module), name)
                         or hasattr(biasedwave, name) or name in SWEEP_COLUMNS), (module, name)
+
+    def test_stated_constants_resolve_and_match(self):
+        # a backticked UPPER_CASE name (two characters or more; `W` is the
+        # profile, not a constant) is a constant of a package module, and
+        # `NAME` = `value` or `NAME = value` states its value
+        modules = [importlib.import_module(f"biasedwave.{info.name}")
+                   for info in pkgutil.iter_modules(biasedwave.__path__)
+                   if info.name != "__main__"]  # importing it runs the command line
+
+        def constant(name):
+            values = [getattr(m, name) for m in modules if hasattr(m, name)]
+            assert values, name
+            return values[0]
+
+        for name in re.findall(r"`([A-Z][A-Z0-9_]+)`", self.README):
+            constant(name)
+        stated = re.findall(r"`([A-Z][A-Z0-9_]+)`? = `?([^`]+)`", self.README)
+        assert "MAX_GRID_FIELD" in {name for name, _ in stated}
+        for name, value in stated:
+            assert eval(value, {"__builtins__": {}}) == constant(name), (name, value)
 
     def test_command_block_names_only_subcommands(self, capsys):
         # the block and the parser's subcommands (its usage line) are one set

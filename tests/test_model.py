@@ -27,12 +27,18 @@ class TestBuildParams:
         dict(lam=float("inf")), dict(gamma=0.0), dict(gamma=-2.0),
         dict(alpha=-0.1), dict(alpha=1.5), dict(p=-0.01), dict(p=1.01),
         dict(lam=1e300, gamma=1e10),  # gamma * lam overflows to inf
+        dict(p=True), dict(alpha=False), dict(gamma=np.bool_(True)),
+        dict(lam="64"), dict(gamma="1"), dict(alpha=None), dict(p=0.5 + 0j),
     ])
     def test_rejects_bad_inputs(self, kwargs):
         good = dict(lam=64.0, gamma=2.0, alpha=0.5, p=0.5)
         good.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"\b{next(iter(kwargs))}\b"):
             build_params(**good)
+
+    def test_accepts_numpy_integers_and_floats(self):
+        params = build_params(np.int64(64), np.float32(2.0), np.float64(0.5), 0.5)
+        assert params == build_params(64, 2.0, 0.5, 0.5)
 
     def test_rejects_zero_directions(self):
         with pytest.raises(ValueError):

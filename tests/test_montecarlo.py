@@ -9,8 +9,9 @@ import pytest
 from biasedwave import (build_params, cutoff_mass, darboux_error, e1_error_norm,
                         enumerate_moments, exact_expectation, exact_variance,
                         grid_quadrature_mass, mass_double_sum,
-                        mass_quadratic_form, mc_moments, sample_coefficients)
-from biasedwave import montecarlo
+                        mass_quadratic_form, mc_moments, pair_integral_2d_oracle,
+                        sample_coefficients)
+from biasedwave import montecarlo, oscint
 from biasedwave.model import build_directions, cutoff_value
 from biasedwave.oscint import build_kernel, quarter_grid
 from biasedwave.specfun import bessel_j0
@@ -299,12 +300,30 @@ class TestGridQuadrature:
         def no_grid(*_):
             raise AssertionError("grid was evaluated instead of refused")
         monkeypatch.setattr(montecarlo, "_field_on_grid", no_grid)
-        for lam, points, match in [(600, 24, "grid evaluation needs"),
+        for lam, points, match in [(600, 24, "tensor grid would need"),
                                    (512, 36, "tensor grid would need 137757169 ")]:
             params = build_params(lam, 1 / lam, 0.0, 0.5)
             with pytest.raises(ValueError, match=match):
                 grid_quadrature_mass(params, np.ones(params.n_dirs),
                                      points_per_wavelength=points)
+
+    def test_node_bound_refuses_a_fine_grid_that_few_directions_admit(self,
+                                                                      monkeypatch):
+        # N * q = 64 * 4891 is far below MAX_GRID_FIELD, but the 9781**2 node
+        # grid is above MAX_GRID_NODES; the stubs keep a missed refusal from
+        # building the window or the field
+        def no_grid(*_):
+            raise AssertionError("grid was evaluated instead of refused")
+        monkeypatch.setattr(oscint, "cutoff_value", no_grid)
+        monkeypatch.setattr(montecarlo, "_field_on_grid", no_grid)
+        params = build_params(262144, 64 / 262144, 0.5, 0.5)
+        assert params.n_dirs == 64
+        for call in (lambda: grid_quadrature_mass(params, np.ones(64),
+                                                  points_per_wavelength=30),
+                     lambda: pair_integral_2d_oracle(params, 0.5,
+                                                     points_per_wavelength=30)):
+            with pytest.raises(ValueError, match="tensor grid would need 95667961 nodes"):
+                call()
 
 
 class TestMcMoments:
@@ -512,7 +531,8 @@ class TestDiscretisationProbe:
 
     def test_refuses_a_field_beyond_the_bound_before_allocating_it(self):
         # rung 0 has N 32768 on a half axis of 1292 nodes: each GEMM operand
-        # would hold 2 * 1292 * 16384 doubles, about 339 MB
+        # would hold 2 * 1292 * 16384 doubles, about 339 MB, and |x| and the
+        # window 1292**2 doubles each; the refusal builds none of them
         params = build_params(4096, 8, 0.3, 0.5)
         q = quarter_grid(params)[0].size
         assert (params.n_dirs, q) == (32768, 1292)
@@ -524,7 +544,7 @@ class TestDiscretisationProbe:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < q * params.n_dirs * 8
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("lam,gamma,n_doublings,q", [(4096, 8, 2, 1292),
                                                          (1024, 4, 3, 490)])
@@ -535,6 +555,7 @@ class TestDiscretisationProbe:
             raise AssertionError("work ran before the field size was checked")
         monkeypatch.setattr(montecarlo, "bessel_j0", no_work)
         monkeypatch.setattr(montecarlo, "_field_on_grid", no_work)
+        monkeypatch.setattr(oscint, "cutoff_value", no_work)
         with pytest.raises(ValueError, match=rf"N \* q = 32768 \* {q} = {32768 * q} "):
             e1_error_norm(build_params(lam, gamma, 0.3, 0.5), n_doublings=n_doublings)
 

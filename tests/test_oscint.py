@@ -182,8 +182,19 @@ class TestPlanarOracle:
             raise AssertionError("grid was evaluated instead of refused")
         monkeypatch.setattr(oscint, "cutoff_value", no_grid)
         params = build_params(1000, 0.01, 0.0, 0.5)
-        with pytest.raises(ValueError, match="grid evaluation needs"):
+        with pytest.raises(ValueError, match="tensor grid would need"):
             pair_integral_2d_oracle(params, 0.5)
+
+    def test_admits_the_largest_default_grid_with_its_largest_field(self):
+        # lam**(1-alpha) 512 at 12 points per wavelength: 3913**2 nodes of at
+        # most MAX_GRID_NODES, and 4096 directions on 1957 half-axis nodes,
+        # 8015872 direction-node pairs of at most MAX_GRID_FIELD
+        params = build_params(512, 1, 0.0, 0.5)
+        t, _, r, window = quarter_grid(params, fields=(4096,))
+        assert t.size == 1957
+        assert r.shape == window.shape == (1957, 1957)
+        assert (2 * t.size - 1) ** 2 <= oscint.MAX_GRID_NODES
+        assert 4096 * t.size <= oscint.MAX_GRID_FIELD
 
 
     @pytest.mark.parametrize("points", [0, -12, 2.5, True, 12.0])
