@@ -67,9 +67,10 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
 
 
 def _number(value, where: str) -> float:
-    """A finite JSON number as float; strings and booleans are refused."""
+    """A finite JSON number as float; strings, booleans and integers beyond
+    the float range are refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):  # NaN compares false
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
@@ -258,16 +259,27 @@ def parse_config(doc: dict) -> SweepConfig:
     return config
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs; a key written twice is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is written twice")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> SweepConfig:
     """The config in the file at path.
 
     The output paths are named here, before any row runs or any directory is
-    created (see _output_paths): an unreadable file, and a config whose
-    outputs would overwrite the file, is a ConfigError.
+    created (see _output_paths): an unreadable file, a key written twice in
+    any object, and a config whose outputs would overwrite the file, is a
+    ConfigError.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     config = parse_config(doc)
@@ -278,35 +290,44 @@ def load_config(path) -> SweepConfig:
     return config
 
 
-def _sweep_rows(config: SweepConfig, calibrations: dict) -> list:
-    """The rows in config order; row i keys its Monte Carlo stream with seed + i.
+def _sweep_rows(configs: list) -> tuple:
+    """Each config's rows in config order, and the run's calibration table.
 
-    Each (gamma, alpha) is calibrated once, at the smallest ladder frequency,
-    into the caller's table, which may already hold it from an earlier call.
+    The configs differ only in their coins, so row i of each has one geometry
+    and keys its Monte Carlo stream with seed + i.  Each (gamma, alpha) is
+    calibrated once, at ladder[0], and each (N, lam, alpha) is built once: p
+    is the innermost loop, and the calibration kernel serves its own geometry.
     """
-    rows = []
-    for index, (lam, gamma, alpha, p) in enumerate(config.points()):
-        row = dict.fromkeys(SWEEP_COLUMNS)
-        row.update({"lambda": lam, "gamma": gamma, "alpha": alpha, "p": p, "error": ""})
-        try:
-            if (gamma, alpha) not in calibrations:
-                reference = build_params(config.lambda_ladder[0], gamma, alpha, 0.5)
-                calibrations[gamma, alpha] = calibrate_constants(build_kernel(reference))
-            kernel = build_kernel(build_params(lam, gamma, alpha, p))
-            row.update(build_report(kernel, constants=calibrations[gamma, alpha],
-                                    delta=config.delta, kappa=config.kappa,
-                                    gamma_min=config.gamma_min))
-            if config.mc_samples > 0:
-                row.update(mc_moments(kernel, config.mc_samples, config.seed + index))
-                if config.grid_check and lam <= config.grid_check_lambda_cap:
-                    coeffs = sample_coefficients(kernel.params, config.seed + index)
-                    fast = mass_quadratic_form(kernel, coeffs)
-                    slow = grid_quadrature_mass(kernel.params, coeffs)
-                    row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
-        except (ValueError, RuntimeError) as exc:  # recorded, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
+    calibrations, kernel, out = {}, None, [[] for _ in configs]
+    for index, points in enumerate(zip(*(c.points() for c in configs), strict=True)):
+        for config, rows, (lam, gamma, alpha, p) in zip(configs, out, points):
+            row = dict.fromkeys(SWEEP_COLUMNS)
+            row.update({"lambda": lam, "gamma": gamma, "alpha": alpha, "p": p,
+                        "error": ""})
+            try:
+                if (gamma, alpha) not in calibrations:
+                    reference = build_params(config.lambda_ladder[0], gamma, alpha, 0.5)
+                    kernel = build_kernel(reference)
+                    calibrations[gamma, alpha] = calibrate_constants(kernel)
+                params = build_params(lam, gamma, alpha, p)
+                built = kernel and (kernel.size, kernel.params.lam, kernel.params.alpha)
+                if built != (params.n_dirs, lam, alpha):
+                    kernel = build_kernel(params)
+                kernel = dataclasses.replace(kernel, params=params)
+                row.update(build_report(kernel, constants=calibrations[gamma, alpha],
+                                        delta=config.delta, kappa=config.kappa,
+                                        gamma_min=config.gamma_min))
+                if config.mc_samples > 0:
+                    row.update(mc_moments(kernel, config.mc_samples, config.seed + index))
+                    if config.grid_check and lam <= config.grid_check_lambda_cap:
+                        coeffs = sample_coefficients(params, config.seed + index)
+                        fast = mass_quadratic_form(kernel, coeffs)
+                        slow = grid_quadrature_mass(params, coeffs)
+                        row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
+            except (ValueError, RuntimeError, MemoryError) as exc:  # recorded, run goes on
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
+    return out, calibrations
 
 
 def _format_cell(value) -> str:
@@ -407,8 +428,7 @@ class SweepResult:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every grid point, write CSV/JSON/meta, and return the rows."""
     paths = _created_output_paths(config.output_stem)
-    calibrations: dict = {}
-    rows = _sweep_rows(config, calibrations)
+    [rows], calibrations = _sweep_rows([config])
     _write_outputs(rows, SWEEP_COLUMNS, paths, _meta(config, calibrations))
     return SweepResult(rows, *paths)
 
@@ -432,11 +452,11 @@ def threshold_experiment(config: SweepConfig) -> SweepResult:
     config = dataclasses.replace(config, p_beta=None, p_beta_factor=None)
     all_rows = []
     fits = []
-    calibrations: dict = {}  # the families share the ladder, so one table serves all
+    fam_configs = [dataclasses.replace(config, **rule)
+                   for rule in THRESHOLD_FAMILIES.values()]
+    fam_rows, calibrations = _sweep_rows(fam_configs)
     pooled = config.gamma_mode == "log_lambda"  # gamma moves with lam
-    for family, rule in THRESHOLD_FAMILIES.items():
-        fam_config = dataclasses.replace(config, **rule)
-        rows = _sweep_rows(fam_config, calibrations)
+    for family, fam_config, rows in zip(THRESHOLD_FAMILIES, fam_configs, fam_rows):
         for row in rows:
             row["family"] = family
             row["beta"] = (fam_config.beta_for(row["alpha"])

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.fft import fft
@@ -40,9 +39,6 @@ GL_ORDER = 12
 GL_REFINE_ORDER = 16
 PAIR_REL_TOL = 1e-8
 MAX_KERNEL_SIZE = 1_000_000
-# a sweep re-reads only the last row's geometry (p is its innermost loop); the
-# memo serves threshold_experiment's four family passes and the tests' kernels
-KERNEL_MEMO_SIZE = 32
 MAX_GRID_NODES = 1 << 24  # full-grid nodes; lam**(1-alpha) 535 at 12 per wavelength
 MAX_GRID_FIELD = 1 << 23  # N * t.size of a grid field; N 4096 fits q 2048
 GRID_POINTS_PER_WAVELENGTH = 12
@@ -321,9 +317,9 @@ class PairKernel:
     values[k] applies to every direction pair with index separation k mod N;
     the spectrum holds the N real eigenvalues (DFT of the row), nonnegative up
     to roundoff because the matrix is a Gram matrix.  Both arrays are
-    read-only and depend on the geometry (N, lam, alpha) alone: build_kernel
-    hands the same pair to every coin of one geometry, and params carries the
-    coin p that the moment functions read.
+    read-only and depend on the geometry (N, lam, alpha) alone, so kernels
+    that differ only in the coin may share them; params carries the coin p
+    that the moment functions read.
     """
 
     values: np.ndarray
@@ -340,9 +336,18 @@ class PairKernel:
         return float(self.values[0])
 
 
-@lru_cache(maxsize=KERNEL_MEMO_SIZE)
-def _geometry_row(n: int, lam: float, alpha: float):
-    """Read-only circulant row and spectrum of one geometry; see build_kernel."""
+def build_kernel(params: WaveParams) -> PairKernel:
+    """The kernel of params: the circulant row from the profile table, diagonalised.
+
+    Only separations k = 0..N//2 are looked up; the rest mirror by the chord
+    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
+    does no quadrature: it reads the committed table, whose every piece the
+    tests regenerate and check against the direct order-GL_REFINE_ORDER rule.
+    The read-only row and spectrum depend on (N, lam, alpha) alone, so a
+    caller with several coins of one geometry builds once and gives each coin
+    dataclasses.replace(kernel, params=...).
+    """
+    n, lam, alpha = params.n_dirs, params.lam, params.alpha
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
@@ -360,21 +365,6 @@ def _geometry_row(n: int, lam: float, alpha: float):
             f"positive-semidefinite floor {floor:.3e}")
     values.setflags(write=False)
     spectrum.setflags(write=False)
-    return values, spectrum
-
-
-def build_kernel(params: WaveParams) -> PairKernel:
-    """The kernel of params: the circulant row from the profile table, diagonalised.
-
-    Only separations k = 0..N//2 are looked up; the rest mirror by the chord
-    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
-    does no quadrature: it reads the committed table, whose every piece the
-    tests regenerate and check against the direct order-GL_REFINE_ORDER rule.
-    The row depends on (N, lam, alpha) alone, so the last KERNEL_MEMO_SIZE
-    geometries are memoised: kernels that differ only in the coin p share one
-    read-only values/spectrum pair and carry their own params.
-    """
-    values, spectrum = _geometry_row(params.n_dirs, params.lam, params.alpha)
     return PairKernel(values=values, spectrum=spectrum, params=params)
 
 

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Expensive circulant kernels
-are shared through build_kernel's geometry memo, keeping the whole module
-within a desk-scale budget (lambda <= 4096).
+Run with `pytest tests/test_acceptance.py -v -s`.  A kernel reads the committed
+profile table and does no quadrature, so building one on every call keeps the
+whole module within a desk-scale budget (lambda <= 4096).
 """
 
 import math

@@ -52,4 +52,7 @@ def test_traced_sweep_opens_a_span_per_layer(bench, tmp_path, workload):
                    "montecarlo.mass_quadratic_form",
                    "montecarlo.grid_quadrature_mass"}
     assert layers <= {s["name"] for s in tracer.spans}
+    # a kernel span is a kernel build: one per geometry of the rows
+    geometries = {(r["lambda"], r["gamma"], r["alpha"]) for r in rows}
+    assert spans.count(tracer.spans, "oscint.build_kernel") == len(geometries)
     assert spans.validate(tracer.spans) == []

@@ -266,6 +266,50 @@ class TestRunSweep:
         assert rows[0]["error"].startswith("ValueError: gamma * lam = inf")
         assert (tmp_path / "run.csv").exists() and (tmp_path / "run.meta.json").exists()
 
+    def test_unallocatable_sample_count_is_a_row_error(self, tmp_path, capsys):
+        # 10**15 masses need 8e15 bytes, beyond any address space: the
+        # allocation fails at once and touches no memory
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(tmp_path, mc_samples=10 ** 15)))
+        assert main(["sweep", str(path)]) == 1
+        assert "1 failed" in capsys.readouterr().out
+        rows = json.loads((tmp_path / "run.json").read_text())
+        assert rows[0]["error"].startswith("MemoryError")
+        assert (tmp_path / "run.csv").exists() and (tmp_path / "run.meta.json").exists()
+
+    def test_each_geometry_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = biasedwave.cli.build_kernel
+
+        def counted(params):
+            built.append((params.n_dirs, params.lam, params.alpha))
+            return build(params)
+
+        monkeypatch.setattr(biasedwave.cli, "build_kernel", counted)
+        doc = base_config(tmp_path, lambda_ladder=[64.0, 128.0], alpha_list=[0.3, 0.5],
+                          p_rule={"mode": "fixed", "values": [0.5, 0.9]})
+        rows = run_sweep(parse_config(doc)).rows
+        assert len(rows) == 8 and len(built) == len(set(built)) == 4
+
+        # 36 geometries, more than a 32-entry memo of kernels would hold
+        built.clear()
+        doc = base_config(tmp_path, lambda_ladder=[64.0, 128.0, 256.0, 512.0, 1024.0,
+                                                   2048.0],
+                          gamma={"mode": "fixed", "values": [8.0, 16.0]},
+                          alpha_list=[0.3, 0.5, 0.7],
+                          p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})
+        rows = threshold_experiment(parse_config(doc)).rows
+        assert len(rows) == 4 * 36 and len(built) == len(set(built)) == 36
+
+        # gamma = ceil(ln lam) is 3, 3, 5, 5, 7: ten row geometries, and the
+        # ladder[0] references of gamma 5 and 7, which are not row geometries
+        built.clear()
+        doc = base_config(tmp_path, lambda_ladder=[8.0, 16.0, 64.0, 128.0, 1000.0],
+                          gamma={"mode": "log_lambda"}, alpha_list=[0.3, 0.5],
+                          p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})
+        rows = threshold_experiment(parse_config(doc)).rows
+        assert len(rows) == 4 * 10 and len(built) == len(set(built)) == 14
+
     def test_grid_check_column(self, tmp_path):
         doc = base_config(tmp_path, mc_samples=100, grid_check=True,
                           gamma={"mode": "fixed", "values": [1.0]})
@@ -400,8 +444,11 @@ class TestCommandLine:
         assert payload["envelope_exponent"] == pytest.approx(-0.5, abs=0.05)
 
     @pytest.mark.parametrize("command", ["sweep"])
-    @pytest.mark.parametrize("overrides,key", [({"seed": -1}, "seed"),
-                                               ({"sede": 0}, "sede")])
+    @pytest.mark.parametrize("overrides,key", [
+        ({"seed": -1}, "seed"), ({"sede": 0}, "sede"),
+        ({"lambda_ladder": [10 ** 400]}, "lambda_ladder"),
+        ({"tolerances": {"delta": 10 ** 400}}, "tolerances.delta"),
+    ])
     def test_bad_config_prints_one_line(self, tmp_path, capsys, command,
                                         overrides, key):
         path = tmp_path / "config.json"
@@ -412,6 +459,28 @@ class TestCommandLine:
         assert err.startswith("biasedwave: error: ") and key in err
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    @pytest.mark.parametrize("key,once,twice", [
+        ("seed", '"seed": 1', '"seed": 1, "seed": 2'),
+        ("delta", '"tolerances": {"delta": 0.5}',
+         '"tolerances": {"delta": 0.5, "delta": 0.25}'),
+    ], ids=["seed", "tolerances.delta"])
+    def test_repeated_key_prints_one_line(self, tmp_path, capsys, no_rows,
+                                          command, key, once, twice):
+        doc = base_config(tmp_path, output_stem=str(tmp_path / "out" / "run"),
+                          p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})
+        del doc["seed"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc)[:-1] + f", {once}}}")
+        load_config(path)  # the text is valid with the key written once
+        path.write_text(json.dumps(doc)[:-1] + f", {twice}}}")
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("biasedwave: error: ") and repr(key) in err
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command", ["sweep"])
     @pytest.mark.parametrize("content", ["{bad", None])

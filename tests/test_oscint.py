@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biasedwave import (build_cutoff, build_directions, build_params,
+from biasedwave import (build_cutoff, build_directions, build_params, cli,
                         cutoff_mass, cutoff_value, decay_bound,
                         dyadic_sum_check, exact_expectation,
                         export_kernel_csv, oscint,
@@ -123,7 +123,6 @@ class TestProfileTable:
     def test_kernels_do_no_quadrature(self, monkeypatch, tmp_path):
         def no_quadrature(*_):
             raise AssertionError("kernel assembly ran a quadrature")
-        oscint._geometry_row.cache_clear()  # no kernel built by an earlier test
         monkeypatch.setattr(oscint, "_rule_integrals", no_quadrature)
         monkeypatch.setattr(oscint, "_table_panel", no_quadrature)
         keys = [(lam, 8, alpha) for lam in (64, 128, 256, 512, 1024, 2048)
@@ -343,21 +342,16 @@ class TestKernel:
 
     def test_spectrum_below_the_psd_floor_is_refused(self, tmp_path, monkeypatch):
         # the row [1, -0.9, ..., -0.9] has the eigenvalue 1 - 0.9 (N - 1) < 0
-        oscint._geometry_row.cache_clear()
         monkeypatch.setattr(oscint, "profile_table",
                             lambda s: np.where(s == 0, 1.0, -0.9))
-        try:
-            with pytest.raises(RuntimeError, match="positive-semidefinite floor"):
-                build_kernel(build_params(64, 1, 0.5, 0.5))
-            doc = {"lambda_ladder": [64.0], "gamma": {"mode": "fixed", "values": [1]},
-                   "alpha_list": [0.5], "p_rule": {"mode": "fixed", "values": [0.5]},
-                   "output_stem": str(tmp_path / "run")}
-            [row] = run_sweep(parse_config(doc)).rows
-            assert row["error"].startswith("RuntimeError: kernel spectrum")
-            assert "positive-semidefinite floor" in row["error"]
-        finally:
-            monkeypatch.undo()
-            oscint._geometry_row.cache_clear()
+        with pytest.raises(RuntimeError, match="positive-semidefinite floor"):
+            build_kernel(build_params(64, 1, 0.5, 0.5))
+        doc = {"lambda_ladder": [64.0], "gamma": {"mode": "fixed", "values": [1]},
+               "alpha_list": [0.5], "p_rule": {"mode": "fixed", "values": [0.5]},
+               "output_stem": str(tmp_path / "run")}
+        [row] = run_sweep(parse_config(doc)).rows
+        assert row["error"].startswith("RuntimeError: kernel spectrum")
+        assert "positive-semidefinite floor" in row["error"]
 
     def test_table_drift_check_names_s(self, monkeypatch):
         monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
@@ -367,9 +361,22 @@ class TestKernel:
         assert build_kernel(build_params(256, 2, 0.5, 0.5)).diagonal > 0.0
 
     @pytest.mark.parametrize("key", [(256, 8, 0.5), (65, 3, 0.3)])
-    def test_coins_of_one_geometry_share_one_read_only_row(self, key):
-        fair = build_kernel(build_params(*key, 0.5))
-        biased = build_kernel(build_params(*key, 0.9))
+    def test_coins_of_one_geometry_share_one_read_only_row(self, key, tmp_path,
+                                                            monkeypatch):
+        kernels = []
+        report = cli.build_report
+
+        def recorded(kernel, **kwargs):
+            kernels.append(kernel)
+            return report(kernel, **kwargs)
+
+        monkeypatch.setattr(cli, "build_report", recorded)
+        lam, gamma, alpha = key
+        doc = {"lambda_ladder": [lam], "gamma": {"mode": "fixed", "values": [gamma]},
+               "alpha_list": [alpha], "p_rule": {"mode": "fixed", "values": [0.5, 0.9]},
+               "output_stem": str(tmp_path / "run")}
+        run_sweep(parse_config(doc))
+        fair, biased = kernels
         assert fair.values is biased.values and fair.spectrum is biased.spectrum
         assert not fair.values.flags.writeable and not fair.spectrum.flags.writeable
         assert (fair.params.p, biased.params.p) == (0.5, 0.9)
