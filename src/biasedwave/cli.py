@@ -31,7 +31,7 @@ from .montecarlo import (MIN_MC_SAMPLES, grid_quadrature_mass, mass_quadratic_fo
                          mc_moments, sample_coefficients)
 from .oscint import (GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, S_CUT,
                      TABLE_DEGREE, TABLE_MAX_DRIFT, TABLE_PANEL_WIDTH,
-                     build_kernel)
+                     build_kernel, profile_rows)
 from .specfun import asymptotic_check, residual_probe_points, surface_wave_envelope
 
 SWEEP_COLUMNS = [
@@ -290,6 +290,10 @@ def load_config(path) -> SweepConfig:
     return config
 
 
+def _geometry(params) -> tuple:
+    return params.n_dirs, params.lam, params.alpha
+
+
 def _sweep_rows(configs: list) -> tuple:
     """Each config's rows in config order, and the run's calibration table.
 
@@ -297,7 +301,20 @@ def _sweep_rows(configs: list) -> tuple:
     and keys its Monte Carlo stream with seed + i.  Each (gamma, alpha) is
     calibrated once, at ladder[0], and each (N, lam, alpha) is built once: p
     is the innermost loop, and the calibration kernel serves its own geometry.
+    Every kernel row of the run, the ladder[0] references included, comes
+    from one profile_rows pass in build order before the first row runs; a
+    geometry whose build_params fails is left out, and its rows record that.
     """
+    geometries = {}
+    for lam, gamma, alpha, _ in configs[0].points():
+        for rung in (configs[0].lambda_ladder[0], lam):
+            try:
+                params = build_params(rung, gamma, alpha, 0.5)
+            except ValueError:
+                continue
+            geometries.setdefault(_geometry(params), params)
+    table = dict(zip(geometries, profile_rows(list(geometries.values()))))
+
     calibrations, kernel, out = {}, None, [[] for _ in configs]
     for index, points in enumerate(zip(*(c.points() for c in configs), strict=True)):
         for config, rows, (lam, gamma, alpha, p) in zip(configs, out, points):
@@ -307,12 +324,11 @@ def _sweep_rows(configs: list) -> tuple:
             try:
                 if (gamma, alpha) not in calibrations:
                     reference = build_params(config.lambda_ladder[0], gamma, alpha, 0.5)
-                    kernel = build_kernel(reference)
+                    kernel = build_kernel(reference, table[_geometry(reference)])
                     calibrations[gamma, alpha] = calibrate_constants(kernel)
                 params = build_params(lam, gamma, alpha, p)
-                built = kernel and (kernel.size, kernel.params.lam, kernel.params.alpha)
-                if built != (params.n_dirs, lam, alpha):
-                    kernel = build_kernel(params)
+                if kernel is None or _geometry(kernel.params) != _geometry(params):
+                    kernel = build_kernel(params, table[_geometry(params)])
                 kernel = dataclasses.replace(kernel, params=params)
                 row.update(build_report(kernel, constants=calibrations[gamma, alpha],
                                         delta=config.delta, kappa=config.kappa,

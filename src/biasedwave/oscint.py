@@ -47,7 +47,7 @@ TABLE_PANEL_WIDTH = 32.0
 TABLE_PANELS = 19
 TABLE_DEGREE = 64
 S_CUT = TABLE_PANELS * TABLE_PANEL_WIDTH
-_BLOCK_NODES = 1 << 18  # J0 arguments per block; bounds the temporaries
+_BLOCK_NODES = 1 << 18  # J0 or table arguments per block; bounds the temporaries
 _REGENERATE = ('PYTHONPATH=src python -c "import pathlib, biasedwave.oscint as o; '
                "pathlib.Path(o.__file__).with_name('_wtable.py')"
                '.write_text(o.profile_table_source())"')
@@ -170,10 +170,12 @@ def profile_table(s_values):
     s_values = np.minimum(s_values.ravel(), S_CUT)
     out = np.empty_like(s_values)
     panel = np.floor(s_values / TABLE_PANEL_WIDTH).astype(int)
-    for index in np.flatnonzero(np.bincount(panel)):  # np.unique loads numpy.ma
-        sel = np.flatnonzero(panel == index)
-        x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-        out[sel] = chebval(x, _TABLE[index])
+    # one sort groups the panels; np.unique would load numpy.ma
+    order = np.argsort(panel, kind="stable")
+    for index, sel in enumerate(np.split(order, np.cumsum(np.bincount(panel))[:-1])):
+        if sel.size:
+            x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
+            out[sel] = chebval(x, _TABLE[index])
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -336,26 +338,67 @@ class PairKernel:
         return float(self.values[0])
 
 
-def build_kernel(params: WaveParams) -> PairKernel:
+def profile_rows(geometries) -> list:
+    """W(lam**(1-alpha) * d_k), k = 0..N//2, for each geometry in geometries.
+
+    The arguments of consecutive geometries go to one profile_table call
+    while they total at most _BLOCK_NODES; a larger geometry is a call by
+    itself.  profile_table is elementwise, so each row is bit-identical to a
+    call of its own.  A geometry that MAX_KERNEL_SIZE refuses gets None and
+    allocates nothing; build_kernel refuses it.
+    """
+    rows, chunk, total = [None] * len(geometries), [], 0
+    for index, params in enumerate(geometries):
+        if params.n_dirs > MAX_KERNEL_SIZE:
+            continue
+        size = params.n_dirs // 2 + 1
+        if chunk and total + size > _BLOCK_NODES:
+            _evaluate_rows(chunk, rows)
+            chunk, total = [], 0
+        chunk.append((index, params))
+        total += size
+    if chunk:
+        _evaluate_rows(chunk, rows)
+    return rows
+
+
+def _evaluate_rows(chunk, rows):
+    """rows[index] for each (index, params) of chunk, from one profile_table call."""
+    args = []
+    for _, params in chunk:
+        n = params.n_dirs
+        chords = 2.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n)  # build_directions' d_k
+        args.append(params.lam ** (1.0 - params.alpha) * chords)
+    values = profile_table(np.concatenate(args))
+    ends = np.cumsum([a.size for a in args])
+    for (index, _), row in zip(chunk, np.split(values, ends[:-1])):
+        rows[index] = row
+
+
+def build_kernel(params: WaveParams, row=None) -> PairKernel:
     """The kernel of params: the circulant row from the profile table, diagonalised.
 
-    Only separations k = 0..N//2 are looked up; the rest mirror by the chord
-    symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row
-    does no quadrature: it reads the committed table, whose every piece the
-    tests regenerate and check against the direct order-GL_REFINE_ORDER rule.
-    The read-only row and spectrum depend on (N, lam, alpha) alone, so a
-    caller with several coins of one geometry builds once and gives each coin
-    dataclasses.replace(kernel, params=...).
+    row holds W at separations k = 0..N//2, as profile_rows gives it; when
+    row is None, build_kernel looks it up itself.  The rest of the row
+    mirrors by the chord symmetry d_k = d_{N-k}, which also makes the DFT
+    exactly real.  The row does no quadrature: it reads the committed table,
+    whose every piece the tests regenerate and check against the direct
+    order-GL_REFINE_ORDER rule.  The read-only row and spectrum depend on
+    (N, lam, alpha) alone, so a caller with several coins of one geometry
+    builds once and gives each coin dataclasses.replace(kernel, params=...).
     """
     n, lam, alpha = params.n_dirs, params.lam, params.alpha
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
-    chords = 2.0 * np.sin(np.pi * np.arange(half + 1) / n)  # build_directions' d_k
-    reduced = profile_table(lam ** (1.0 - alpha) * chords)
+    if row is None:
+        [row] = profile_rows([params])
+    elif np.shape(row) != (half + 1,):
+        raise ValueError(f"row must have shape ({half + 1},) for N = {n}, "
+                         f"got {np.shape(row)}")
 
     values = np.empty(n)
-    values[:half + 1] = lam ** (-2.0 * alpha) * reduced
+    values[:half + 1] = lam ** (-2.0 * alpha) * row
     values[half + 1:] = values[1:n - half][::-1]  # an empty slice at N = 1
     spectrum = fft(values).real.copy()
     floor = -PSD_TOL * values[0]

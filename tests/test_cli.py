@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import biasedwave
 import biasedwave.cli
 import biasedwave.montecarlo
+import biasedwave.oscint
 from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
 from biasedwave.cli import SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main
 from biasedwave.oscint import PAIR_REL_TOL
@@ -281,9 +283,9 @@ class TestRunSweep:
         built = []
         build = biasedwave.cli.build_kernel
 
-        def counted(params):
+        def counted(params, *args):
             built.append((params.n_dirs, params.lam, params.alpha))
-            return build(params)
+            return build(params, *args)
 
         monkeypatch.setattr(biasedwave.cli, "build_kernel", counted)
         doc = base_config(tmp_path, lambda_ladder=[64.0, 128.0], alpha_list=[0.3, 0.5],
@@ -309,6 +311,54 @@ class TestRunSweep:
                           p_rule={"mode": "threshold", "c": 1.0, "beta_factor": 0.5})
         rows = threshold_experiment(parse_config(doc)).rows
         assert len(rows) == 4 * 10 and len(built) == len(set(built)) == 14
+
+    def test_a_sweep_reads_the_table_in_one_pass(self, tmp_path, monkeypatch):
+        calls = []
+        table = biasedwave.oscint.profile_table
+
+        def counted(s_values):
+            calls.append(np.size(s_values))
+            return table(s_values)
+
+        monkeypatch.setattr(biasedwave.oscint, "profile_table", counted)
+        # the shape of the sweep_ladder benchmark: 6 lam x 3 alpha geometries
+        ladder = [64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0]
+        doc = base_config(tmp_path, lambda_ladder=ladder, alpha_list=[0.3, 0.5, 0.7],
+                          p_rule={"mode": "fixed", "values": [0.5, 0.8]})
+        rows = run_sweep(parse_config(doc)).rows
+        assert len(rows) == 36 and not any(r["error"] for r in rows)
+        sizes = [int(4 * lam) + 1 for lam in ladder for _ in range(3)]  # N // 2 + 1
+        assert calls == [sum(sizes)]
+        outputs = [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")]
+
+        # consecutive geometries share a call up to 600 arguments; a larger one
+        # is a call of its own
+        calls.clear()
+        monkeypatch.setattr(biasedwave.oscint, "_BLOCK_NODES", 600)
+        run_sweep(parse_config(doc))
+        assert calls == [514, 257] + sizes[3:]
+        assert [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")] == outputs
+
+    def test_a_refused_geometry_allocates_nothing_in_a_batched_run(self, tmp_path):
+        # lam 131072 at gamma 8 is N 1048576, above MAX_KERNEL_SIZE: a half row
+        # of it alone would take 4 MiB
+        doc = base_config(tmp_path, lambda_ladder=[64.0, 128.0, 131072.0],
+                          alpha_list=[0.3, 0.5], p_rule={"mode": "fixed", "values": [0.5, 0.8]})
+        tracemalloc.start()
+        try:
+            rows = run_sweep(parse_config(doc)).rows
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert [r["error"] for r in rows[-4:]] == [
+            "ValueError: kernel size 1048576 exceeds 1000000"] * 4
+        assert not any(r["error"] for r in rows[:-4])
+        with_refused = [(tmp_path / name).read_text() for name in ("run.csv", "run.json")]
+        run_sweep(parse_config(dict(doc, lambda_ladder=[64.0, 128.0])))
+        csv_text, json_text = [(tmp_path / name).read_text() for name in ("run.csv", "run.json")]
+        assert csv_text.splitlines() == with_refused[0].splitlines()[:-4]
+        assert json.loads(json_text) == json.loads(with_refused[1])[:-4]
 
     def test_grid_check_column(self, tmp_path):
         doc = base_config(tmp_path, mc_samples=100, grid_check=True,

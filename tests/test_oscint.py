@@ -12,7 +12,7 @@ from biasedwave import (build_cutoff, build_directions, build_params, cli,
                         export_kernel_csv, oscint,
                         pair_integral, pair_integral_2d_oracle, run_sweep)
 from biasedwave.cli import parse_config
-from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANELS,
+from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANEL_WIDTH, TABLE_PANELS,
                                QuadratureError, _table_panel, build_kernel,
                                decay_constant, kernel_matrix,
                                profile_table, profile_table_source,
@@ -95,6 +95,12 @@ class TestProfileTable:
         s = np.random.default_rng(8).uniform(0.0, 1.2 * S_CUT, 200)
         s = np.concatenate([s, s[::-1], s[:7]]).reshape(11, 37)
         one_by_one = np.array([profile_table(v) for v in s.ravel()]).reshape(s.shape)
+        assert np.array_equal(profile_table(s), one_by_one)
+        # every panel and the tail, shuffled together
+        s = np.random.default_rng(9).permutation(np.linspace(0.0, 1.1 * S_CUT, 2000))
+        panels = np.minimum(s // TABLE_PANEL_WIDTH, TABLE_PANELS)
+        assert set(panels) == set(range(TABLE_PANELS + 1))
+        one_by_one = np.array([profile_table(v) for v in s])
         assert np.array_equal(profile_table(s), one_by_one)
 
     def test_committed_table_regenerates_byte_for_byte(self):
@@ -391,6 +397,15 @@ class TestKernel:
         params = build_params(2e5, 10, 0.5, 0.5)
         with pytest.raises(ValueError):
             build_kernel(params)
+
+    def test_refuses_a_row_of_the_wrong_shape(self):
+        params = build_params(64, 1, 0.5, 0.5)  # N 64: separations k = 0..32
+        [row] = oscint.profile_rows([params])
+        assert np.array_equal(build_kernel(params, row).values,
+                              build_kernel(params).values)
+        for bad in (row[:-1], np.append(row, 0.0), row.reshape(1, -1), 1.0):
+            with pytest.raises(ValueError, match=r"row must have shape \(33,\)"):
+                build_kernel(params, bad)
 
     def test_csv_export_round_trips(self, kernels, tmp_path):
         kernel = kernels(64, 1, 0.5)
