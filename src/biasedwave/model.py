@@ -59,18 +59,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse value, by name, if it is a bool (numpy's too) or not a finite real number."""
+    if not (isinstance(value, Real) and math.isfinite(value)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a finite real number (not a bool), got {value!r}")
+
+
 def build_params(lam: float, gamma: float, alpha: float, p: float) -> WaveParams:
     """Validate raw inputs and derive the direction count.
 
     Rejects alpha >= 1 (the moment asymptotics hold only below the wavelength
-    scale), inputs that are bools (numpy's too) or not finite real numbers,
-    and parameter combinations that round to zero directions.  The count uses
-    round-half-to-even so that fractional gamma * lam resolves deterministically.
+    scale), inputs that _check_real refuses, and parameter combinations that
+    round to zero directions.  The count uses round-half-to-even so that
+    fractional gamma * lam resolves deterministically.
     """
     for name, value in (("lam", lam), ("gamma", gamma), ("alpha", alpha), ("p", p)):
-        if not (isinstance(value, Real) and math.isfinite(value)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a finite real number (not a bool), "
-                             f"got {value!r}")
+        _check_real(name, value)
     if lam <= 1.0:
         raise ValueError(f"lam must exceed 1, got {lam}")
     if gamma <= 0.0:

@@ -160,23 +160,27 @@ def profile_table(s_values):
 
     Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
     [S_CUT, inf], infinity included, and was verified like a panel.  W is even
-    in s; NaN raises ValueError.  Returns a float for scalar s and an array of
-    the shape of s otherwise.
+    in s; NaN raises ValueError.  The arguments go in blocks of _BLOCK_NODES,
+    so the temporaries stay bounded whatever the input's size.  Returns a
+    float for scalar s and an array of the shape of s otherwise.
     """
-    s_values = np.abs(np.asarray(s_values, dtype=float))
-    if np.isnan(s_values).any():
-        raise ValueError("profile_table: s must not be NaN")
-    shape = s_values.shape
-    s_values = np.minimum(s_values.ravel(), S_CUT)
-    out = np.empty_like(s_values)
-    panel = np.floor(s_values / TABLE_PANEL_WIDTH).astype(int)
-    # one sort groups the panels; np.unique would load numpy.ma
-    order = np.argsort(panel, kind="stable")
-    for index, sel in enumerate(np.split(order, np.cumsum(np.bincount(panel))[:-1])):
-        if sel.size:
-            x = s_values[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-            out[sel] = chebval(x, _TABLE[index])
-    return out.reshape(shape) if shape else float(out[0])
+    s_values = np.asarray(s_values, dtype=float)
+    flat = s_values.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK_NODES):
+        block = np.abs(flat[start:start + _BLOCK_NODES])
+        if np.isnan(block).any():
+            raise ValueError("profile_table: s must not be NaN")
+        np.minimum(block, S_CUT, out=block)
+        panel = np.floor(block / TABLE_PANEL_WIDTH).astype(int)
+        # one sort groups the panels; np.unique would load numpy.ma
+        order = np.argsort(panel, kind="stable")
+        values = out[start:start + _BLOCK_NODES]
+        for index, sel in enumerate(np.split(order, np.cumsum(np.bincount(panel))[:-1])):
+            if sel.size:
+                x = block[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
+                values[sel] = chebval(x, _TABLE[index])
+    return out.reshape(s_values.shape) if s_values.shape else float(out[0])
 
 
 def _separations(d) -> np.ndarray:
@@ -341,47 +345,26 @@ class PairKernel:
 def profile_rows(geometries) -> list:
     """W(lam**(1-alpha) * d_k), k = 0..N//2, for each geometry in geometries.
 
-    The arguments of consecutive geometries go to one profile_table call
-    while they total at most _BLOCK_NODES; a larger geometry is a call by
-    itself.  profile_table is elementwise, so each row is bit-identical to a
-    call of its own.  A geometry that MAX_KERNEL_SIZE refuses gets None and
-    allocates nothing; build_kernel refuses it.
+    Every geometry's arguments go to one profile_table call, which bounds its
+    own temporaries; profile_table is elementwise, so each row is
+    bit-identical to a call of its own.  A geometry that MAX_KERNEL_SIZE
+    refuses gets None and allocates nothing; build_kernel refuses it.
     """
-    rows, chunk, total = [None] * len(geometries), [], 0
-    for index, params in enumerate(geometries):
-        if params.n_dirs > MAX_KERNEL_SIZE:
-            continue
-        size = params.n_dirs // 2 + 1
-        if chunk and total + size > _BLOCK_NODES:
-            _evaluate_rows(chunk, rows)
-            chunk, total = [], 0
-        chunk.append((index, params))
-        total += size
-    if chunk:
-        _evaluate_rows(chunk, rows)
-    return rows
-
-
-def _evaluate_rows(chunk, rows):
-    """rows[index] for each (index, params) of chunk, from one profile_table call."""
-    args = []
-    for _, params in chunk:
-        n = params.n_dirs
-        chords = 2.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n)  # build_directions' d_k
-        args.append(params.lam ** (1.0 - params.alpha) * chords)
-    values = profile_table(np.concatenate(args))
-    ends = np.cumsum([a.size for a in args])
-    for (index, _), row in zip(chunk, np.split(values, ends[:-1])):
-        rows[index] = row
+    sizes = [g.n_dirs // 2 + 1 if g.n_dirs <= MAX_KERNEL_SIZE else 0 for g in geometries]
+    args = [g.lam ** (1.0 - g.alpha) * (2.0 * np.sin(np.pi * np.arange(size) / g.n_dirs))
+            for g, size in zip(geometries, sizes)]  # build_directions' d_k
+    values = profile_table(np.concatenate([np.empty(0), *args]))  # no geometries: empty
+    return [row if size else None
+            for row, size in zip(np.split(values, np.cumsum(sizes)[:-1]), sizes)]
 
 
 def build_kernel(params: WaveParams, row=None) -> PairKernel:
     """The kernel of params: the circulant row from the profile table, diagonalised.
 
-    row holds W at separations k = 0..N//2, as profile_rows gives it; when
-    row is None, build_kernel looks it up itself.  The rest of the row
-    mirrors by the chord symmetry d_k = d_{N-k}, which also makes the DFT
-    exactly real.  The row does no quadrature: it reads the committed table,
+    row holds W at separations k = 0..N//2, as profile_rows gives it, and
+    must be finite, since the PSD floor check passes NaN; when row is None,
+    build_kernel looks it up itself.  The rest of the row mirrors by the
+    chord symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row does no quadrature: it reads the committed table,
     whose every piece the tests regenerate and check against the direct
     order-GL_REFINE_ORDER rule.  The read-only row and spectrum depend on
     (N, lam, alpha) alone, so a caller with several coins of one geometry
@@ -396,6 +379,8 @@ def build_kernel(params: WaveParams, row=None) -> PairKernel:
     elif np.shape(row) != (half + 1,):
         raise ValueError(f"row must have shape ({half + 1},) for N = {n}, "
                          f"got {np.shape(row)}")
+    elif not np.isfinite(row).all():
+        raise ValueError(f"row must be finite, got {np.asarray(row)[~np.isfinite(row)][0]}")
 
     values = np.empty(n)
     values[:half + 1] = lam ** (-2.0 * alpha) * row

@@ -331,12 +331,12 @@ class TestRunSweep:
         assert calls == [sum(sizes)]
         outputs = [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")]
 
-        # consecutive geometries share a call up to 600 arguments; a larger one
-        # is a call of its own
+        # profile_table bounds its own temporaries: a block far below the run's
+        # arguments still leaves one call and the same bytes
         calls.clear()
         monkeypatch.setattr(biasedwave.oscint, "_BLOCK_NODES", 600)
         run_sweep(parse_config(doc))
-        assert calls == [514, 257] + sizes[3:]
+        assert calls == [sum(sizes)]
         assert [(tmp_path / name).read_bytes() for name in ("run.csv", "run.json")] == outputs
 
     def test_a_refused_geometry_allocates_nothing_in_a_batched_run(self, tmp_path):

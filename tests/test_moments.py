@@ -22,6 +22,15 @@ class TestCoinPairMoment:
     def test_validation(self):
         with pytest.raises(ValueError):
             coin_pair_moment(1.2)
+        # build_params' rule: a finite real number that is not a bool
+        kernel = build_kernel(build_params(8, 1, 0.5, 0.5))
+        for p in (True, np.True_, "0.5", None, 1 + 0j, np.nan):
+            with pytest.raises(ValueError, match=r"\bp\b"):
+                coin_pair_moment(p)
+            with pytest.raises(ValueError, match=r"\bp\b"):
+                enumerate_moments(kernel, p)
+        with pytest.raises(ValueError, match=r"\bp\b"):
+            exact_variance_generic(kernel, p=np.True_)
 
 
 class TestExactExpectation:

@@ -91,7 +91,10 @@ class TestProfileTable:
         assert np.max(np.abs(direct)) <= 1e-15 * profile_scale()
         assert np.all(profile_table(s) == 0.0)
 
-    def test_unsorted_and_repeated_panels(self):
+    @pytest.mark.parametrize("block", [oscint._BLOCK_NODES, 7])
+    def test_unsorted_and_repeated_panels(self, block, monkeypatch):
+        # a block of 7 splits panels and repeats across blocks
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", block)
         s = np.random.default_rng(8).uniform(0.0, 1.2 * S_CUT, 200)
         s = np.concatenate([s, s[::-1], s[:7]]).reshape(11, 37)
         one_by_one = np.array([profile_table(v) for v in s.ravel()]).reshape(s.shape)
@@ -102,6 +105,20 @@ class TestProfileTable:
         assert set(panels) == set(range(TABLE_PANELS + 1))
         one_by_one = np.array([profile_table(v) for v in s])
         assert np.array_equal(profile_table(s), one_by_one)
+
+    def test_temporaries_stay_within_a_block(self):
+        # eight blocks of arguments: the output and a few block-sized
+        # temporaries, not several arrays of the input's size
+        s = np.random.default_rng(10).uniform(-1.1 * S_CUT, 1.1 * S_CUT,
+                                              8 * oscint._BLOCK_NODES)
+        tracemalloc.start()
+        try:
+            values = profile_table(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == s.shape
+        assert peak < 2 * s.nbytes + 64 * oscint._BLOCK_NODES
 
     def test_committed_table_regenerates_byte_for_byte(self):
         committed = Path(oscint.__file__).with_name("_wtable.py").read_text()
@@ -406,6 +423,12 @@ class TestKernel:
         for bad in (row[:-1], np.append(row, 0.0), row.reshape(1, -1), 1.0):
             with pytest.raises(ValueError, match=r"row must have shape \(33,\)"):
                 build_kernel(params, bad)
+        # a non-finite row passes the PSD floor check, since NaN < floor is False
+        for value, match in ((np.nan, "row must be finite, got nan"),
+                             (np.inf, "row must be finite, got inf"),
+                             (-np.inf, "row must be finite, got -inf")):
+            with pytest.raises(ValueError, match=match):
+                build_kernel(params, np.where(np.arange(33) == 5, value, row))
 
     def test_csv_export_round_trips(self, kernels, tmp_path):
         kernel = kernels(64, 1, 0.5)
