@@ -223,7 +223,6 @@ def _derivative_bounds(order: int = DERIVATIVE_ORDER,
 _gauss_legendre = lru_cache(leggauss)  # build_cutoff tiles two intervals at one order
 
 
-@lru_cache(maxsize=64)
 def _panel_rule(a: float, b: float, npanels: int, order: int):
     """Gauss-Legendre nodes/weights of `order` tiled over npanels equal panels of [a, b].
 

@@ -5,11 +5,11 @@ Sampling is counter-based: the sign vector of sample i under master seed s is
 of (s, i, coefficient index), so results are reproducible under any execution
 schedule.  A block of samples re-keys one Philox bit generator per row of a
 preallocated block; no generator is built and no OS entropy is drawn per
-sample, and the streams are the keyed streams bit for bit.  Monte Carlo
-walks fixed 2 MiB sign blocks on a thread pool with one worker per CPU of the
-process's affinity; the block boundaries depend only on N and the sample
-count, so the mc_* columns do not depend on the worker count.  Masses use the
-circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
+sample, and the streams are the keyed streams bit for bit.  Monte Carlo walks
+sign blocks of oscint._BLOCK_NODES doubles on a thread pool with one worker per
+CPU of the process's affinity; the block boundaries depend only on N and the
+sample count, so the mc_* columns do not depend on the worker count.  Masses use
+the circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
 O(N**2) quadratic form into a real-input FFT over the half spectrum; Monte
 Carlo and single-sample masses share both steps.  The module also probes how
 well equispaced direction sums reproduce their angular integrals
@@ -26,6 +26,7 @@ import numpy as np
 from numpy.fft import rfft
 from numpy.random import Generator, Philox
 
+from . import oscint
 from .fitting import fit_exponent
 from .model import WaveParams, _is_integer, build_directions, build_params
 from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, dyadic_sum_check,
@@ -34,7 +35,6 @@ from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
 _OSC_SUBSAMPLES = 17
-_MC_BATCH = 1 << 18  # doubles per sign block: 2 MiB
 
 
 def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
@@ -226,18 +226,18 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     errors over `samples` realisations, with the count and the seed.
 
     Realisation i uses the keyed stream (seed, i).  The samples go in fixed
-    blocks of max(1, _MC_BATCH // N) rows, and worker w of a thread pool (one
-    worker per CPU of the process's affinity, at most one per block) takes
-    blocks w, w + workers, ...  Each worker re-keys one Philox bit generator
-    per row of its own sign block (no OS entropy is drawn; the streams match
-    sample_coefficients bit for bit) and gets the block's masses from one
-    real-input FFT over the half spectrum, written into its own spectrum
-    block; the fill, the elementwise passes and the FFT release the GIL.  The
-    block boundaries depend only on N and `samples`, so the columns do not
-    depend on the worker count; an error in any block is raised here.
-    `samples` must be an int or numpy integer (not a bool) of at least
-    MIN_MC_SAMPLES; it is never coerced.  The variance standard error is a
-    delete-one jackknife over the realisations.
+    blocks of max(1, oscint._BLOCK_NODES // N) rows, the one block budget of
+    the package, and worker w of a thread pool (one worker per CPU of the
+    process's affinity, at most one per block) takes blocks w, w + workers,
+    ...  Each worker re-keys one Philox bit generator per row of its own sign
+    block (no OS entropy is drawn; the streams match sample_coefficients bit
+    for bit) and gets the block's masses from one real-input FFT over the half
+    spectrum, written into its own spectrum block; the fill, the elementwise
+    passes and the FFT release the GIL.  The block boundaries depend only on N
+    and `samples`, so the columns do not depend on the worker count; an error
+    in any block is raised here.  `samples` must be an int or numpy integer
+    (not a bool) of at least MIN_MC_SAMPLES; it is never coerced.  The variance
+    standard error is a delete-one jackknife over the realisations.
     """
     # imported here: at module level it would add to every command's import time
     from concurrent.futures import ThreadPoolExecutor
@@ -247,7 +247,7 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     n = kernel.size
     masses = np.empty(samples)
-    batch = max(1, _MC_BATCH // n)
+    batch = max(1, oscint._BLOCK_NODES // n)
     workers = min(_worker_count(), -(-samples // batch))
 
     def fill(first: int) -> None:

@@ -31,8 +31,9 @@ from numpy.fft import fft
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from . import _wtable
-from .model import (SUPPORT_RADIUS, WaveParams, _derivative_bounds, _is_integer,
-                    _panel_rule, build_cutoff, build_directions, cutoff_value)
+from .model import (SUPPORT_RADIUS, WaveParams, _check_real, _derivative_bounds,
+                    _is_integer, _panel_rule, build_cutoff, build_directions,
+                    cutoff_value)
 from .specfun import bessel_j0
 
 GL_ORDER = 12
@@ -47,7 +48,7 @@ TABLE_PANEL_WIDTH = 32.0
 TABLE_PANELS = 19
 TABLE_DEGREE = 64
 S_CUT = TABLE_PANELS * TABLE_PANEL_WIDTH
-_BLOCK_NODES = 1 << 18  # J0 or table arguments per block; bounds the temporaries
+_BLOCK_NODES = 1 << 18  # J0 or table arguments, or Monte Carlo signs, per block
 _REGENERATE = ('PYTHONPATH=src python -c "import pathlib, biasedwave.oscint as o; '
                "pathlib.Path(o.__file__).with_name('_wtable.py')"
                '.write_text(o.profile_table_source())"')
@@ -160,26 +161,25 @@ def profile_table(s_values):
 
     Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
     [S_CUT, inf], infinity included, and was verified like a panel.  W is even
-    in s; NaN raises ValueError.  The arguments go in blocks of _BLOCK_NODES,
-    so the temporaries stay bounded whatever the input's size.  Returns a
-    float for scalar s and an array of the shape of s otherwise.
+    in s; NaN raises ValueError.  |s| goes into the output, which is walked in
+    blocks of _BLOCK_NODES, each panel writing W over the |s| it has read, so
+    only block-sized temporaries live beside it.  Returns a float for scalar s
+    and an array of the shape of s otherwise.
     """
     s_values = np.asarray(s_values, dtype=float)
-    flat = s_values.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK_NODES):
-        block = np.abs(flat[start:start + _BLOCK_NODES])
+    out = np.abs(s_values.ravel())
+    for start in range(0, out.size, _BLOCK_NODES):
+        block = out[start:start + _BLOCK_NODES]
         if np.isnan(block).any():
             raise ValueError("profile_table: s must not be NaN")
         np.minimum(block, S_CUT, out=block)
         panel = np.floor(block / TABLE_PANEL_WIDTH).astype(int)
         # one sort groups the panels; np.unique would load numpy.ma
         order = np.argsort(panel, kind="stable")
-        values = out[start:start + _BLOCK_NODES]
         for index, sel in enumerate(np.split(order, np.cumsum(np.bincount(panel))[:-1])):
             if sel.size:
                 x = block[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-                values[sel] = chebval(x, _TABLE[index])
+                block[sel] = chebval(x, _TABLE[index])
     return out.reshape(s_values.shape) if s_values.shape else float(out[0])
 
 
@@ -195,10 +195,12 @@ def _separations(d) -> np.ndarray:
 def pair_integral(params: WaveParams, d: float) -> float:
     """I(d) for chord separation d in [0, 2], accurate to PAIR_REL_TOL * I(0).
 
-    Every call cross-checks the panel rule against a higher-order rule; a
-    disagreement beyond PAIR_REL_TOL * I(0) raises QuadratureError rather than
-    returning a silently degraded value.
+    d is one real number, not an array or a bool.  Every call cross-checks
+    the panel rule against a higher-order rule; a disagreement beyond
+    PAIR_REL_TOL * I(0) raises QuadratureError rather than returning a
+    silently degraded value.
     """
+    _check_real("d", d)
     _separations(d)
     s = params.lam ** (1.0 - params.alpha) * d
     coarse = reduced_pair_integral(s)
@@ -255,8 +257,10 @@ def pair_integral_2d_oracle(params: WaveParams, d: float,
     The phase lam * d * x1 is constant along a grid row and even in x1, so the
     integral is h**2 times cos(lam * d * x1) over the rows x1 >= 0, dotted
     with the row sums of the quarter-plane window; the sine part cancels
-    exactly.  Refuses what quarter_grid refuses for a grid without fields.
+    exactly.  d is one real number in [0, 2], as for pair_integral.  Refuses
+    what quarter_grid refuses for a grid without fields.
     """
+    _check_real("d", d)
     _separations(d)
     t, h, _, window = quarter_grid(params, points_per_wavelength)
     return h * h * float(np.cos(params.lam * d * t) @ np.sum(window, axis=1))
@@ -361,26 +365,28 @@ def profile_rows(geometries) -> list:
 def build_kernel(params: WaveParams, row=None) -> PairKernel:
     """The kernel of params: the circulant row from the profile table, diagonalised.
 
-    row holds W at separations k = 0..N//2, as profile_rows gives it, and
-    must be finite, since the PSD floor check passes NaN; when row is None,
-    build_kernel looks it up itself.  The rest of the row mirrors by the
-    chord symmetry d_k = d_{N-k}, which also makes the DFT exactly real.  The row does no quadrature: it reads the committed table,
-    whose every piece the tests regenerate and check against the direct
-    order-GL_REFINE_ORDER rule.  The read-only row and spectrum depend on
-    (N, lam, alpha) alone, so a caller with several coins of one geometry
-    builds once and gives each coin dataclasses.replace(kernel, params=...).
+    row holds W at separations k = 0..N//2, as profile_rows gives it: read
+    once by np.asarray, it must hold integers or floats, all finite, since
+    the PSD floor check passes NaN; when row is None, build_kernel looks it
+    up itself.  The rest of the row mirrors by the chord symmetry
+    d_k = d_{N-k}, which also makes the DFT exactly real.  The row does no
+    quadrature: it reads the committed table, whose every piece the tests
+    regenerate and check against the direct order-GL_REFINE_ORDER rule.
+    The read-only row and spectrum depend on (N, lam, alpha) alone, so a
+    caller with several coins of one geometry builds once and gives each
+    coin dataclasses.replace(kernel, params=...).
     """
     n, lam, alpha = params.n_dirs, params.lam, params.alpha
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
-    if row is None:
-        [row] = profile_rows([params])
-    elif np.shape(row) != (half + 1,):
-        raise ValueError(f"row must have shape ({half + 1},) for N = {n}, "
-                         f"got {np.shape(row)}")
-    elif not np.isfinite(row).all():
-        raise ValueError(f"row must be finite, got {np.asarray(row)[~np.isfinite(row)][0]}")
+    row = profile_rows([params])[0] if row is None else np.asarray(row)
+    if row.dtype.kind not in "iuf":
+        raise ValueError(f"row must hold integers or floats, got dtype {row.dtype}")
+    if row.shape != (half + 1,):
+        raise ValueError(f"row must have shape ({half + 1},) for N = {n}, got {row.shape}")
+    if not np.isfinite(row).all():
+        raise ValueError(f"row must be finite, got {row[~np.isfinite(row)][0]}")
 
     values = np.empty(n)
     values[:half + 1] = lam ** (-2.0 * alpha) * row

@@ -73,7 +73,7 @@ class TestSampling:
     def test_keyed_signs_match_one_generator_per_sample(self, kernels,
                                                         monkeypatch, seed, n, p):
         # a batch of 5 rows makes samples 3..12 cross two batch boundaries
-        monkeypatch.setattr(montecarlo, "_MC_BATCH", 5 * n)
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", 5 * n)
         kernel = kernels(n / 3, 3, 0.5, p=p)
         assert kernel.size == n
         expected = np.array([np.where(np.random.Generator(np.random.Philox(
@@ -386,7 +386,7 @@ class TestMcMoments:
                                                         workers):
         # 16-row blocks, so 120 samples cross seven block boundaries; the
         # literals are the columns of the serial loop over the same blocks
-        monkeypatch.setattr(montecarlo, "_MC_BATCH", 16 * 256)
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", 16 * 256)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         kernel = kernels(128, 2, 0.5, p=0.6)
         assert kernel.size == 256
@@ -400,7 +400,7 @@ class TestMcMoments:
     def test_more_workers_than_cores_fill_every_sample(self, kernels, monkeypatch):
         # 60 two-row blocks on 8 threads that switch as often as they can; an
         # unwritten slot of the masses would leave garbage in the columns
-        monkeypatch.setattr(montecarlo, "_MC_BATCH", 2 * 256)
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", 2 * 256)
         kernel = kernels(128, 2, 0.5, p=0.6)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
         serial = mc_moments(kernel, 120, 2026)
@@ -414,7 +414,7 @@ class TestMcMoments:
 
     def test_an_error_in_a_worker_is_raised(self, kernels, monkeypatch):
         # with two workers, the second block (samples 16..31) is worker 1's
-        monkeypatch.setattr(montecarlo, "_MC_BATCH", 16 * 256)
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", 16 * 256)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         keyed_signs = montecarlo._keyed_signs
 

@@ -12,8 +12,9 @@ from biasedwave import (build_cutoff, build_directions, build_params, cli,
                         export_kernel_csv, oscint,
                         pair_integral, pair_integral_2d_oracle, run_sweep)
 from biasedwave.cli import parse_config
-from biasedwave.oscint import (GL_REFINE_ORDER, S_CUT, TABLE_PANEL_WIDTH, TABLE_PANELS,
-                               QuadratureError, _table_panel, build_kernel,
+from biasedwave.model import SUPPORT_RADIUS, _panel_rule
+from biasedwave.oscint import (GL_ORDER, GL_REFINE_ORDER, S_CUT, TABLE_PANEL_WIDTH,
+                               TABLE_PANELS, QuadratureError, _table_panel, build_kernel,
                                decay_constant, kernel_matrix,
                                profile_table, profile_table_source,
                                quarter_grid, reduced_pair_integral)
@@ -61,6 +62,25 @@ class TestPairIntegral:
             pair_integral(params, -0.1)
         with pytest.raises(ValueError):
             pair_integral(params, 2.5)
+        # each oracle evaluates one d; 72 entries, as many as the grid's half
+        # axis, would broadcast into one number that mixes the separations
+        params = build_params(64, 1, 0.3, 0.5)
+        assert quarter_grid(params)[0].size == 72
+        for oracle in (pair_integral, pair_integral_2d_oracle):
+            for d in (np.linspace(0.0, 2.0, 72), np.array([0.1, 0.5]),
+                      [0.5], [0.1, 0.5], np.array(0.5)):
+                with pytest.raises(ValueError, match=r"\bd\b"):
+                    oracle(params, d)
+
+    def test_panel_rule_arrays_are_the_callers_own(self):
+        # writing into a returned rule must not reach a later integral, as
+        # it would through a cache that hands every caller the same arrays
+        before = reduced_pair_integral(5.0)
+        nodes, weights = _panel_rule(0.0, SUPPORT_RADIUS, oscint._panel_count(5.0),
+                                     GL_ORDER)
+        nodes[:] = 0.0
+        weights[:] = 0.0
+        assert reduced_pair_integral(5.0) == before
 
     def test_impossible_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
@@ -107,8 +127,9 @@ class TestProfileTable:
         assert np.array_equal(profile_table(s), one_by_one)
 
     def test_temporaries_stay_within_a_block(self):
-        # eight blocks of arguments: the output and a few block-sized
-        # temporaries, not several arrays of the input's size
+        # eight blocks of arguments: the output, which holds |s| until each
+        # panel writes W over it, and about 33 bytes of temporaries per block
+        # argument; a block-sized copy of |s| beside the output would not fit
         s = np.random.default_rng(10).uniform(-1.1 * S_CUT, 1.1 * S_CUT,
                                               8 * oscint._BLOCK_NODES)
         tracemalloc.start()
@@ -118,7 +139,7 @@ class TestProfileTable:
         finally:
             tracemalloc.stop()
         assert values.shape == s.shape
-        assert peak < 2 * s.nbytes + 64 * oscint._BLOCK_NODES
+        assert peak < s.nbytes + 37 * oscint._BLOCK_NODES
 
     def test_committed_table_regenerates_byte_for_byte(self):
         committed = Path(oscint.__file__).with_name("_wtable.py").read_text()
@@ -429,6 +450,20 @@ class TestKernel:
                              (-np.inf, "row must be finite, got -inf")):
             with pytest.raises(ValueError, match=match):
                 build_kernel(params, np.where(np.arange(33) == 5, value, row))
+        # a list or tuple of numbers is read like the array, shape and all
+        for same in (row.tolist(), tuple(row), list(row)):
+            assert np.array_equal(build_kernel(params, same).values,
+                                  build_kernel(params).values)
+        with pytest.raises(ValueError, match=r"row must have shape \(33,\)"):
+            build_kernel(params, row.tolist()[:-1])
+        with pytest.raises(ValueError, match="row must be finite, got nan"):
+            build_kernel(params, row.tolist()[:-1] + [math.nan])
+        # a complex row would lose its imaginary part, a bool row would be
+        # read as 0 and 1, and strings and objects are no numbers at all
+        for bad in (row + 0j, row.astype(complex) + 1e-3j, row > 0.0,
+                    [True] * 33, "row", ["1.0"] * 33, [None] * 33):
+            with pytest.raises(ValueError, match="row must hold integers or floats"):
+                build_kernel(params, bad)
 
     def test_csv_export_round_trips(self, kernels, tmp_path):
         kernel = kernels(64, 1, 0.5)
