@@ -220,7 +220,11 @@ def _derivative_bounds(order: int = DERIVATIVE_ORDER,
     return bounds
 
 
-_gauss_legendre = lru_cache(leggauss)  # build_cutoff tiles two intervals at one order
+@lru_cache  # build_cutoff tiles two intervals at one order
+def _gauss_legendre(order: int):
+    x, w = leggauss(order)  # read-only: every caller gets the cached arrays
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _panel_rule(a: float, b: float, npanels: int, order: int):

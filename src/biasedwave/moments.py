@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .model import WaveParams, _check_real, cutoff_mass
-from .oscint import PairKernel, kernel_matrix
+from .oscint import _BLOCK_NODES, PairKernel, kernel_matrix
 
 ENUMERATION_LIMIT = 20
 GENERIC_VARIANCE_LIMIT = 512
@@ -116,7 +116,8 @@ def enumerate_moments(kernel: PairKernel, p: float):
     Q_off(c) = a^T M_aa a + b^T M_bb b + b^T (M_ba + M_ab^T) a: one GEMM over the half
     sign tables gives all 2**N masses, and the weight p**(#+1) * (1-p)**(#-1)
     factors over the halves.  N * I_0, shared by every c, is added last and the
-    variance taken in two passes, so nothing cancels.  N <= 20: three 2**N-double arrays.
+    variance taken in two passes, so nothing cancels.  N <= 20: one 2**N-double
+    mass array, weighted in row blocks of oscint._BLOCK_NODES in both passes.
     """
     coin_pair_moment(p)
     n = kernel.size
@@ -128,10 +129,14 @@ def enumerate_moments(kernel: PairKernel, p: float):
     (a, wa), (b, wb) = _half_table(lo, p), _half_table(n - lo, p)
     qa = np.sum((a @ m[:lo, :lo]) * a, axis=1)
     qb = np.sum((b @ m[lo:, lo:]) * b, axis=1)
-    masses = (b @ (m[lo:, :lo] + m[:lo, lo:].T)) @ a.T + qb[:, None] + qa[None, :]
-    weights = np.outer(wb, wa)
-    off_mean = float(np.vdot(weights, masses))
-    return n * kernel.diagonal + off_mean, float(np.vdot(weights, (masses - off_mean) ** 2))
+    masses = (b @ (m[lo:, :lo] + m[:lo, lo:].T)) @ a.T
+    masses += qb[:, None]  # in place: one 2**N-double array
+    masses += qa[None, :]
+    rows = max(1, _BLOCK_NODES // wa.size)
+    blocks = [slice(start, start + rows) for start in range(0, wb.size, rows)]
+    off_mean = sum(float(np.vdot(np.outer(wb[k], wa), masses[k])) for k in blocks)
+    return n * kernel.diagonal + off_mean, sum(
+        float(np.vdot(np.outer(wb[k], wa), (masses[k] - off_mean) ** 2)) for k in blocks)
 
 
 def calibrate_constants(kernel: PairKernel) -> dict:

@@ -11,8 +11,9 @@ CPU of the process's affinity; the block boundaries depend only on N and the
 sample count, so the mc_* columns do not depend on the worker count.  Masses use
 the circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
 O(N**2) quadratic form into a real-input FFT over the half spectrum; Monte
-Carlo and single-sample masses share both steps.  The module also probes how
-well equispaced direction sums reproduce their angular integrals
+Carlo and single-sample masses share both steps.  The planar-grid oracles walk
+row blocks of the quarter grid under the same budget.  The module also probes
+how well equispaced direction sums reproduce their angular integrals
 (Riemann/Darboux error and the pairwise aggregate that the moment bounds are
 built from).
 """
@@ -132,10 +133,11 @@ def _angle_addition(t: np.ndarray, f: np.ndarray):
     cos and sin of the K fine rows t[:K] and the ceil(q/K) coarse rows t[::K],
     2 (K + ceil(q/K)) * f.size trig values in place of 2 q * f.size, give
     every row by cos(x+y) = cos x cos y - sin x sin y and
-    sin(x+y) = sin x cos y + cos x sin y.  Returns fill(out, sine, weight=1.0),
-    which writes the cos table (sine false) or the sin table, each column
-    times weight (a scalar or an f.size vector, applied to the fine rows),
-    into the q x f.size array `out` and returns it.
+    sin(x+y) = sin x cos y + cos x sin y.  Returns K and
+    fill(out, sine, weight=1.0, first=0), which writes rows first, first + 1,
+    ... (first a multiple of K) of the cos table (sine false) or the sin
+    table, each column times weight (a scalar or an f.size vector, applied to
+    the fine rows), into the rows of `out` and returns it.
     """
     step = math.isqrt(t.size - 1) + 1
     fine = np.outer(t[:step], f)
@@ -143,37 +145,40 @@ def _angle_addition(t: np.ndarray, f: np.ndarray):
     coarse = np.outer(t[::step], f)
     coarse = np.stack([np.cos(coarse), np.sin(coarse)], axis=1)  # cos y, sin y
 
-    def fill(out: np.ndarray, sine: bool, weight=1.0) -> np.ndarray:
+    def fill(out: np.ndarray, sine: bool, weight=1.0, first: int = 0) -> np.ndarray:
         # cos(x+y) and sin(x+y) as a dot of these two fine rows with (cos y, sin y)
         pair = np.stack([sin_fine, cos_fine] if sine else [cos_fine, -sin_fine])
         pair *= weight
-        for i, cos_sin in enumerate(coarse):
+        for i in range(-(-len(out) // step)):
             rows = out[i * step:(i + 1) * step]
-            np.einsum("tkj,tj->kj", pair[:, :len(rows)], cos_sin, out=rows)
+            np.einsum("tkj,tj->kj", pair[:, :len(rows)], coarse[first // step + i], out=rows)
         return out
-    return fill
+    return step, fill
 
 
-def _field_on_grid(params: WaveParams, signs: np.ndarray, t: np.ndarray):
-    """u(x) = sum_j c_j exp(i lam x . xi_j) on the quarter grid, as four real blocks.
+def _grid_power(params: WaveParams, signs: np.ndarray, t: np.ndarray,
+                window: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """Folded |u|**2 of u(x) = sum_j c_j exp(i lam x . xi_j) on the quarter grid.
 
-    `t` is quarter_grid's half axis; entry (k, l) of each block is
-    x = (t[k], t[l]).  For even N the direction j + N/2 is -xi_j, so
-    u = sum_{j < N/2} s_j cos(phi_j) + i d_j sin(phi_j) with
-    s = c_j + c_{j+N/2} and d = c_j - c_{j+N/2}; for odd N, s = d = c.  With
-    phi_j = a + b split into a = lam x1 xi_j1 and b = lam x2 xi_j2, two real
+    `t` is quarter_grid's half axis, and entry (k, l) is the mean of |u|**2
+    over the mirror images (+-t[k], +-t[l]).  For even N the direction
+    j + N/2 is -xi_j, so u = sum_{j < N/2} s_j cos(phi_j) + i d_j sin(phi_j)
+    with s = c_j + c_{j+N/2} and d = c_j - c_{j+N/2}; for odd N, s = d = c.
+    With phi_j = a + b split into a = lam x1 xi_j1 and b = lam x2 xi_j2, real
     GEMMs against cos b and sin b give A, B, C and D, and since cos b is even
     and sin b odd in x2,
 
         Re u(x1, +-x2) = A -+ C,    Im u(x1, +-x2) = B +- D;
 
-    real signs give u(-x) = conj u(x), so the blocks determine u on the
-    whole grid.  The q x N/2 tables of cos and sin of a and b come from
-    _angle_addition, about 4 sqrt(q) * N trig values in place of 2 q * N,
-    with s and d applied to a's fine rows.  The two GEMMs share one operand
-    of about N * t.size doubles and one x2 table of half that: after the
-    first GEMM, [sin a * s; cos a * d] is written over [cos a * s; sin a * d]
-    and sin b over cos b; quarter_grid bounds N * t.size for the caller.
+    real signs give |u(-x)| = |u(x)|, so the folded power is
+    (A - shift)**2 + B**2 + C**2 + D**2 (shift: e1's q x q N J0 term, else 0).
+    The q x N/2 tables of cos and sin of a and b come from _angle_addition,
+    about 4 sqrt(q) * N trig values in place of 2 q * N, with s and d applied
+    to a's fine rows.  One x2 table holds cos b, then sin b; against each, the
+    rows x1 go in blocks of whole angle-addition steps, whose GEMM operand
+    [a table * s; a table * d] holds at most oscint._BLOCK_NODES doubles (or
+    one step), each GEMM stopping at the last column where its block's window
+    is non-zero; the power is 0 beyond.  quarter_grid bounds N * t.size.
     """
     n = params.n_dirs
     q = t.size
@@ -181,17 +186,25 @@ def _field_on_grid(params: WaveParams, signs: np.ndarray, t: np.ndarray):
     lo, hi = (signs, 0.0) if n % 2 else (signs[:half], signs[half:])
     s, d = lo + hi, lo - hi
     freq = params.lam * build_directions(params).unit_vectors[:half]
-    fill_a = _angle_addition(t, freq[:, 0])
-    fill_b = _angle_addition(t, freq[:, 1])
+    step, fill_a = _angle_addition(t, freq[:, 0])
+    _, fill_b = _angle_addition(t, freq[:, 1])
+    rows = step * max(1, oscint._BLOCK_NODES // (2 * step * half))
     trig_b = np.empty((q, half))  # cos b, then sin b
-    operand = np.empty((2 * q, half))  # [cos a * s; sin a * d], then [sin a * s; cos a * d]
-    blocks = []
-    for sine in (False, True):
-        fill_a(operand[:q], sine, s)
-        fill_a(operand[q:], not sine, d)
-        blocks.append(operand @ fill_b(trig_b, sine).T)
-    ab, cd = blocks
-    return ab[:q], ab[q:], cd[:q], cd[q:]
+    operand = np.empty((2 * min(rows, q), half))  # one block of [a table * s; a table * d]
+    power = np.zeros((q, q))
+    for sine in (False, True):  # [A; B] against cos b, then [C; D] against sin b
+        fill_b(trig_b, sine)
+        for first in range(0, q, rows):
+            k = min(rows, q - first)
+            cols = window[first:first + k].any(axis=0).nonzero()[0].max(initial=-1) + 1
+            fill_a(operand[:k], sine, s, first)
+            fill_a(operand[k:2 * k], not sine, d, first)
+            block = operand[:2 * k] @ trig_b[:cols].T
+            if shift is not None and not sine:
+                block[:k] -= shift[first:first + k, :cols]
+            power[first:first + k, :cols] += np.square(block[:k])
+            power[first:first + k, :cols] += np.square(block[k:])
+    return power
 
 
 def grid_quadrature_mass(params: WaveParams, coeffs,
@@ -201,15 +214,14 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     The grid places points_per_wavelength nodes per wavelength 2*pi/lam across
     the cutoff support; since the integrand vanishes smoothly at the boundary
     the trapezoid rule reduces to h**2 times the plain sum.  Real signs make
-    |u|**2 point-symmetric, and |u(x1, x2)|**2 + |u(x1, -x2)|**2 is
-    2 (A**2 + B**2 + C**2 + D**2) in the blocks of _field_on_grid, so u is
-    evaluated on quarter_grid only, weighted by its folded window.  Refuses
-    what quarter_grid refuses for the one field of N directions.
+    |u|**2 point-symmetric, so the sum is that of the folded window times the
+    folded power of _grid_power, which walks row blocks of quarter_grid and
+    skips the columns each block's window leaves at zero.  Refuses what
+    quarter_grid refuses for the one field of N directions.
     """
     signs = _as_signs(coeffs, params.n_dirs)
     t, h, _, window = quarter_grid(params, points_per_wavelength, (params.n_dirs,))
-    a, b, c, d = _field_on_grid(params, signs, t)
-    return float(h * h * np.sum(window * (a * a + b * b + c * c + d * d)))
+    return float(h * h * np.sum(window * _grid_power(params, signs, t, window)))
 
 
 def _worker_count() -> int:
@@ -356,20 +368,18 @@ class DiscretisationProbe:
 
 
 def e1_error_norm(params: WaveParams, n_doublings: int = 2) -> DiscretisationProbe:
-    """Measure the discretisation-error norms across a gamma-doubling ladder;
-    quarter_grid refuses the first rung whose field has
-    N * t.size > MAX_GRID_FIELD before it builds the grid."""
+    """Measure the discretisation-error norms across a gamma-doubling ladder,
+    each rung's from _grid_power's row blocks; quarter_grid refuses the first
+    rung whose field has N * t.size > MAX_GRID_FIELD before it builds the grid."""
     gammas, rungs = _gamma_ladder(params, n_doublings)
     # the J0 term is real and even in x1 and x2, so E folds onto the quarter
-    # plane like u, with A - N J0 in place of A
+    # plane like u, with A - N J0 in place of A: _grid_power's shift
     t, h, r, window = quarter_grid(params, fields=[pg.n_dirs for pg in rungs])
     j0_term = bessel_j0(params.lam * r)
     literal = np.empty(gammas.size)
     bound = np.empty(gammas.size)
     for g, pg in enumerate(rungs):
-        a, b, c, d = _field_on_grid(pg, np.ones(pg.n_dirs), t)
-        a = a - pg.n_dirs * j0_term
-        power = a * a + b * b + c * c + d * d
+        power = _grid_power(pg, np.ones(pg.n_dirs), t, window, pg.n_dirs * j0_term)
         literal[g] = math.sqrt(h * h * float(np.sum(window * power)))
         separation_sum, _ = dyadic_sum_check(pg, 2.0)  # l != j; the l == j term is 1
         bound[g] = math.sqrt(pg.lam ** (-2.0 * pg.alpha) / pg.gamma

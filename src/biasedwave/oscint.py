@@ -48,7 +48,7 @@ TABLE_PANEL_WIDTH = 32.0
 TABLE_PANELS = 19
 TABLE_DEGREE = 64
 S_CUT = TABLE_PANELS * TABLE_PANEL_WIDTH
-_BLOCK_NODES = 1 << 18  # J0 or table arguments, or Monte Carlo signs, per block
+_BLOCK_NODES = 1 << 18  # per block: J0/table args, MC signs, grid GEMM operand, 2**N masses
 _REGENERATE = ('PYTHONPATH=src python -c "import pathlib, biasedwave.oscint as o; '
                "pathlib.Path(o.__file__).with_name('_wtable.py')"
                '.write_text(o.profile_table_source())"')
@@ -380,7 +380,10 @@ def build_kernel(params: WaveParams, row=None) -> PairKernel:
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
-    row = profile_rows([params])[0] if row is None else np.asarray(row)
+    try:
+        row = profile_rows([params])[0] if row is None else np.asarray(row)
+    except (TypeError, ValueError) as exc:  # numpy refuses a ragged nest of sequences
+        raise ValueError(f"row must convert to one array of shape ({half + 1},): {exc}") from None
     if row.dtype.kind not in "iuf":
         raise ValueError(f"row must hold integers or floats, got dtype {row.dtype}")
     if row.shape != (half + 1,):

@@ -5,7 +5,7 @@ import pytest
 
 from biasedwave import build_cutoff, build_directions, build_params, cutoff_mass, \
     cutoff_value
-from biasedwave.model import _derivative_bounds
+from biasedwave.model import _derivative_bounds, _gauss_legendre
 
 
 class TestBuildParams:
@@ -144,6 +144,15 @@ class TestCutoffMass:
         m2, _ = integrate.quad(lambda t: cutoff_value(t) ** 2 * t, 0.0, 2.0,
                                points=[1.0], epsabs=0.0, epsrel=1e-10, limit=200)
         assert build_cutoff() == pytest.approx(m2, rel=1e-14)
+
+    def test_cached_gauss_legendre_rule_refuses_writes(self):
+        # every caller gets the same cached arrays, so a write would reach
+        # every later panel rule, m2 and W(s) alike
+        nodes, weights = _gauss_legendre(12)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0.0
+        assert np.sum(weights) == pytest.approx(2.0, rel=1e-14)
 
 
 class TestDerivativeBounds:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,29 @@ class TestEnumeration:
                 assert variance == 0.0
             else:
                 assert variance == pytest.approx(weights @ (masses - mean) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 20])
+    def test_row_blocks_match_one_block(self, monkeypatch, n):
+        # a budget of 1 gives every row of the high half its own block: the
+        # block sums then add in another order, within rounding of one block
+        kernel = build_kernel(build_params(24.0, n / 24.0, 0.35, 0.5))
+        whole = enumerate_moments(kernel, 0.62)
+        monkeypatch.setattr(moments, "_BLOCK_NODES", 1)
+        assert enumerate_moments(kernel, 0.62) == pytest.approx(whole, rel=1e-13)
+
+    def test_peak_memory_is_one_mass_array_and_two_blocks(self):
+        # the 2**20 masses, a block of coin weights and a block of centred
+        # squares, with a block's slack for the half tables and the dense
+        # kernel; whole 2**20 weight and centred arrays would peak near 24 MiB
+        kernel = build_kernel(build_params(23.0, 20 / 23.0, 0.3, 0.62))
+        assert kernel.size == 20
+        tracemalloc.start()
+        try:
+            enumerate_moments(kernel, 0.62)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 ** 20 + 3 * moments._BLOCK_NODES)
 
     @pytest.mark.parametrize("n_target,lam,alpha", [(19, 38.0, 0.45), (20, 23.0, 0.3)])
     def test_largest_sizes_match_closed_forms(self, n_target, lam, alpha):

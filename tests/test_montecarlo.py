@@ -222,20 +222,42 @@ class TestGridQuadrature:
     def test_quarter_blocks_rebuild_the_field_on_every_quadrant(self, lam, n, biased):
         # N = 0 and 2 (mod 4) pair antipodal directions; odd N uses every one.
         # At lam 1024 the phases reach about 256 rad and the half axis has 490
-        # nodes, so the last block of the angle-addition tables is ragged
+        # nodes, so the last block of the angle-addition tables is ragged.  A
+        # window of ones keeps every column of every row block
         params = build_params(lam, n / lam, 0.3, 0.37)
         assert params.n_dirs == n
         signs = sample_coefficients(params, 31) if biased else np.ones(n)
         t, _, _, _ = quarter_grid(params)
-        a, b, c, d = montecarlo._field_on_grid(params, signs, t)
-        upper = (a - c) + 1j * (b + d)  # x1 >= 0, x2 >= 0
-        lower = (a + c) + 1j * (b - d)  # x1 >= 0, x2 <= 0
+        power = montecarlo._grid_power(params, signs, t, np.ones((t.size, t.size)))
         m = t.size - 1
         u = full_grid_field(params, signs)
-        for got, want in [(upper, u[m:, m:]), (lower, u[m:, m::-1]),
-                          (np.conj(lower), u[m::-1, m:]),
-                          (np.conj(upper), u[m::-1, m::-1])]:
-            assert np.max(np.abs(got - want)) <= 1e-12 * n
+        # |u|**2 on the four quadrants, each read from (|x1|, |x2|): the folded
+        # power is their mean, and real signs make |u(-x)| = |u(x)|
+        images = [np.abs(u[m:, m:]) ** 2, np.abs(u[m:, m::-1]) ** 2,
+                  np.abs(u[m::-1, m:]) ** 2, np.abs(u[m::-1, m::-1]) ** 2]
+        # |u| <= n and u is within 1e-12 n, so |u|**2 is within 2e-12 n**2
+        assert np.max(np.abs(power - sum(images) / 4)) <= 2e-12 * n * n
+        for got, want in [(images[0], images[3]), (images[1], images[2])]:
+            assert np.max(np.abs(got - want)) <= 2e-12 * n * n
+
+    @pytest.mark.parametrize("lam,n", [(64, 256), (64, 257), (1024, 64), (1024, 65)])
+    def test_row_blocks_do_not_change_the_power(self, monkeypatch, lam, n):
+        # a budget of 1 walks the half axis in blocks of one angle-addition
+        # step: eight of 9 rows at lam 64, 22 of 23 rows at lam 1024 (the last
+        # ragged), each GEMM stopping at its own last column in the window
+        params = build_params(lam, n / lam, 0.3, 0.37)
+        signs = sample_coefficients(params, 31)
+        t, _, _, window = quarter_grid(params)
+        whole = montecarlo._grid_power(params, signs, t, window)
+        everywhere = montecarlo._grid_power(params, signs, t, np.ones_like(window))
+        live = window > 0.0
+        assert np.array_equal(whole[live], everywhere[live])
+        # smaller GEMMs may round differently, so the blocked power agrees to
+        # rounding on the window and is 0 beyond each block's last live column
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", 1)
+        blocked = montecarlo._grid_power(params, signs, t, window)
+        assert np.max(np.abs(blocked - whole)[live]) <= 1e-14 * np.max(whole)
+        assert np.all(blocked[:, -1] == 0.0)
 
     @pytest.mark.parametrize("q", [1, 2, 16, 17, 490])
     def test_angle_addition_matches_the_direct_tables(self, q):
@@ -243,11 +265,14 @@ class TestGridQuadrature:
         h = 2.0 * np.pi / 1024 / 12
         t = h * np.arange(q)
         f = 1024 * np.cos(np.linspace(0.0, np.pi, 41))
-        fill = montecarlo._angle_addition(t, f)
-        step = math.isqrt(q - 1) + 1
+        step, fill = montecarlo._angle_addition(t, f)
+        assert step == math.isqrt(q - 1) + 1
         for sine, trig in [(False, np.cos), (True, np.sin)]:
             got = fill(np.empty((q, f.size)), sine)
             want = trig(np.outer(h * np.arange(q), f))
+            # a block of rows from the second step on is the same rows
+            assert np.array_equal(fill(np.empty((q - step, f.size)), sine, first=step),
+                                  got[step:])
             # rows k = 0, K, 2K, ... take one coarse row times cos 0 = 1
             # and sin 0 = 0, so they equal the direct table bit for bit
             assert np.array_equal(got[::step], want[::step])
@@ -268,7 +293,7 @@ class TestGridQuadrature:
             return call
         monkeypatch.setattr(np, "cos", counted(np.cos))
         monkeypatch.setattr(np, "sin", counted(np.sin))
-        montecarlo._field_on_grid(params, np.ones(n), t)
+        montecarlo._grid_power(params, np.ones(n), t, np.ones((q, q)))
         monkeypatch.undo()
         # direct tables would evaluate 2 q N: cos and sin of q x N/2 phases
         # on each axis
@@ -289,6 +314,22 @@ class TestGridQuadrature:
             tracemalloc.stop()
         assert peak <= 1.0 * side * params.n_dirs * 16
 
+    def test_block_walk_holds_one_table_and_one_block(self):
+        # the oracle_audit geometry, 11 row blocks of two 23-row steps: the
+        # q x N/2 x2 table, about 8 q**2 doubles of grid arrays (quarter_grid's
+        # window build peaks near 7) and one block; one 2q x N/2 GEMM operand
+        # with four q x q output blocks would peak near 36.9 MiB
+        params = build_params(1024, 4, 0.3, 0.5)
+        q, half = quarter_grid(params)[0].size, params.n_dirs // 2
+        assert (params.n_dirs, q) == (4096, 490)
+        tracemalloc.start()
+        try:
+            grid_quadrature_mass(params, np.ones(params.n_dirs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (q * half + 8 * q * q + oscint._BLOCK_NODES)
+
     def test_refuses_infeasible_parameters(self):
         params = build_params(600, 1, 0.0, 0.5)
         with pytest.raises(ValueError):
@@ -299,7 +340,7 @@ class TestGridQuadrature:
         # or the 11737**2 node grid of lam 512 at 36 points per wavelength
         def no_grid(*_):
             raise AssertionError("grid was evaluated instead of refused")
-        monkeypatch.setattr(montecarlo, "_field_on_grid", no_grid)
+        monkeypatch.setattr(montecarlo, "_grid_power", no_grid)
         for lam, points, match in [(600, 24, "tensor grid would need"),
                                    (512, 36, "tensor grid would need 137757169 ")]:
             params = build_params(lam, 1 / lam, 0.0, 0.5)
@@ -315,7 +356,7 @@ class TestGridQuadrature:
         def no_grid(*_):
             raise AssertionError("grid was evaluated instead of refused")
         monkeypatch.setattr(oscint, "cutoff_value", no_grid)
-        monkeypatch.setattr(montecarlo, "_field_on_grid", no_grid)
+        monkeypatch.setattr(montecarlo, "_grid_power", no_grid)
         params = build_params(262144, 64 / 262144, 0.5, 0.5)
         assert params.n_dirs == 64
         for call in (lambda: grid_quadrature_mass(params, np.ones(64),
@@ -554,7 +595,7 @@ class TestDiscretisationProbe:
         def no_work(*_):
             raise AssertionError("work ran before the field size was checked")
         monkeypatch.setattr(montecarlo, "bessel_j0", no_work)
-        monkeypatch.setattr(montecarlo, "_field_on_grid", no_work)
+        monkeypatch.setattr(montecarlo, "_grid_power", no_work)
         monkeypatch.setattr(oscint, "cutoff_value", no_work)
         with pytest.raises(ValueError, match=rf"N \* q = 32768 \* {q} = {32768 * q} "):
             e1_error_norm(build_params(lam, gamma, 0.3, 0.5), n_doublings=n_doublings)

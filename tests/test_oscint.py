@@ -464,6 +464,11 @@ class TestKernel:
                     [True] * 33, "row", ["1.0"] * 33, [None] * 33):
             with pytest.raises(ValueError, match="row must hold integers or floats"):
                 build_kernel(params, bad)
+        # numpy cannot make one array of a ragged nest of sequences
+        for bad in ([[1.0, 1.0], [1.0]], [1.0] * 32 + [[1.0]], [row, row[:-1]]):
+            with pytest.raises(ValueError, match=r"row must convert to one array "
+                                                 r"of shape \(33,\): "):
+                build_kernel(params, bad)
 
     def test_csv_export_round_trips(self, kernels, tmp_path):
         kernel = kernels(64, 1, 0.5)
