@@ -11,8 +11,9 @@ CPU of the process's affinity; the block boundaries depend only on N and the
 sample count, so the mc_* columns do not depend on the worker count.  Masses use
 the circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
 O(N**2) quadratic form into a real-input FFT over the half spectrum; Monte
-Carlo and single-sample masses share both steps.  The planar-grid oracles walk
-row blocks of the quarter grid under the same budget.  The module also probes
+Carlo and single-sample masses share both steps.  The planar-grid oracles sum
+over mirror-paired directions, a quarter of N for even N, and walk row blocks
+of the quarter grid under the same budget.  The module also probes
 how well equispaced direction sums reproduce their angular integrals
 (Riemann/Darboux error and the pairwise aggregate that the moment bounds are
 built from).
@@ -134,10 +135,11 @@ def _angle_addition(t: np.ndarray, f: np.ndarray):
     2 (K + ceil(q/K)) * f.size trig values in place of 2 q * f.size, give
     every row by cos(x+y) = cos x cos y - sin x sin y and
     sin(x+y) = sin x cos y + cos x sin y.  Returns K and
-    fill(out, sine, weight=1.0, first=0), which writes rows first, first + 1,
-    ... (first a multiple of K) of the cos table (sine false) or the sin
-    table, each column times weight (a scalar or an f.size vector, applied to
-    the fine rows), into the rows of `out` and returns it.
+    table(sine, weight=1.0), which builds the fine-row pair of the cos table
+    (sine false) or the sin table once, each column times weight (a scalar or
+    an f.size vector), and returns fill(out, first=0): it writes rows first,
+    first + 1, ... (first a multiple of K) of that weighted table into the
+    rows of `out` and returns it.
     """
     step = math.isqrt(t.size - 1) + 1
     fine = np.outer(t[:step], f)
@@ -145,15 +147,18 @@ def _angle_addition(t: np.ndarray, f: np.ndarray):
     coarse = np.outer(t[::step], f)
     coarse = np.stack([np.cos(coarse), np.sin(coarse)], axis=1)  # cos y, sin y
 
-    def fill(out: np.ndarray, sine: bool, weight=1.0, first: int = 0) -> np.ndarray:
+    def table(sine: bool, weight=1.0):
         # cos(x+y) and sin(x+y) as a dot of these two fine rows with (cos y, sin y)
         pair = np.stack([sin_fine, cos_fine] if sine else [cos_fine, -sin_fine])
         pair *= weight
-        for i in range(-(-len(out) // step)):
-            rows = out[i * step:(i + 1) * step]
-            np.einsum("tkj,tj->kj", pair[:, :len(rows)], coarse[first // step + i], out=rows)
-        return out
-    return step, fill
+
+        def fill(out: np.ndarray, first: int = 0) -> np.ndarray:
+            for i in range(-(-len(out) // step)):
+                rows = out[i * step:(i + 1) * step]
+                np.einsum("tkj,tj->kj", pair[:, :len(rows)], coarse[first // step + i], out=rows)
+            return out
+        return fill
+    return step, table
 
 
 def _grid_power(params: WaveParams, signs: np.ndarray, t: np.ndarray,
@@ -162,48 +167,71 @@ def _grid_power(params: WaveParams, signs: np.ndarray, t: np.ndarray,
 
     `t` is quarter_grid's half axis, and entry (k, l) is the mean of |u|**2
     over the mirror images (+-t[k], +-t[l]).  For even N the direction
-    j + N/2 is -xi_j, so u = sum_{j < N/2} s_j cos(phi_j) + i d_j sin(phi_j)
-    with s = c_j + c_{j+N/2} and d = c_j - c_{j+N/2}; for odd N, s = d = c.
-    With phi_j = a + b split into a = lam x1 xi_j1 and b = lam x2 xi_j2, real
-    GEMMs against cos b and sin b give A, B, C and D, and since cos b is even
-    and sin b odd in x2,
+    j + N/2 is -xi_j, so u = sum_{j < H} s_j cos(phi_j) + i d_j sin(phi_j)
+    with H = N/2, s = c_j + c_{j+N/2} and d = c_j - c_{j+N/2}; for odd N,
+    H = N and s = d = c.  With phi_j = a + b split into a = lam x1 xi_j1 and
+    b = lam x2 xi_j2, let A = sum s cos a cos b, B = sum d sin a cos b,
+    C = sum s sin a sin b and D = sum d cos a sin b; since cos b is even and
+    sin b odd in x2,
 
         Re u(x1, +-x2) = A -+ C,    Im u(x1, +-x2) = B +- D;
 
     real signs give |u(-x)| = |u(x)|, so the folded power is
     (A - shift)**2 + B**2 + C**2 + D**2 (shift: e1's q x q N J0 term, else 0).
-    The q x N/2 tables of cos and sin of a and b come from _angle_addition,
-    about 4 sqrt(q) * N trig values in place of 2 q * N, with s and d applied
-    to a's fine rows.  One x2 table holds cos b, then sin b; against each, the
-    rows x1 go in blocks of whole angle-addition steps, whose GEMM operand
-    [a table * s; a table * d] holds at most oscint._BLOCK_NODES doubles (or
-    one step), each GEMM stopping at the last column where its block's window
-    is non-zero; the power is 0 beyond.  quarter_grid bounds N * t.size.
+    Slot j' = H - j is the mirror image of slot j (slot H is slot 0; for even
+    N, its antipode, with d negated): across the x2-axis for even N
+    (a -> -a), so the sums run over slots 0..H//2 with the weights s + s'
+    (A), d - d' (B), s - s' (C) and d + d' (D); across the x1-axis for odd N
+    (b -> -b), with d + d' (B) and d - d' (D).  A slot that is its own image
+    counts once (half weights).  The q x (H//2 + 1) tables of cos and sin of
+    a and b come from _angle_addition, about 4 sqrt(q) * H trig values in
+    place of 2 q * N, each weight applied to a's fine rows once.  One x2
+    table holds cos b, then sin b; against each, the rows x1 go in blocks of
+    whole angle-addition steps, whose GEMM operand (the a table times each
+    weight of the pass) holds at most oscint._BLOCK_NODES doubles (or one
+    step), each GEMM stopping at the last column where its block's window is
+    non-zero; the power is 0 beyond.  An all-zero weight leaves its rows out
+    of the operand (A's stay under a shift), and a pass with none left is
+    skipped: the e1 probe's all-ones signs keep A alone for even N, A and B
+    for odd N.  quarter_grid bounds N * t.size.
     """
     n = params.n_dirs
     q = t.size
     half = n if n % 2 else n // 2
     lo, hi = (signs, 0.0) if n % 2 else (signs[:half], signs[half:])
-    s, d = lo + hi, lo - hi
-    freq = params.lam * build_directions(params).unit_vectors[:half]
-    step, fill_a = _angle_addition(t, freq[:, 0])
-    _, fill_b = _angle_addition(t, freq[:, 1])
-    rows = step * max(1, oscint._BLOCK_NODES // (2 * step * half))
-    trig_b = np.empty((q, half))  # cos b, then sin b
-    operand = np.empty((2 * min(rows, q), half))  # one block of [a table * s; a table * d]
+    sd = np.stack([lo + hi, lo - hi])  # s, d
+    j = np.arange(half // 2 + 1)
+    mirror = sd[:, (half - j) % half]
+    if n % 2 == 0:
+        mirror[1, 1:] *= -1.0  # a -> -a flips sin a; slot 0's antipode has -d_0
+    weights = np.concatenate([sd[:, j] + mirror, sd[:, j] - mirror])
+    weights[:, 2 * j % half == 0] *= 0.5  # a slot that is its own image counts once
+    w_a, w_b, w_c, w_d = weights
+    freq = params.lam * build_directions(params).unit_vectors[:j.size]
+    step, table_a = _angle_addition(t, freq[:, 0])
+    _, table_b = _angle_addition(t, freq[:, 1])
+    rows = step * max(1, oscint._BLOCK_NODES // (2 * step * j.size))
+    trig_b = np.empty((q, j.size))  # cos b, then sin b
+    operand = np.empty((2 * min(rows, q), j.size))  # one block of the a table times each weight
     power = np.zeros((q, q))
-    for sine in (False, True):  # [A; B] against cos b, then [C; D] against sin b
-        fill_b(trig_b, sine)
+    # against cos b: A from cos a, B from sin a; against sin b: C from sin a, D from cos a
+    for sine, terms in [(False, [(False, w_a), (True, w_b)]),
+                        (True, [(True, w_c), (False, w_d)])]:
+        fills = [table_a(a_sine, w) for a_sine, w in terms
+                 if w.any() or (w is w_a and shift is not None)]
+        if not fills:
+            continue
+        table_b(sine)(trig_b)
         for first in range(0, q, rows):
             k = min(rows, q - first)
             cols = window[first:first + k].any(axis=0).nonzero()[0].max(initial=-1) + 1
-            fill_a(operand[:k], sine, s, first)
-            fill_a(operand[k:2 * k], not sine, d, first)
-            block = operand[:2 * k] @ trig_b[:cols].T
+            for i, fill in enumerate(fills):
+                fill(operand[i * k:(i + 1) * k], first)
+            block = operand[:len(fills) * k] @ trig_b[:cols].T
             if shift is not None and not sine:
                 block[:k] -= shift[first:first + k, :cols]
-            power[first:first + k, :cols] += np.square(block[:k])
-            power[first:first + k, :cols] += np.square(block[k:])
+            for i in range(len(fills)):
+                power[first:first + k, :cols] += np.square(block[i * k:(i + 1) * k])
     return power
 
 

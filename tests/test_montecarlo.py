@@ -217,13 +217,17 @@ class TestGridQuadrature:
     @pytest.mark.parametrize("lam,n", [
         pytest.param(64, 256, id="256"), pytest.param(64, 258, id="258"),
         pytest.param(64, 257, id="257"), pytest.param(1024, 64, id="lam1024-64"),
-        pytest.param(1024, 66, id="lam1024-66"), pytest.param(1024, 65, id="lam1024-65")])
+        pytest.param(1024, 66, id="lam1024-66"), pytest.param(1024, 65, id="lam1024-65")]
+        + [pytest.param(64, n, id=str(n)) for n in (1, 2, 3, 4, 5, 6, 7, 8, 10)])
     @pytest.mark.parametrize("biased", [True, False])
     def test_quarter_blocks_rebuild_the_field_on_every_quadrant(self, lam, n, biased):
-        # N = 0 and 2 (mod 4) pair antipodal directions; odd N uses every one.
-        # At lam 1024 the phases reach about 256 rad and the half axis has 490
-        # nodes, so the last block of the angle-addition tables is ragged.  A
-        # window of ones keeps every column of every row block
+        # N = 0 and 2 (mod 4) fold antipodal directions; odd N uses every one.
+        # The slots then pair with their mirror images: N = 1 and 2 have no
+        # partner, N = 4 and 8 keep theta = 0 and pi/2 unpaired, and N mod 4
+        # takes every residue.  At lam 1024 the phases reach about 256 rad and
+        # the half axis has 490 nodes, so the last block of the angle-addition
+        # tables is ragged.  A window of ones keeps every column of every row
+        # block
         params = build_params(lam, n / lam, 0.3, 0.37)
         assert params.n_dirs == n
         signs = sample_coefficients(params, 31) if biased else np.ones(n)
@@ -265,19 +269,56 @@ class TestGridQuadrature:
         h = 2.0 * np.pi / 1024 / 12
         t = h * np.arange(q)
         f = 1024 * np.cos(np.linspace(0.0, np.pi, 41))
-        step, fill = montecarlo._angle_addition(t, f)
+        step, table = montecarlo._angle_addition(t, f)
         assert step == math.isqrt(q - 1) + 1
         for sine, trig in [(False, np.cos), (True, np.sin)]:
-            got = fill(np.empty((q, f.size)), sine)
+            fill = table(sine)
+            got = fill(np.empty((q, f.size)))
             want = trig(np.outer(h * np.arange(q), f))
             # a block of rows from the second step on is the same rows
-            assert np.array_equal(fill(np.empty((q - step, f.size)), sine, first=step),
+            assert np.array_equal(fill(np.empty((q - step, f.size)), first=step),
                                   got[step:])
+            # a weight scales each column of the table, to rounding of the
+            # products of magnitude up to 2
+            weight = np.linspace(-2.0, 2.0, f.size)
+            assert np.max(np.abs(table(sine, weight)(np.empty((q, f.size)))
+                                 - got * weight), initial=0.0) <= 2e-15
             # rows k = 0, K, 2K, ... take one coarse row times cos 0 = 1
             # and sin 0 = 0, so they equal the direct table bit for bit
             assert np.array_equal(got[::step], want[::step])
             # elsewhere both round a phase of up to 256 rad (ulp 5.7e-14)
             assert np.max(np.abs(got - want), initial=0.0) <= 2e-13
+
+    @pytest.mark.parametrize("n,biased,tables", [(64, False, 2), (65, False, 3),
+                                                  (64, True, 6), (65, True, 6)])
+    def test_all_zero_weights_leave_their_rows_out(self, monkeypatch, n, biased, tables):
+        # all-ones signs give d = 0 on even N, so only A's rows and the cos b
+        # table are filled, and equal mirror partners on odd N, so C = D = 0
+        # and the sin b pass is skipped; biased signs fill the two x2 tables
+        # and four weighted a tables.  Each fill is one einsum per
+        # angle-addition step: 22 steps of the 490 rows at lam 1024
+        params = build_params(1024, n / 1024, 0.3, 0.37)
+        signs = sample_coefficients(params, 31) if biased else np.ones(n)
+        t = quarter_grid(params)[0]
+        einsum, count = np.einsum, [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return einsum(*args, **kwargs)
+        monkeypatch.setattr(np, "einsum", counted)
+        montecarlo._grid_power(params, signs, t, np.ones((t.size, t.size)))
+        monkeypatch.undo()
+        assert count[0] == tables * 22
+
+    def test_a_shift_keeps_the_rows_of_a_zero_a_weight(self):
+        # signs (1, -1) give s = 0: A is 0, and a shift enters as (0 - shift)**2
+        params = build_params(64, 2 / 64, 0.3, 0.37)
+        t = quarter_grid(params)[0]
+        window, shift = np.ones((t.size, t.size)), np.full((t.size, t.size), 0.5)
+        signs = np.array([1.0, -1.0])
+        bare = montecarlo._grid_power(params, signs, t, window)
+        shifted = montecarlo._grid_power(params, signs, t, window, shift)
+        assert np.array_equal(shifted, bare + 0.25)
 
     def test_field_evaluates_few_trig_values(self, monkeypatch):
         params = build_params(1024, 64 / 1024, 0.3, 0.5)
@@ -296,13 +337,13 @@ class TestGridQuadrature:
         montecarlo._grid_power(params, np.ones(n), t, np.ones((q, q)))
         monkeypatch.undo()
         # direct tables would evaluate 2 q N: cos and sin of q x N/2 phases
-        # on each axis
-        assert 0 < count[0] < q * n / 4
+        # on each axis; the mirror pairs leave N/4 + 1 columns per axis
+        assert 0 < count[0] < q * n / 8
 
     def test_peak_memory_is_bounded(self):
         # at most 1.0 complex (side x N) array alive at once: the GEMM operand
-        # the two GEMMs share holds (side/2) x (N/2) doubles twice, the x2
-        # trig once
+        # the two GEMMs share holds (side/2) x (N/4 + 1) doubles twice, the
+        # x2 trig once
         params = build_params(256, 4, 0.3, 0.5)
         side = 2 * quarter_grid(params)[0].size - 1
         assert (params.n_dirs, side) == (1024, 373)
@@ -315,12 +356,13 @@ class TestGridQuadrature:
         assert peak <= 1.0 * side * params.n_dirs * 16
 
     def test_block_walk_holds_one_table_and_one_block(self):
-        # the oracle_audit geometry, 11 row blocks of two 23-row steps: the
-        # q x N/2 x2 table, about 8 q**2 doubles of grid arrays (quarter_grid's
-        # window build peaks near 7) and one block; one 2q x N/2 GEMM operand
-        # with four q x q output blocks would peak near 36.9 MiB
+        # the oracle_audit geometry, 5 row blocks of five 23-row steps: the
+        # q x (N/4 + 1) x2 table of the mirror-paired slots, about 8 q**2
+        # doubles of grid arrays (quarter_grid's window build peaks near 7)
+        # and one block; one 2q x N/2 GEMM operand with four q x q output
+        # blocks would peak near 36.9 MiB
         params = build_params(1024, 4, 0.3, 0.5)
-        q, half = quarter_grid(params)[0].size, params.n_dirs // 2
+        q, slots = quarter_grid(params)[0].size, params.n_dirs // 4 + 1
         assert (params.n_dirs, q) == (4096, 490)
         tracemalloc.start()
         try:
@@ -328,7 +370,7 @@ class TestGridQuadrature:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (q * half + 8 * q * q + oscint._BLOCK_NODES)
+        assert peak <= 8 * (q * slots + 8 * q * q + oscint._BLOCK_NODES)
 
     def test_refuses_infeasible_parameters(self):
         params = build_params(600, 1, 0.0, 0.5)
@@ -571,9 +613,9 @@ class TestDiscretisationProbe:
         assert abs(measured - predicted) <= 0.2 * predicted
 
     def test_refuses_a_field_beyond_the_bound_before_allocating_it(self):
-        # rung 0 has N 32768 on a half axis of 1292 nodes: each GEMM operand
-        # would hold 2 * 1292 * 16384 doubles, about 339 MB, and |x| and the
-        # window 1292**2 doubles each; the refusal builds none of them
+        # rung 0 has N 32768 on a half axis of 1292 nodes: the x2 table would
+        # hold 1292 * 8193 doubles, about 85 MB, and |x| and the window
+        # 1292**2 doubles each; the refusal builds none of them
         params = build_params(4096, 8, 0.3, 0.5)
         q = quarter_grid(params)[0].size
         assert (params.n_dirs, q) == (32768, 1292)
