@@ -117,7 +117,8 @@ def enumerate_moments(kernel: PairKernel, p: float):
     sign tables gives all 2**N masses, and the weight p**(#+1) * (1-p)**(#-1)
     factors over the halves.  N * I_0, shared by every c, is added last and the
     variance taken in two passes, so nothing cancels.  N <= 20: one 2**N-double
-    mass array, weighted in row blocks of oscint._BLOCK_NODES in both passes.
+    mass array, weighted in row blocks of oscint._BLOCK_NODES in both passes,
+    each block by two matrix-vector products, wb_k @ (block @ wa).
     """
     coin_pair_moment(p)
     n = kernel.size
@@ -134,9 +135,9 @@ def enumerate_moments(kernel: PairKernel, p: float):
     masses += qa[None, :]
     rows = max(1, _BLOCK_NODES // wa.size)
     blocks = [slice(start, start + rows) for start in range(0, wb.size, rows)]
-    off_mean = sum(float(np.vdot(np.outer(wb[k], wa), masses[k])) for k in blocks)
+    off_mean = sum(float(wb[k] @ (masses[k] @ wa)) for k in blocks)
     return n * kernel.diagonal + off_mean, sum(
-        float(np.vdot(np.outer(wb[k], wa), (masses[k] - off_mean) ** 2)) for k in blocks)
+        float(wb[k] @ ((masses[k] - off_mean) ** 2 @ wa)) for k in blocks)
 
 
 def calibrate_constants(kernel: PairKernel) -> dict:

@@ -98,11 +98,21 @@ def sample_coefficients(params: WaveParams, seed: int,
 
 
 def _as_signs(coeffs, n: int) -> np.ndarray:
-    signs = np.asarray(coeffs, dtype=float)
+    """coeffs as N floats; refuses ragged nests and other shapes, dtypes other
+    than integers or floats (strings, bools, objects) and non-finite entries,
+    coercing none."""
+    try:
+        signs = np.asarray(coeffs)
+    except ValueError as exc:  # numpy refuses a ragged nest of sequences
+        raise ValueError(f"coeffs must convert to one array of shape ({n},): {exc}") from None
+    if signs.dtype.kind not in "iuf":
+        raise ValueError(f"coeffs must hold integers or floats, got dtype {signs.dtype}")
     if signs.shape != (n,):
-        raise ValueError(f"coefficient vector of length {signs.shape} does not "
-                         f"match {n} directions")
-    return signs
+        raise ValueError(f"coeffs must have shape ({n},) for {n} directions, "
+                         f"got shape {signs.shape}")
+    if not np.isfinite(signs).all():
+        raise ValueError(f"coeffs must be finite, got {signs[~np.isfinite(signs)][0]}")
+    return signs.astype(float, copy=False)
 
 
 def mass_quadratic_form(kernel: PairKernel, coeffs) -> float:
@@ -117,14 +127,16 @@ def mass_quadratic_form(kernel: PairKernel, coeffs) -> float:
 
 
 def mass_double_sum(kernel: PairKernel, coeffs) -> float:
-    """O(N**2) direct double sum sum_{j,l} c_j c_l I_jl; oracle path."""
+    """O(N**2) direct double sum sum_{j,l} c_j c_l I_jl; oracle path.
+
+    The lag sums L_k = sum_j c_j c_{j-k mod N} are the N + 1 dot products of
+    np.correlate over the doubled vector, with no FFT (lags[n - k] is L_k);
+    the mass is sum_k I_k L_k.
+    """
     signs = _as_signs(coeffs, kernel.size)
     n = kernel.size
-    ext = np.concatenate([signs, signs])  # ext[n - k:2n - k] is np.roll(signs, k)
-    acc = 0.0
-    for k in range(n):
-        acc += kernel.values[k] * float(signs @ ext[n - k:2 * n - k])
-    return acc
+    lags = np.correlate(np.concatenate([signs, signs]), signs, mode="valid")
+    return float(kernel.values @ lags[n:0:-1])
 
 
 def _angle_addition(t: np.ndarray, f: np.ndarray):

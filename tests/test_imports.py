@@ -7,7 +7,8 @@ both are left out.  It also refuses a module-level private name (`_x`, not a dun
 that no package module reads as a name, an attribute or an import alias; a
 module-level UPPER_CASE constant (`_X` included) that no package module, test
 or `perfbench/` file reads; and any import of scipy in a package module,
-however deeply nested.
+however deeply nested.  Every package module must parse at the Python floor
+that `pyproject.toml` declares.
 """
 
 import ast
@@ -164,6 +165,26 @@ def test_checker_sees_a_nested_scipy_import():
               "    from scipy.integrate import quad\n"
               "    if x:\n        import os, scipy.special as sp\n")
     assert scipy_imports(source) == [4, 6]
+
+
+def python_floor() -> tuple:
+    """(major, minor) of pyproject.toml's `requires-python = ">=X.Y"`."""
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert found is not None
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), filename=path.name, feature_version=python_floor())
+
+
+def test_floor_parse_sees_newer_syntax():
+    exception_group = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(exception_group, feature_version=(3, 11))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(exception_group, feature_version=(3, 10))
 
 
 # A fresh interpreter imports the CLI and builds the cutoff (a command's

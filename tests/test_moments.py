@@ -181,10 +181,11 @@ class TestEnumeration:
         monkeypatch.setattr(moments, "_BLOCK_NODES", 1)
         assert enumerate_moments(kernel, 0.62) == pytest.approx(whole, rel=1e-13)
 
-    def test_peak_memory_is_one_mass_array_and_two_blocks(self):
-        # the 2**20 masses, a block of coin weights and a block of centred
-        # squares, with a block's slack for the half tables and the dense
-        # kernel; whole 2**20 weight and centred arrays would peak near 24 MiB
+    def test_peak_memory_is_one_mass_array_and_one_block(self):
+        # the 2**20 masses and a block of centred squares, with a block's slack
+        # for the half tables and the dense kernel; a second block (an outer
+        # product of the coin weights, say) breaks the bound, and whole 2**20
+        # weight and centred arrays would peak near 24 MiB
         kernel = build_kernel(build_params(23.0, 20 / 23.0, 0.3, 0.62))
         assert kernel.size == 20
         tracemalloc.start()
@@ -193,7 +194,7 @@ class TestEnumeration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (2 ** 20 + 3 * moments._BLOCK_NODES)
+        assert peak <= 8 * (2 ** 20 + 2 * moments._BLOCK_NODES)
 
     @pytest.mark.parametrize("n_target,lam,alpha", [(19, 38.0, 0.45), (20, 23.0, 0.3)])
     def test_largest_sizes_match_closed_forms(self, n_target, lam, alpha):

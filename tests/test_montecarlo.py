@@ -13,7 +13,7 @@ from biasedwave import (build_params, cutoff_mass, darboux_error, e1_error_norm,
                         sample_coefficients)
 from biasedwave import montecarlo, oscint
 from biasedwave.model import build_directions, cutoff_value
-from biasedwave.oscint import build_kernel, quarter_grid
+from biasedwave.oscint import build_kernel, kernel_matrix, quarter_grid
 from biasedwave.specfun import bessel_j0
 
 
@@ -130,6 +130,20 @@ class TestQuadraticForm:
             slow = mass_double_sum(kernel, signs)
             assert fast == pytest.approx(slow, rel=1e-10)
 
+    def test_double_sum_matches_dense_form_and_lag_loop_at_odd_n(self, kernels):
+        # N 195 has no Nyquist lag; real non-sign coefficients weight every lag
+        kernel = kernels(65, 3, 0.5)
+        n = kernel.size
+        assert n == 195
+        c = np.random.default_rng(195).standard_normal(n)
+        value = mass_double_sum(kernel, c)
+        assert value == pytest.approx(float(c @ kernel_matrix(kernel) @ c), rel=1e-12)
+        ext = np.concatenate([c, c])
+        loop = 0.0
+        for k in range(n):  # the per-lag loop: np.roll(c, k) is ext[n - k:2n - k]
+            loop += kernel.values[k] * float(c @ ext[n - k:2 * n - k])
+        assert abs(value - loop) <= 1e-14 * abs(loop)
+
     @pytest.mark.parametrize("lam", [64, 128, 256])
     def test_matches_grid_quadrature(self, kernels, lam):
         kernel = kernels(lam, 1, 0.5)
@@ -170,6 +184,26 @@ class TestQuadraticForm:
         kernel = kernels(128, 2, 0.5)
         with pytest.raises(ValueError):
             mass_quadratic_form(kernel, np.ones(kernel.size - 1))
+
+    @pytest.mark.parametrize("entry", ["quadratic_form", "double_sum", "grid"])
+    @pytest.mark.parametrize("coeffs,message", [
+        (["1", "-1"] * 4, "integers or floats, got dtype <U2"),
+        ([True, False] * 4, "integers or floats, got dtype bool"),
+        ([1.0, math.nan] * 4, "finite, got nan"),
+        ([1.0, math.inf] * 4, "finite, got inf"),
+        ([[1.0, -1.0] * 4], r"shape \(8,\) for 8 directions, got shape \(1, 8\)"),
+        ([1.0, [1.0, -1.0]] + [1.0] * 6, r"convert to one array of shape \(8,\)"),
+    ], ids=["strings", "bools", "nan", "inf", "shape", "ragged"])
+    def test_refuses_bad_coefficients(self, kernels, entry, coeffs, message):
+        kernel = kernels(8, 1, 0.5)
+        assert kernel.size == 8
+        mass = {"quadratic_form": lambda c: mass_quadratic_form(kernel, c),
+                "double_sum": lambda c: mass_double_sum(kernel, c),
+                "grid": lambda c: grid_quadrature_mass(kernel.params, c)}[entry]
+        with pytest.raises(ValueError, match=f"coeffs must .*{message}"):
+            mass(coeffs)
+        signs = np.array([1, -1, -1, 1, 1, 1, -1, 1])  # integer signs stay accepted
+        assert mass(signs) == mass(signs.astype(float))
 
     def test_exhaustive_mean_ties_to_exact_expectation(self):
         # weight every sign vector by its probability and push it through the
