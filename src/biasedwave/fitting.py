@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _real_array
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -20,17 +22,15 @@ class FitResult:
 def fit_exponent(x, y) -> FitResult:
     """Fit y ~ C * x**slope by least squares on logarithms.
 
-    Requires at least 3 strictly positive finite points and two distinct x
-    values; the slope is invariant under rescaling either axis.
+    Needs 3 or more strictly positive points (arrays model._real_array admits)
+    and two distinct x values; the slope is invariant under rescaling either axis.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _real_array("x", x)
+    y = _real_array("y", y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValueError(f"need at least 3 points to fit an exponent, got {x.size}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("fit data must be finite")
     if np.min(x) <= 0.0 or np.min(y) <= 0.0:
         raise ValueError("fit data must be strictly positive")
     lx = np.log(x)

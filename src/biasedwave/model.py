@@ -60,9 +60,38 @@ def _is_integer(value) -> bool:
 
 
 def _check_real(name: str, value) -> None:
-    """Refuse value, by name, if it is a bool (numpy's too) or not a finite real number."""
-    if not (isinstance(value, Real) and math.isfinite(value)) or isinstance(value, bool):
+    """Refuse value, by name, if it is a bool or not a real number with a finite float value."""
+    try:
+        real = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        real = False
+    if not real:
         raise ValueError(f"{name} must be a finite real number (not a bool), got {value!r}")
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse value, by name, unless _is_integer holds and low <= value (< high, if given)."""
+    if not (_is_integer(value) and low <= value and (high is None or value < high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer (not a bool) {span}, got {value!r}")
+
+
+def _real_array(name: str, value, shape: tuple | None = None, what: str = "") -> np.ndarray:
+    """value as a float array (float input uncopied), refused by name if it is a ragged
+    nest, holds anything but integers or floats (bools, strings, complex, objects), has
+    a shape other than `shape` (if given; `what` follows it in the message) or a NaN or inf."""
+    of_shape = "" if shape is None else f" of shape {shape}"
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # numpy refuses a ragged nest of sequences
+        raise ValueError(f"{name} must convert to one array{of_shape}: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}{what}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr.astype(float, copy=False)
 
 
 def build_params(lam: float, gamma: float, alpha: float, p: float) -> WaveParams:
@@ -129,10 +158,7 @@ def cutoff_value(t):
     with g(s) = exp(-1/s) for s > 0 and 0 otherwise, so both support conditions
     hold exactly and the profile is monotone on [1, 2].
     """
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cutoff argument must be finite")
-    u = np.abs(arr)
+    u = np.abs(_real_array("t", t))
     out = np.zeros_like(u)
     out[u <= FLAT_RADIUS] = 1.0
     mid = (u > FLAT_RADIUS) & (u < SUPPORT_RADIUS)

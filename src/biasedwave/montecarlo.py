@@ -30,7 +30,8 @@ from numpy.random import Generator, Philox
 
 from . import oscint
 from .fitting import fit_exponent
-from .model import WaveParams, _is_integer, build_directions, build_params
+from .model import (WaveParams, _check_integer, _real_array, build_directions,
+                    build_params)
 from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, dyadic_sum_check,
                      quarter_grid)
 from .specfun import bessel_j0
@@ -48,8 +49,7 @@ def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray
     seed and start must be integers (not bools) in [0, 2**64); neither is coerced.
     """
     for name, value in (("seed", seed), ("sample_index", start)):
-        if not _is_integer(value) or not 0 <= value < 2 ** 64:
-            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        _check_integer(name, value, 0, 2 ** 64)
     bitgen = Philox(0)
     gen = Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -97,24 +97,6 @@ def sample_coefficients(params: WaveParams, seed: int,
     return signs
 
 
-def _as_signs(coeffs, n: int) -> np.ndarray:
-    """coeffs as N floats; refuses ragged nests and other shapes, dtypes other
-    than integers or floats (strings, bools, objects) and non-finite entries,
-    coercing none."""
-    try:
-        signs = np.asarray(coeffs)
-    except ValueError as exc:  # numpy refuses a ragged nest of sequences
-        raise ValueError(f"coeffs must convert to one array of shape ({n},): {exc}") from None
-    if signs.dtype.kind not in "iuf":
-        raise ValueError(f"coeffs must hold integers or floats, got dtype {signs.dtype}")
-    if signs.shape != (n,):
-        raise ValueError(f"coeffs must have shape ({n},) for {n} directions, "
-                         f"got shape {signs.shape}")
-    if not np.isfinite(signs).all():
-        raise ValueError(f"coeffs must be finite, got {signs[~np.isfinite(signs)][0]}")
-    return signs.astype(float, copy=False)
-
-
 def mass_quadratic_form(kernel: PairKernel, coeffs) -> float:
     """Smoothed local mass of one realisation via the kernel spectrum.
 
@@ -122,7 +104,8 @@ def mass_quadratic_form(kernel: PairKernel, coeffs) -> float:
     from a real-input FFT over the half spectrum (the code Monte Carlo uses);
     equals the direct double sum over pairs at O(N log N) cost.
     """
-    signs = _as_signs(coeffs, kernel.size)
+    n = kernel.size
+    signs = _real_array("coeffs", coeffs, (n,), f" for {n} directions")
     return float(_block_masses(kernel, signs[None, :])[0])
 
 
@@ -133,8 +116,8 @@ def mass_double_sum(kernel: PairKernel, coeffs) -> float:
     np.correlate over the doubled vector, with no FFT (lags[n - k] is L_k);
     the mass is sum_k I_k L_k.
     """
-    signs = _as_signs(coeffs, kernel.size)
     n = kernel.size
+    signs = _real_array("coeffs", coeffs, (n,), f" for {n} directions")
     lags = np.correlate(np.concatenate([signs, signs]), signs, mode="valid")
     return float(kernel.values @ lags[n:0:-1])
 
@@ -259,8 +242,9 @@ def grid_quadrature_mass(params: WaveParams, coeffs,
     skips the columns each block's window leaves at zero.  Refuses what
     quarter_grid refuses for the one field of N directions.
     """
-    signs = _as_signs(coeffs, params.n_dirs)
-    t, h, _, window = quarter_grid(params, points_per_wavelength, (params.n_dirs,))
+    n = params.n_dirs
+    signs = _real_array("coeffs", coeffs, (n,), f" for {n} directions")
+    t, h, _, window = quarter_grid(params, points_per_wavelength, (n,))
     return float(h * h * np.sum(window * _grid_power(params, signs, t, window)))
 
 
@@ -293,10 +277,7 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     """
     # imported here: at module level it would add to every command's import time
     from concurrent.futures import ThreadPoolExecutor
-    if not _is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    _check_integer("samples", samples, MIN_MC_SAMPLES)
     n = kernel.size
     masses = np.empty(samples)
     batch = max(1, oscint._BLOCK_NODES // n)
@@ -352,8 +333,7 @@ class DarbouxProbe:
 
 def _gamma_ladder(params: WaveParams, n_doublings: int):
     """gamma, 2 gamma, ..., 2**n_doublings gamma at fixed lam, and each rung's params."""
-    if not _is_integer(n_doublings) or n_doublings < 0:
-        raise ValueError(f"n_doublings must be a non-negative integer, got {n_doublings!r}")
+    _check_integer("n_doublings", n_doublings, 0)
     gammas = params.gamma * 2.0 ** np.arange(n_doublings + 1)
     return gammas, [build_params(params.lam, gamma, params.alpha, params.p)
                     for gamma in gammas]
@@ -361,9 +341,9 @@ def _gamma_ladder(params: WaveParams, n_doublings: int):
 
 def darboux_error(params: WaveParams, x_magnitudes, n_doublings: int = 4) -> DarbouxProbe:
     """Riemann error and Darboux gap across gamma, gamma*2, ..., at fixed lam."""
-    xs = np.atleast_1d(np.asarray(x_magnitudes, dtype=float))
-    if not np.all((xs >= 0.0) & (xs <= 2.0 * params.ball_radius)):  # NaN fails both
-        raise ValueError("|x| must be finite and lie in [0, 2 * lam**-alpha]")
+    xs = np.atleast_1d(_real_array("|x|", x_magnitudes))
+    if not np.all((xs >= 0.0) & (xs <= 2.0 * params.ball_radius)):
+        raise ValueError("|x| must lie in [0, 2 * lam**-alpha]")
     gammas, rungs = _gamma_ladder(params, n_doublings)
     w = params.lam * xs
     riemann = np.empty((xs.size, gammas.size))

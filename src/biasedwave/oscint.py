@@ -31,9 +31,9 @@ from numpy.fft import fft
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from . import _wtable
-from .model import (SUPPORT_RADIUS, WaveParams, _check_real, _derivative_bounds,
-                    _is_integer, _panel_rule, build_cutoff, build_directions,
-                    cutoff_value)
+from .model import (SUPPORT_RADIUS, WaveParams, _check_integer, _check_real,
+                    _derivative_bounds, _panel_rule, _real_array, build_cutoff,
+                    build_directions, cutoff_value)
 from .specfun import bessel_j0
 
 GL_ORDER = 12
@@ -77,7 +77,10 @@ def _rule_integrals(s_values, npanels: int, order: int) -> np.ndarray:
 
 
 def reduced_pair_integral(s: float, order: int = GL_ORDER) -> float:
-    """W(s) = 2*pi * integral_0^2 a(t)^2 J0(s t) t dt by panel quadrature."""
+    """W(s) = 2*pi * integral_0^2 a(t)^2 J0(s t) t dt by panel quadrature, s >= 0."""
+    _check_real("s", s)
+    if s < 0.0:
+        raise ValueError(f"s must be >= 0, got {s!r}")
     return float(_rule_integrals([s], _panel_count(s), order)[0])
 
 
@@ -184,9 +187,9 @@ def profile_table(s_values):
 
 
 def _separations(d) -> np.ndarray:
-    """d as a float array; each entry, NaN included, must lie in [0, 2]."""
-    arr = np.asarray(d, dtype=float)
-    outside = ~((arr >= 0.0) & (arr <= 2.0))
+    """d as a float array that _real_array admits; each entry must lie in [0, 2]."""
+    arr = _real_array("chord separation", d)
+    outside = (arr < 0.0) | (arr > 2.0)
     if outside.any():
         raise ValueError(f"chord separation must lie in [0, 2], got {arr[outside][0]}")
     return arr
@@ -228,9 +231,7 @@ def quarter_grid(params: WaveParams,
     MAX_GRID_NODES full-grid nodes, then the first direction count N in
     fields (one per field the caller evaluates) with N * t.size > MAX_GRID_FIELD.
     """
-    if not _is_integer(points_per_wavelength) or points_per_wavelength < 1:
-        raise ValueError(f"points_per_wavelength must be a positive integer, "
-                         f"got {points_per_wavelength!r}")
+    _check_integer("points_per_wavelength", points_per_wavelength, 1)
     h = (2.0 * np.pi / params.lam) / points_per_wavelength
     m = int(math.ceil(SUPPORT_RADIUS * params.ball_radius / h))
     side, q = 2 * m + 1, m + 1
@@ -281,12 +282,9 @@ def decay_constant(n: int) -> float:
     single (1 + d/scale)**-n form, and 4*pi is the support volume factor.  One
     shared constant per band (n <= 4, n <= 8) keeps the bound monotone in n.
     """
-    if not _is_integer(n) or n < 0:
-        raise ValueError(f"decay order must be a non-negative integer, got {n!r}")
     bounds = _derivative_bounds()
     order = bounds.shape[0] - 1
-    if n > order:
-        raise ValueError(f"decay order {n} exceeds tabulated derivatives ({order})")
+    _check_integer("decay order", n, 0, order + 1)  # orders the table covers
     cap = 4 if n <= 4 else order
     directional = 0.0
     for k in range(1, cap + 1):
@@ -365,32 +363,23 @@ def profile_rows(geometries) -> list:
 def build_kernel(params: WaveParams, row=None) -> PairKernel:
     """The kernel of params: the circulant row from the profile table, diagonalised.
 
-    row holds W at separations k = 0..N//2, as profile_rows gives it: read
-    once by np.asarray, it must hold integers or floats, all finite, since
-    the PSD floor check passes NaN; when row is None, build_kernel looks it
-    up itself.  The rest of the row mirrors by the chord symmetry
-    d_k = d_{N-k}, which also makes the DFT exactly real.  The row does no
-    quadrature: it reads the committed table, whose every piece the tests
-    regenerate and check against the direct order-GL_REFINE_ORDER rule.
-    The read-only row and spectrum depend on (N, lam, alpha) alone, so a
-    caller with several coins of one geometry builds once and gives each
-    coin dataclasses.replace(kernel, params=...).
+    row holds W at separations k = 0..N//2, as profile_rows gives it, and
+    must pass model._real_array at that shape (finite, since the PSD floor
+    check passes NaN); when row is None, build_kernel looks it up itself.
+    The rest of the row mirrors by the chord symmetry d_k = d_{N-k}, which
+    also makes the DFT exactly real.  The row does no quadrature: it reads
+    the committed table, whose every piece the tests regenerate and check
+    against the direct order-GL_REFINE_ORDER rule.  The read-only row and
+    spectrum depend on (N, lam, alpha) alone, so a caller with several
+    coins of one geometry builds once and gives each coin
+    dataclasses.replace(kernel, params=...).
     """
     n, lam, alpha = params.n_dirs, params.lam, params.alpha
     if n > MAX_KERNEL_SIZE:
         raise ValueError(f"kernel size {n} exceeds {MAX_KERNEL_SIZE}")
     half = n // 2
-    try:
-        row = profile_rows([params])[0] if row is None else np.asarray(row)
-    except (TypeError, ValueError) as exc:  # numpy refuses a ragged nest of sequences
-        raise ValueError(f"row must convert to one array of shape ({half + 1},): {exc}") from None
-    if row.dtype.kind not in "iuf":
-        raise ValueError(f"row must hold integers or floats, got dtype {row.dtype}")
-    if row.shape != (half + 1,):
-        raise ValueError(f"row must have shape ({half + 1},) for N = {n}, got {row.shape}")
-    if not np.isfinite(row).all():
-        raise ValueError(f"row must be finite, got {row[~np.isfinite(row)][0]}")
-
+    row = (profile_rows([params])[0] if row is None
+           else _real_array("row", row, (half + 1,), f" for N = {n}"))
     values = np.empty(n)
     values[:half + 1] = lam ** (-2.0 * alpha) * row
     values[half + 1:] = values[1:n - half][::-1]  # an empty slice at N = 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import FitResult, fit_exponent
+from .model import _check_real, _real_array
 
 J0_SWITCH = 25.0
 TRAPEZOID_NODES = 72
@@ -83,12 +84,12 @@ def bessel_j0(z):
     """J0(z) for finite z >= 0, to about 5e-16 absolute.
 
     Bessel's integral by the trapezoid rule below J0_SWITCH, Hankel's
-    expansion from it on.  Returns a float for scalar z and raises ValueError
-    on negative or non-finite input.
+    expansion from it on.  Returns a float for scalar z; z must pass
+    model._real_array, and a negative z raises ValueError.
     """
-    arr = np.asarray(z, dtype=float)
-    if arr.size and (np.min(arr) < 0.0 or not np.all(np.isfinite(arr))):
-        raise ValueError("bessel_j0 requires finite z >= 0")
+    arr = _real_array("z", z)
+    if arr.size and np.min(arr) < 0.0:
+        raise ValueError("bessel_j0 requires z >= 0")
     out = np.empty_like(arr)
     near = arr < J0_SWITCH
     out[near] = _j0_trapezoid(arr[near])
@@ -106,7 +107,7 @@ def angular_integral(w):
 
 def stationary_leading_term(w):
     """Leading stationary-phase approximation 2*sqrt(2*pi)*w**-0.5*cos(w - pi/4)."""
-    w = np.asarray(w, dtype=float)
+    w = _real_array("w", w)
     return 2.0 * np.sqrt(2.0 * np.pi) * w ** (-0.5) * np.cos(w - np.pi / 4.0)
 
 
@@ -131,7 +132,7 @@ class AsymptoticCheck:
 
 def asymptotic_check(w) -> AsymptoticCheck:
     """Residual of 2*pi*J0 against its leading term at the arguments (all > 1)."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
+    w = np.atleast_1d(_real_array("w", w))
     if np.min(w) <= 1.0:
         raise ValueError("asymptotic comparison requires w > 1")
     residual = angular_integral(w) - stationary_leading_term(w)
@@ -146,8 +147,10 @@ def residual_probe_points(w_min: float, w_max: float) -> np.ndarray:
     envelope is cleanly sampled at these points; elsewhere sign changes make
     pointwise magnitudes unusable for slope fits.
     """
-    if not (0.0 < w_min < w_max and np.isfinite(w_max)):
-        raise ValueError(f"need finite 0 < w_min < w_max, got {w_min!r} and {w_max!r}")
+    for name, value in (("w_min", w_min), ("w_max", w_max)):
+        _check_real(name, value)
+    if not 0.0 < w_min < w_max:
+        raise ValueError(f"need 0 < w_min < w_max, got {w_min!r} and {w_max!r}")
     k_lo = int(np.ceil((w_min - 0.75 * np.pi) / np.pi))
     k_hi = int(np.floor((w_max - 0.75 * np.pi) / np.pi))
     if k_hi < k_lo:
@@ -175,7 +178,8 @@ def surface_wave_envelope(lam: float, radii) -> EnvelopeTable:
     maxima is returned.  Radii must be positive and sorted, fine enough to
     resolve the oscillation (several samples per period pi/lam).
     """
-    radii = np.asarray(radii, dtype=float)
+    _check_real("lam", lam)
+    radii = _real_array("radii", radii)
     if radii.ndim != 1 or radii.size < 3:
         raise ValueError("radii must be a 1-d array with at least 3 entries")
     if np.min(radii) <= 0.0 or np.any(np.diff(radii) <= 0.0):

@@ -6,9 +6,11 @@ reads; `__init__.py` re-exports by design and `_wtable.py` is generated, so
 both are left out.  It also refuses a module-level private name (`_x`, not a dunder)
 that no package module reads as a name, an attribute or an import alias; a
 module-level UPPER_CASE constant (`_X` included) that no package module, test
-or `perfbench/` file reads; and any import of scipy in a package module,
-however deeply nested.  Every package module must parse at the Python floor
-that `pyproject.toml` declares.
+or `perfbench/` file reads; any import of scipy in a package module,
+however deeply nested; and, outside `model.py`, any read of `.dtype.kind` or
+call of `_is_integer`, since `model` alone decides what numeric input is
+accepted.  Every package module must parse at the Python floor that
+`pyproject.toml` declares.
 """
 
 import ast
@@ -165,6 +167,34 @@ def test_checker_sees_a_nested_scipy_import():
               "    from scipy.integrate import quad\n"
               "    if x:\n        import os, scipy.special as sp\n")
     assert scipy_imports(source) == [4, 6]
+
+
+def input_rule_reads(source: str) -> list:
+    """Line of each `.dtype.kind` read and each call of `_is_integer`, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and "_is_integer" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_model_reads_the_numeric_input_rule():
+    found = [(p.name, line) for p in sorted(PACKAGE.glob("*.py")) if p.name != "model.py"
+             for line in input_rule_reads(p.read_text())]
+    assert found == []
+    assert input_rule_reads((PACKAGE / "model.py").read_text()) != []
+
+
+def test_checker_sees_an_input_rule_read():
+    source = ("import numpy as np\nfrom . import model\nfrom .model import _is_integer\n"
+              "def f(a, n, kind):\n    if a.dtype.kind == 'f' and _is_integer(n):\n"
+              "        return model._is_integer(len(a))\n"
+              "    return np.asarray(a).dtype.kind, kind.kind, a.dtype\n")
+    assert input_rule_reads(source) == [5, 5, 6, 7]
 
 
 def python_floor() -> tuple:

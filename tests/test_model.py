@@ -1,11 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from biasedwave import build_cutoff, build_directions, build_params, cutoff_mass, \
-    cutoff_value
-from biasedwave.model import _derivative_bounds, _gauss_legendre
+from biasedwave import (asymptotic_check, bessel_j0, build_cutoff, build_directions,
+                        build_kernel, build_params, cutoff_mass, cutoff_value,
+                        darboux_error, decay_bound, e1_error_norm, fit_exponent,
+                        grid_quadrature_mass, mass_double_sum, mass_quadratic_form,
+                        mc_moments, sample_coefficients,
+                        stationary_leading_term, surface_wave_envelope)
+from biasedwave.model import (_check_integer, _derivative_bounds, _gauss_legendre,
+                              _real_array)
+from biasedwave.oscint import decay_constant, quarter_grid
 
 
 class TestBuildParams:
@@ -29,6 +36,7 @@ class TestBuildParams:
         dict(lam=1e300, gamma=1e10),  # gamma * lam overflows to inf
         dict(p=True), dict(alpha=False), dict(gamma=np.bool_(True)),
         dict(lam="64"), dict(gamma="1"), dict(alpha=None), dict(p=0.5 + 0j),
+        dict(lam=10 ** 400), dict(p=-10 ** 400),  # beyond the float range
     ])
     def test_rejects_bad_inputs(self, kwargs):
         good = dict(lam=64.0, gamma=2.0, alpha=0.5, p=0.5)
@@ -183,3 +191,90 @@ class TestDerivativeBounds:
         bounds = _derivative_bounds()
         for m, value in enumerate(frozen, start=1):
             assert bounds[m] == pytest.approx(value, rel=1e-5)
+
+
+def _small_kernel():
+    kernel = build_kernel(build_params(8, 1, 0.5, 0.5))
+    assert kernel.size == 8
+    return kernel
+
+
+# each public array argument: the name its refusals give, and a call with it
+ARRAY_ARGUMENTS = {
+    "bessel_j0": ("z", bessel_j0),
+    "cutoff_value": ("t", cutoff_value),
+    "decay_bound": ("chord separation",
+                    lambda a: decay_bound(build_params(64, 8, 0.5, 0.5), a, 2)),
+    "darboux_error": ("|x|", lambda a: darboux_error(build_params(64, 2, 0.5, 0.5), a)),
+    "asymptotic_check": ("w", asymptotic_check),
+    "stationary_leading_term": ("w", stationary_leading_term),
+    "surface_wave_envelope": ("radii", lambda a: surface_wave_envelope(8.0, a)),
+    "fit_exponent.x": ("x", lambda a: fit_exponent(a, [1.0, 2.0, 3.0])),
+    "fit_exponent.y": ("y", lambda a: fit_exponent([1.0, 2.0, 3.0], a)),
+    "mass_quadratic_form": ("coeffs", lambda a: mass_quadratic_form(_small_kernel(), a)),
+    "mass_double_sum": ("coeffs", lambda a: mass_double_sum(_small_kernel(), a)),
+    "grid_quadrature_mass": ("coeffs",
+                             lambda a: grid_quadrature_mass(_small_kernel().params, a)),
+    "build_kernel.row": ("row", lambda a: build_kernel(build_params(64, 1, 0.5, 0.5), a)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("bad,refusal", [
+    (["2", "3", "4"], "hold integers or floats, got dtype <U1"),
+    ([True, False, True], "hold integers or floats, got dtype bool"),
+    ([2.0 + 0j, 3.0, 4.0], "hold integers or floats, got dtype complex128"),
+    ([2.0, [3.0, 4.0], 4.0], "convert to one array"),
+], ids=["strings", "bools", "complex", "ragged"])
+def test_array_arguments_are_never_coerced(entry, bad, refusal):
+    name, call = ARRAY_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must {refusal}"):
+        call(bad)
+
+
+# each integer argument: the name its refusals give, its least value, and a call
+INTEGER_ARGUMENTS = {
+    "seed": ("seed", 0, lambda n: sample_coefficients(build_params(64, 2, 0.5, 0.5), n)),
+    "sample_index": ("sample_index", 0,
+                     lambda n: sample_coefficients(build_params(64, 2, 0.5, 0.5), 0, n)),
+    "samples": ("samples", 100, lambda n: mc_moments(_small_kernel(), n, 0)),
+    "n_doublings": ("n_doublings", 0,
+                    lambda n: e1_error_norm(build_params(64, 8, 0.5, 0.5), n)),
+    "points_per_wavelength": ("points_per_wavelength", 1,
+                              lambda n: quarter_grid(build_params(64, 8, 0.5, 0.5), n)),
+    "decay_order": ("decay order", 0, decay_constant),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, np.float64(3.0), "3", None, "low"])
+def test_integer_arguments_are_never_coerced(entry, bad):
+    name, low, call = INTEGER_ARGUMENTS[entry]
+    value = low - 1 if bad == "low" else bad
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer \(not a bool\)"):
+        call(value)
+
+
+def test_integer_check_bounds():
+    _check_integer("n", 5, 5)
+    _check_integer("n", np.uint64(2 ** 64 - 1), 0, 2 ** 64)
+    for value, match in ((4, r"^n must be an integer \(not a bool\) >= 5, got 4$"),
+                         (10, r"^n must be an integer \(not a bool\) in \[5, 10\), got 10$")):
+        with pytest.raises(ValueError, match=match):
+            _check_integer("n", value, 5, 10 if value == 10 else None)
+    with pytest.raises(ValueError, match="decay order must be an integer"):
+        decay_constant(9)  # the table holds orders 0..8
+
+
+def test_real_array_reads_numbers_without_coercing_them():
+    floats = np.linspace(0.0, 1.0, 4)
+    assert _real_array("a", floats) is floats  # float input is not copied
+    ints = _real_array("a", [1, 2, 3], (3,))
+    assert ints.dtype == np.float64 and ints.tolist() == [1.0, 2.0, 3.0]
+    assert _real_array("a", np.float32(0.5)).dtype == np.float64
+    for bad, match in (([1.0, 2.0], r"^a must have shape \(3,\) for N, got shape \(2,\)$"),
+                       ([1.0, math.inf, 2.0], r"^a must be finite, got inf$"),
+                       ([1.0, [2.0], 3.0], r"^a must convert to one array of shape \(3,\): "),
+                       ([10 ** 400] * 3, r"^a must hold integers or floats, got dtype object$")):
+        with pytest.raises(ValueError, match=match):
+            _real_array("a", bad, (3,), " for N")

@@ -33,6 +33,11 @@ class TestCoinPairMoment:
         with pytest.raises(ValueError, match=r"\bp\b"):
             exact_variance_generic(kernel, p=np.True_)
 
+    @pytest.mark.parametrize("p", [10 ** 400, -10 ** 400], ids=["big", "-big"])
+    def test_refuses_an_int_beyond_the_float_range(self, p):
+        with pytest.raises(ValueError, match=r"^p must be a finite real number"):
+            coin_pair_moment(p)
+
 
 class TestExactExpectation:
     def test_fair_coin_is_pure_diagonal(self, kernels):

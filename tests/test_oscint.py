@@ -72,6 +72,21 @@ class TestPairIntegral:
                 with pytest.raises(ValueError, match=r"\bd\b"):
                     oracle(params, d)
 
+    @pytest.mark.parametrize("oracle", [pair_integral, pair_integral_2d_oracle])
+    @pytest.mark.parametrize("d", [10 ** 400, -10 ** 400], ids=["big", "-big"])
+    def test_refuses_an_int_beyond_the_float_range(self, oracle, d):
+        with pytest.raises(ValueError, match=r"^d must be a finite real number"):
+            oracle(build_params(64, 1, 0.5, 0.5), d)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, True, "3", 10 ** 400, -3.0, -1000],
+                             ids=["inf", "nan", "bool", "str", "big", "-3", "-1000"])
+    def test_reduced_pair_integral_refuses_s_by_name(self, s):
+        # pair_integral passes s >= 0 only; the refusals used to come from
+        # int(), bessel_j0 or np.empty, or not at all (True read as 1)
+        match = "be >= 0" if s in (-3.0, -1000) else "be a finite real number"
+        with pytest.raises(ValueError, match=f"^s must {match}"):
+            reduced_pair_integral(s)
+
     def test_panel_rule_arrays_are_the_callers_own(self):
         # writing into a returned rule must not reach a later integral, as
         # it would through a cache that hands every caller the same arrays
@@ -293,11 +308,14 @@ class TestDecayBound:
             decay_bound(params, 0.5, 9)
 
 
-    @pytest.mark.parametrize("d", [-1.0, -64 ** -0.5, 3.0, math.nan])
-    def test_rejects_separation_outside_zero_to_two(self, d):
+    @pytest.mark.parametrize("d,match", [
+        (-1.0, r"lie in \[0, 2\]"), (-64 ** -0.5, r"lie in \[0, 2\]"),
+        (3.0, r"lie in \[0, 2\]"), (math.nan, "be finite, got nan"),
+    ], ids=["-1.0", "-0.125", "3.0", "nan"])
+    def test_rejects_separation_outside_zero_to_two(self, d, match):
         params = build_params(64, 8, 0.5, 0.5)
         for value in (d, np.array([0.0, d, 1.0])):
-            with pytest.raises(ValueError, match=r"chord separation must lie in \[0, 2\]"):
+            with pytest.raises(ValueError, match=f"chord separation must {match}"):
                 decay_bound(params, value, 2)
 
     def test_rejects_fractional_order(self):

@@ -131,6 +131,14 @@ class TestAngularIntegral:
         with pytest.raises(ValueError, match="no probe points"):
             residual_probe_points(3.0, 3.1)  # between 0.75 pi and 1.75 pi
 
+    @pytest.mark.parametrize("w_min,w_max,name", [
+        (True, 50.0, "w_min"), (np.True_, 50.0, "w_min"), ("10", 50.0, "w_min"),
+        (10.0, "50", "w_max"), (10.0, 10 ** 400, "w_max"), (math.nan, 50.0, "w_min"),
+    ], ids=["bool", "numpy-bool", "str-min", "str-max", "big-max", "nan-min"])
+    def test_probe_window_is_never_coerced(self, w_min, w_max, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite real number"):
+            residual_probe_points(w_min, w_max)
+
     def test_check_requires_oscillatory_regime(self):
         with pytest.raises(ValueError):
             asymptotic_check([0.5, 2.0])
@@ -161,6 +169,13 @@ class TestSurfaceWaveEnvelope:
         large = surface_wave_envelope(32.0, base / 32.0)
         ratio = large.magnitudes / small.magnitudes
         assert np.max(np.abs(ratio - np.sqrt(2.0))) < 1e-9
+
+    @pytest.mark.parametrize("lam", ["2", True, None, math.inf, 10 ** 400],
+                             ids=["str", "bool", "none", "inf", "big"])
+    def test_refuses_a_frequency_that_is_no_finite_real_number(self, lam):
+        radii = np.linspace(5.0, 500.0, 4000) / 7.0
+        with pytest.raises(ValueError, match=r"^lam must be a finite real number"):
+            surface_wave_envelope(lam, radii)
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
