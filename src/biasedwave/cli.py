@@ -27,8 +27,8 @@ from .fitting import fit_exponent
 from .model import build_directions, build_params
 from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       build_report, calibrate_constants)
-from .montecarlo import (MIN_MC_SAMPLES, grid_quadrature_mass, mass_quadratic_form,
-                         mc_moments, sample_coefficients)
+from .montecarlo import (MIN_MC_SAMPLES, SAMPLING, grid_quadrature_mass,
+                         mass_quadratic_form, mc_moments, sample_coefficients)
 from .oscint import (GL_ORDER, GL_REFINE_ORDER, PAIR_REL_TOL, S_CUT,
                      TABLE_DEGREE, TABLE_MAX_DRIFT, TABLE_PANEL_WIDTH,
                      build_kernel, profile_rows)
@@ -427,6 +427,7 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
                        "pair_rel_tol": PAIR_REL_TOL},
         "calibrations": {f"gamma={g},alpha={a}": c
                          for (g, a), c in sorted(calibrations.items())},
+        "sampling": {**SAMPLING, "key": "[seed + row, 0]"},
     }
 
 

@@ -76,10 +76,12 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer (not a bool) {span}, got {value!r}")
 
 
-def _real_array(name: str, value, shape: tuple | None = None, what: str = "") -> np.ndarray:
+def _real_array(name: str, value, shape: tuple | None = None, what: str = "",
+                finite: bool = True) -> np.ndarray:
     """value as a float array (float input uncopied), refused by name if it is a ragged
     nest, holds anything but integers or floats (bools, strings, complex, objects), has
-    a shape other than `shape` (if given; `what` follows it in the message) or a NaN or inf."""
+    a shape other than `shape` (if given; `what` follows it in the message) or, when
+    `finite` holds, a NaN or inf."""
     of_shape = "" if shape is None else f" of shape {shape}"
     try:
         arr = np.asarray(value)
@@ -89,7 +91,7 @@ def _real_array(name: str, value, shape: tuple | None = None, what: str = "") ->
         raise ValueError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}{what}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     return arr.astype(float, copy=False)
 

@@ -1,22 +1,24 @@
 """Coefficient sampling, per-sample mass evaluation, and discretisation probes.
 
-Sampling is counter-based: the sign vector of sample i under master seed s is
-+1 where Generator(Philox(key=[s, i])).random(N) falls below p, a pure function
-of (s, i, coefficient index), so results are reproducible under any execution
-schedule.  A block of samples re-keys one Philox bit generator per row of a
-preallocated block; no generator is built and no OS entropy is drawn per
-sample, and the streams are the keyed streams bit for bit.  Monte Carlo walks
-sign blocks of oscint._BLOCK_NODES doubles on a thread pool with one worker per
-CPU of the process's affinity; the block boundaries depend only on N and the
-sample count, so the mc_* columns do not depend on the worker count.  Masses use
-the circulant diagonalisation Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an
-O(N**2) quadratic form into a real-input FFT over the half spectrum; Monte
-Carlo and single-sample masses share both steps.  The planar-grid oracles sum
-over mirror-paired directions, a quarter of N for even N, and walk row blocks
-of the quarter grid under the same budget.  The module also probes
-how well equispaced direction sums reproduce their angular integrals
-(Riemann/Darboux error and the pairwise aggregate that the moment bounds are
-built from).
+Sampling is counter-based: under master seed s, sample i takes the
+M = 4 * ceil(N / 8) raw words of Philox(counter=i * M // 4, key=[s, 0]), so
+the samples sit end to end in one stream, and sign j is +1 where the j-th
+32-bit half of those words (low half first) falls below ceil(p * 2**32).  A
+sign is a pure function of (s, i, N, j), so results are reproducible under any
+execution schedule, and the coin is Bernoulli(ceil(p * 2**32) / 2**32),
+within 2**-32 of p.  A block of samples sets one Philox bit generator to its
+first counter and draws the whole stretch; no OS entropy is drawn.  Monte
+Carlo walks sign blocks of oscint._BLOCK_NODES doubles on a thread pool with
+one worker per CPU of the process's affinity; the block boundaries depend only
+on N and the sample count, so the mc_* columns do not depend on the worker
+count.  Masses use the circulant diagonalisation
+Q(c) = sum_m mu_m |c_hat_m|**2 / N, turning an O(N**2) quadratic form into a
+real-input FFT over the half spectrum; Monte Carlo and single-sample masses
+share both steps.  The planar-grid oracles sum over mirror-paired directions,
+a quarter of N for even N, and walk row blocks of the quarter grid under the
+same budget.  The module also probes how well equispaced direction sums
+reproduce their angular integrals (Riemann/Darboux error and the pairwise
+aggregate that the moment bounds are built from).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import rfft
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from . import oscint
 from .fitting import fit_exponent
@@ -37,32 +39,46 @@ from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, dyadic_sum_check,
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
+_COIN_BITS = 32  # a 64-bit Philox word gives two draws
+# the sign stream of _keyed_signs, as a run's metadata records it beside the key
+SAMPLING = {"bit_generator": "Philox4x64-10", "words_per_sample": "4 * ceil(N / 8)",
+            "draws_per_word": 64 // _COIN_BITS, "coin_resolution": 2.0 ** -_COIN_BITS}
 _OSC_SUBSAMPLES = 17
 
 
 def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
     """Signs of samples start, start+1, ... into the rows of `out`, in place.
 
-    Row r is +1 where Generator(Philox(key=[seed, start + r])).random(N) falls
-    below p, bit for bit: one bit generator, seeded without OS entropy, is
-    re-keyed at counter 0 with an empty buffer before each row is filled.
-    seed and start must be integers (not bools) in [0, 2**64); neither is coerced.
+    With M = 4 * ceil(N / 8), row r holds sample i = start + r: the M raw words
+    of Philox(counter=i * M // 4, key=[seed, 0]).random_raw(M), whole Philox
+    blocks i * M / 4 + 1 ... (i + 1) * M / 4, so the rows are one stretch of
+    one stream.  Sign j is +1 where the j-th 32-bit half of those words, low
+    half first, falls below ceil(p * 2**32).  One bit generator, seeded without
+    OS entropy, is set to the block's first counter and draws the stretch in
+    chunks of whole rows of at most oscint._BLOCK_NODES // 8 words (or one
+    row), each compared straight into its rows.  seed and start must be
+    integers (not bools) in [0, 2**64); neither is coerced.
     """
     for name, value in (("seed", seed), ("sample_index", start)):
         _check_integer(name, value, 0, 2 ** 64)
+    rows, n = out.shape
+    words = 4 * -(-n // 8)
+    counter = int(start) * words // 4  # up to 2**64 * ceil(N / 8): four 64-bit words
     bitgen = Philox(0)
-    gen = Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    key = np.array([seed, 0], dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for r in range(out.shape[0]):
-        key[1] = start + r
-        bitgen.state = state  # the setter copies the values
-        gen.random(out=out[r])
-    np.less(out, p, out=out)
-    out *= 2.0
-    out -= 1.0
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.frombuffer(counter.to_bytes(32, "little"), dtype="<u8"),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0}
+    threshold = math.ceil(p * 2 ** _COIN_BITS)
+    chunk = max(1, oscint._BLOCK_NODES // 8 // words)
+    for first in range(0, rows, chunk):
+        signs = out[first:first + chunk]
+        draws = bitgen.random_raw(len(signs) * words).astype("<u8", copy=False).view("<u4")
+        np.less(draws.reshape(len(signs), 2 * words)[:, :n], threshold, out=signs)
+        signs *= 2.0
+        signs -= 1.0
     return out
 
 
@@ -88,8 +104,9 @@ def sample_coefficients(params: WaveParams, seed: int,
                         sample_index: int = 0) -> np.ndarray:
     """One i.i.d. +-1 sign vector as a read-only array of N floats.
 
-    Sample sample_index of the keyed stream seed, +1 with probability params.p;
-    identical (seed, sample_index, N, p) reproduce it bit for bit.
+    Sample sample_index of the stream of seed (see _keyed_signs), each sign +1
+    with probability ceil(p * 2**32) / 2**32 for p = params.p; identical
+    (seed, sample_index, N, p) reproduce it bit for bit.
     """
     signs = _keyed_signs(seed, sample_index, np.empty((1, params.n_dirs)),
                          params.p)[0]
@@ -261,19 +278,20 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     """The six mc_* sweep columns: mass mean, variance and their standard
     errors over `samples` realisations, with the count and the seed.
 
-    Realisation i uses the keyed stream (seed, i).  The samples go in fixed
-    blocks of max(1, oscint._BLOCK_NODES // N) rows, the one block budget of
-    the package, and worker w of a thread pool (one worker per CPU of the
-    process's affinity, at most one per block) takes blocks w, w + workers,
-    ...  Each worker re-keys one Philox bit generator per row of its own sign
-    block (no OS entropy is drawn; the streams match sample_coefficients bit
-    for bit) and gets the block's masses from one real-input FFT over the half
-    spectrum, written into its own spectrum block; the fill, the elementwise
-    passes and the FFT release the GIL.  The block boundaries depend only on N
-    and `samples`, so the columns do not depend on the worker count; an error
-    in any block is raised here.  `samples` must be an int or numpy integer
-    (not a bool) of at least MIN_MC_SAMPLES; it is never coerced.  The variance
-    standard error is a delete-one jackknife over the realisations.
+    Realisation i is sample i of the stream of seed (see _keyed_signs).  The
+    samples go in fixed blocks of max(1, oscint._BLOCK_NODES // N) rows, the
+    one block budget of the package, and worker w of a thread pool (one worker
+    per CPU of the process's affinity, at most one per block) takes blocks w,
+    w + workers, ...  Each worker draws its block's signs as one stretch of
+    the stream into its own sign block (no OS entropy is drawn; the signs
+    match sample_coefficients bit for bit) and gets the block's masses from
+    one real-input FFT over the half spectrum, written into its own spectrum
+    block; the draws, the elementwise passes and the FFT release the GIL.  The
+    block boundaries depend only on N and `samples`, so the columns do not
+    depend on the worker count; an error in any block is raised here.
+    `samples` must be an int or numpy integer (not a bool) of at least
+    MIN_MC_SAMPLES; it is never coerced.  The variance standard error is a
+    delete-one jackknife over the realisations.
     """
     # imported here: at module level it would add to every command's import time
     from concurrent.futures import ThreadPoolExecutor

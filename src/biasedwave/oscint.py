@@ -164,12 +164,13 @@ def profile_table(s_values):
 
     Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
     [S_CUT, inf], infinity included, and was verified like a panel.  W is even
-    in s; NaN raises ValueError.  |s| goes into the output, which is walked in
-    blocks of _BLOCK_NODES, each panel writing W over the |s| it has read, so
-    only block-sized temporaries live beside it.  Returns a float for scalar s
-    and an array of the shape of s otherwise.
+    in s; NaN raises ValueError, as does an s that model._real_array refuses
+    for its type (bools, strings, complex values, ragged nests).  |s| goes into
+    the output, which is walked in blocks of _BLOCK_NODES, each panel writing W
+    over the |s| it has read, so only block-sized temporaries live beside it.
+    Returns a float for scalar s and an array of the shape of s otherwise.
     """
-    s_values = np.asarray(s_values, dtype=float)
+    s_values = _real_array("s", s_values, finite=False)
     out = np.abs(s_values.ravel())
     for start in range(0, out.size, _BLOCK_NODES):
         block = out[start:start + _BLOCK_NODES]
@@ -307,10 +308,17 @@ def dyadic_sum_check(params: WaveParams, a_exponent: float):
     Computes sum over l != j of (1 + |xi_j - xi_l| / lam**(alpha-1))**-A for
     fixed j (every j gives the same value on the circulant geometry) and its
     ratio to gamma * lam**alpha.  The dyadic-decomposition bound requires
-    A >= 2; smaller A is rejected.
+    A >= 2; smaller A, and any A that model._check_real refuses, raise
+    ValueError naming the exponent.
     """
-    if not a_exponent >= 2.0:  # NaN is refused too
-        raise ValueError(f"dyadic bound needs exponent A >= 2, got {a_exponent}")
+    try:
+        _check_real("A", a_exponent)
+        admitted = a_exponent >= 2.0
+    except ValueError:
+        admitted = False
+    if not admitted:
+        raise ValueError("dyadic bound needs a finite real exponent A >= 2 (not a bool), "
+                         f"got {a_exponent!r}")
     chords = build_directions(params).chord[1:]
     direct_sum = float(np.sum((1.0 + chords / params.separation_scale)
                               ** (-float(a_exponent))))

@@ -206,6 +206,12 @@ class TestRunSweep:
         assert "gamma=8.0,alpha=0.5" in meta["calibrations"]
         assert meta["config"]["seed"] == 0
         assert 0.0 <= meta["quadrature"]["table_max_drift"] <= PAIR_REL_TOL
+        # the sign stream, so mc_* columns of different streams can be told apart
+        assert meta["sampling"] == {
+            "bit_generator": "Philox4x64-10", "key": "[seed + row, 0]",
+            "words_per_sample": "4 * ceil(N / 8)", "draws_per_word": 2,
+            "coin_resolution": 2.0 ** -32}
+        assert all("sampling" not in row for row in json.loads(result.json_path.read_text()))
 
     @pytest.mark.parametrize("rule,rows", [
         pytest.param({"p_rule": {"mode": "fixed", "values": [0.5, 0.9]}}, 2, id="fixed"),

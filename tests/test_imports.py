@@ -9,8 +9,10 @@ module-level UPPER_CASE constant (`_X` included) that no package module, test
 or `perfbench/` file reads; any import of scipy in a package module,
 however deeply nested; and, outside `model.py`, any read of `.dtype.kind` or
 call of `_is_integer`, since `model` alone decides what numeric input is
-accepted.  Every package module must parse at the Python floor that
-`pyproject.toml` declares.
+accepted.  Outside `montecarlo` no package module may import or read
+`numpy.random`, and outside `montecarlo._keyed_signs` no code may name
+`Philox`, so the sign stream has one definition.  Every package module must
+parse at the Python floor that `pyproject.toml` declares.
 """
 
 import ast
@@ -195,6 +197,53 @@ def test_checker_sees_an_input_rule_read():
               "        return model._is_integer(len(a))\n"
               "    return np.asarray(a).dtype.kind, kind.kind, a.dtype\n")
     assert input_rule_reads(source) == [5, 5, 6, 7]
+
+
+def numpy_random_reads(source: str) -> list:
+    """Line of each import of numpy.random (or of a name from it) and each
+    read of `np.random` or `numpy.random`, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found = (node.module.split(".")[:2] == ["numpy", "random"] or node.module == "numpy"
+                     and any(alias.name == "random" for alias in node.names))
+        else:
+            found = (isinstance(node, ast.Attribute) and node.attr == "random"
+                     and getattr(node.value, "id", None) in ("np", "numpy"))
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def philox_reads(source: str) -> list:
+    """Line of each name or attribute `Philox` outside a function `_keyed_signs`
+    (import aliases are not reads)."""
+    tree = ast.parse(source)
+    owner = {id(node) for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) and func.name == "_keyed_signs"
+             for node in ast.walk(func)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in owner
+                  and "Philox" in (getattr(node, "id", None), getattr(node, "attr", None)))
+
+
+def test_only_keyed_signs_names_the_sign_stream():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [(name, line) for name, source in sources.items() if name != "montecarlo.py"
+            for line in numpy_random_reads(source)] == []
+    assert [(name, line) for name, source in sources.items()
+            for line in philox_reads(source)] == []
+    assert numpy_random_reads(sources["montecarlo.py"]) != []
+
+
+def test_checker_sees_the_sign_stream_elsewhere():
+    source = ("import numpy as np\nimport numpy.random as npr\nfrom numpy import random\n"
+              "from numpy.random import Philox\ndef _keyed_signs():\n    return Philox(0)\n"
+              "def other():\n    import numpy.random.bit_generator\n"
+              "    return np.random.Philox(1), Philox, random.x, npr\n")
+    assert numpy_random_reads(source) == [2, 3, 4, 8, 9]
+    assert philox_reads(source) == [9, 9]
 
 
 def python_floor() -> tuple:

@@ -44,6 +44,16 @@ def full_grid_mass(params, signs):
     return h * h * float(np.sum(weight * (u.real ** 2 + u.imag ** 2)))
 
 
+def philox_signs(seed, i, n, threshold):
+    """Sample i of seed by the stream contract, from a fresh Philox at its own
+    counter: the low, then the high 32 bits of each of its 4 * ceil(n / 8)
+    words, +1 below threshold."""
+    words = 4 * -(-n // 8)
+    raw = np.random.Philox(counter=i * words // 4,
+                           key=np.array([seed, 0], dtype=np.uint64)).random_raw(words)
+    return np.where(raw.astype("<u8", copy=False).view("<u4")[:n] < threshold, 1.0, -1.0)
+
+
 class TestSampling:
     def test_degenerate_probabilities(self):
         params_one = build_params(64, 2, 0.5, 1.0)
@@ -76,9 +86,8 @@ class TestSampling:
         monkeypatch.setattr(oscint, "_BLOCK_NODES", 5 * n)
         kernel = kernels(n / 3, 3, 0.5, p=p)
         assert kernel.size == n
-        expected = np.array([np.where(np.random.Generator(np.random.Philox(
-            key=np.array([seed, i], dtype=np.uint64))).random(n) < p, 1.0, -1.0)
-            for i in range(3, 13)])
+        expected = np.array([philox_signs(seed, i, n, math.ceil(p * 2 ** 32))
+                             for i in range(3, 13)])
         block = montecarlo._keyed_signs(seed, 3, np.empty((10, n)), p)
         assert np.array_equal(block, expected)
         for i in (3, 12):
@@ -98,6 +107,33 @@ class TestSampling:
         assert sorted(blocks) == list(range(0, 100, 5))
         assert [len(b) for b in stream] == [5] * 20
         assert np.array_equal(np.concatenate(stream)[3:13], expected)
+
+    @pytest.mark.parametrize("block_nodes", [8, 3 * 8 * 2048, oscint._BLOCK_NODES])
+    @pytest.mark.parametrize("n,start", [(195, 3), (4096, 2 ** 64 - 5)])
+    @pytest.mark.parametrize("p,threshold", [(0.0, 0), (0.5, 2 ** 31), (0.37, 1589137900),
+                                             (1.0, 2 ** 32)])
+    def test_samples_sit_end_to_end_in_one_stream(self, monkeypatch, block_nodes, n,
+                                                  start, p, threshold):
+        # the chunks hold one row, three rows (at n = 4096) or the whole block; the
+        # last sample at n = 4096 is 2**64 - 1, whose counter passes 2**64
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", block_nodes)
+        block = montecarlo._keyed_signs(811, start, np.empty((5, n)), p)
+        expected = [philox_signs(811, i, n, threshold) for i in range(start, start + 5)]
+        assert np.array_equal(block, expected)
+
+    def test_sign_pairs_follow_the_product_law(self):
+        # two signs share a word: the (low, high) pairs of 102400 words and the
+        # pairs across each word boundary must be independent draws of the coin
+        signs = montecarlo._keyed_signs(33, 0, np.empty((50, 4096)), 0.37) > 0.0
+        q = 1589137900 / 2 ** 32
+        for first, second in [(signs[:, 0::2], signs[:, 1::2]),
+                              (signs[:, 1:-1:2], signs[:, 2::2])]:
+            assert first.size >= 10 ** 5
+            for a in (False, True):
+                for b in (False, True):
+                    prob = (q if a else 1.0 - q) * (q if b else 1.0 - q)
+                    freq = float(np.mean((first == a) & (second == b)))
+                    assert abs(freq - prob) <= 5.0 * math.sqrt(prob * (1.0 - prob) / first.size)
 
     @pytest.mark.parametrize("seed,index,key", [
         (2.9, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"),
@@ -507,12 +543,28 @@ class TestMcMoments:
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         kernel = kernels(128, 2, 0.5, p=0.6)
         assert kernel.size == 256
-        assert mc_moments(kernel, 120, 2026) == {
+        summary = mc_moments(kernel, 120, 2026)
+        assert summary == {
             "mc_samples": 120, "mc_seed": 2026,
-            "mc_mean": float.fromhex("0x1.182a15423cc74p+4"),
-            "mc_var": float.fromhex("0x1.175bdbbb6a523p+4"),
-            "mc_se_mean": float.fromhex("0x1.8699354d52f51p-2"),
-            "mc_se_var": float.fromhex("0x1.1c0da6cf8782ap+1")}
+            "mc_mean": float.fromhex("0x1.0b60aa6b53690p+4"),
+            "mc_var": float.fromhex("0x1.13956d1ffa76dp+4"),
+            "mc_se_mean": float.fromhex("0x1.83f3477d2f987p-2"),
+            "mc_se_var": float.fromhex("0x1.2f19cd7e01f84p+1")}
+        masses = [mass_quadratic_form(kernel, sample_coefficients(kernel.params, 2026, i))
+                  for i in range(120)]
+        assert summary["mc_mean"] == pytest.approx(np.mean(masses), rel=1e-13)
+        assert summary["mc_var"] == pytest.approx(np.var(masses, ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [5, 8, 1024])
+    def test_columns_do_not_depend_on_the_block_size(self, kernels, monkeypatch, rows):
+        # the signs do not depend on the block; blocks of at least four rows
+        # also give the masses of the 16-row blocks bit for bit (with fewer, the
+        # BLAS matrix-vector product of _block_masses can move a last bit)
+        kernel = kernels(128, 2, 0.5, p=0.6)
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", 16 * 256)
+        reference = mc_moments(kernel, 120, 2026)
+        monkeypatch.setattr(oscint, "_BLOCK_NODES", rows * 256)
+        assert mc_moments(kernel, 120, 2026) == reference
 
     def test_more_workers_than_cores_fill_every_sample(self, kernels, monkeypatch):
         # 60 two-row blocks on 8 threads that switch as often as they can; an

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -179,6 +180,15 @@ class TestProfileTable:
         assert np.array_equal(profile_table(grid),
                               profile_table(grid.ravel()).reshape(2, 2))
 
+    @pytest.mark.parametrize("s,match", [
+        (True, "dtype bool"), (np.array([2.0, 3.0]) > 2.5, "dtype bool"),
+        ("1", "dtype <U1"), (["1"], "dtype <U1"), ([1.0 + 0.0j], "dtype complex128"),
+        ([[1.0], [1.0, 2.0]], "convert to one array")])
+    def test_refuses_what_is_not_a_real_array(self, s, match):
+        # W(1) would come back for each of these if s were coerced to float
+        with pytest.raises(ValueError, match=f"^s must .*{re.escape(match)}"):
+            profile_table(s)
+
     def test_kernels_do_no_quadrature(self, monkeypatch, tmp_path):
         def no_quadrature(*_):
             raise AssertionError("kernel assembly ran a quadrature")
@@ -331,6 +341,11 @@ class TestDyadicSum:
     def test_rejects_nan_exponent(self):
         with pytest.raises(ValueError, match="exponent A >= 2"):
             dyadic_sum_check(build_params(64, 1, 0.5, 0.5), math.nan)
+
+    @pytest.mark.parametrize("a_exp", ["3", 10 ** 400, True, math.inf, [3.0], 2.0 + 0.0j])
+    def test_refuses_an_exponent_that_is_not_one_real_number(self, a_exp):
+        with pytest.raises(ValueError, match=r"^dyadic bound needs a finite real exponent A >= 2"):
+            dyadic_sum_check(build_params(64, 1, 0.5, 0.5), a_exp)
 
     def test_four_direction_enumeration(self):
         # N=4, lam=4, alpha=0: chords (sqrt2, 2, sqrt2), scale lam**-1 = 1/4
