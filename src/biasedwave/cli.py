@@ -2,16 +2,19 @@
 
 A sweep walks the (lambda, gamma, alpha, p) grid in config order, emits one
 moment report per point (plus optional Monte Carlo columns), and writes
-<stem>.csv, <stem>.json, and <stem>.meta.json.  The kernel table (k, d_k, I_k,
-mu_k) is written by the same CSV writer.  All numeric CSV fields use
-17-significant-digit scientific notation with LF line endings so repeated runs
-are byte-identical; the sweep touches no random state unless Monte Carlo is
-enabled.
+<stem>.csv, <stem>.json, and <stem>.meta.json.  The optional grid checks run
+after every row's Monte Carlo, in row order: OpenBLAS's idle thread spins
+after each of their GEMMs and would take a CPU from the sampling.  The
+kernel table (k, d_k, I_k, mu_k) is written by the same CSV writer.  All
+numeric CSV fields use 17-significant-digit scientific notation with LF line
+endings so repeated runs are byte-identical; the sweep touches no random
+state unless Monte Carlo is enabled.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -294,6 +297,19 @@ def _geometry(params) -> tuple:
     return params.n_dirs, params.lam, params.alpha
 
 
+@contextlib.contextmanager
+def _row_errors(row: dict):
+    """Record an error of the row's own work on the row; the run goes on.
+
+    Only ValueError, RuntimeError and MemoryError are recorded: any other
+    exception is a programming error and propagates.
+    """
+    try:
+        yield
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+
+
 def _sweep_rows(configs: list) -> tuple:
     """Each config's rows in config order, and the run's calibration table.
 
@@ -304,6 +320,15 @@ def _sweep_rows(configs: list) -> tuple:
     Every kernel row of the run, the ladder[0] references included, comes
     from one profile_rows pass in build order before the first row runs; a
     geometry whose build_params fails is left out, and its rows record that.
+
+    The run has two phases.  The row loop runs every row's report and Monte
+    Carlo and queues each grid check (row, kernel, seed + i); the queued
+    checks run after it, in the order their rows ran, on the same sample and
+    kernel.  The grid check's GEMMs leave OpenBLAS's idle worker thread
+    spinning for a while after each call, which would take a CPU from the
+    next row's Monte Carlo; after the last row there is none left to slow.
+    A row whose Monte Carlo fails queues no check, and a check that fails
+    records its error on its own row, keeping its mc_* columns.
     """
     geometries = {}
     for lam, gamma, alpha, _ in configs[0].points():
@@ -315,13 +340,14 @@ def _sweep_rows(configs: list) -> tuple:
             geometries.setdefault(_geometry(params), params)
     table = dict(zip(geometries, profile_rows(list(geometries.values()))))
 
-    calibrations, kernel, out = {}, None, [[] for _ in configs]
+    calibrations, kernel, out, checks = {}, None, [[] for _ in configs], []
     for index, points in enumerate(zip(*(c.points() for c in configs), strict=True)):
         for config, rows, (lam, gamma, alpha, p) in zip(configs, out, points):
             row = dict.fromkeys(SWEEP_COLUMNS)
             row.update({"lambda": lam, "gamma": gamma, "alpha": alpha, "p": p,
                         "error": ""})
-            try:
+            rows.append(row)
+            with _row_errors(row):
                 if (gamma, alpha) not in calibrations:
                     reference = build_params(config.lambda_ladder[0], gamma, alpha, 0.5)
                     kernel = build_kernel(reference, table[_geometry(reference)])
@@ -336,13 +362,13 @@ def _sweep_rows(configs: list) -> tuple:
                 if config.mc_samples > 0:
                     row.update(mc_moments(kernel, config.mc_samples, config.seed + index))
                     if config.grid_check and lam <= config.grid_check_lambda_cap:
-                        coeffs = sample_coefficients(params, config.seed + index)
-                        fast = mass_quadratic_form(kernel, coeffs)
-                        slow = grid_quadrature_mass(params, coeffs)
-                        row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
-            except (ValueError, RuntimeError, MemoryError) as exc:  # recorded, run goes on
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+                        checks.append((row, kernel, config.seed + index))
+    for row, kernel, seed in checks:
+        with _row_errors(row):
+            coeffs = sample_coefficients(kernel.params, seed)
+            fast = mass_quadratic_form(kernel, coeffs)
+            slow = grid_quadrature_mass(kernel.params, coeffs)
+            row["grid_rel_diff"] = abs(fast - slow) / abs(slow)
     return out, calibrations
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import biasedwave
 import biasedwave.cli
+import biasedwave.model
 import biasedwave.montecarlo
 import biasedwave.oscint
 from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
@@ -382,6 +383,121 @@ class TestRunSweep:
         [row] = run_sweep(parse_config(doc)).rows
         assert (row["N"], row["error"]) == (8192, "")
         assert row["grid_rel_diff"] < 1e-3
+
+
+CHECK_CALLS = ("sample_coefficients", "grid_quadrature_mass")
+
+
+def record_mc_and_checks(monkeypatch, calls: list):
+    """Append (name, lam, p) to calls on each cli call of the Monte Carlo and
+    grid-check functions."""
+    for name in ("mc_moments",) + CHECK_CALLS:
+        def recorded(first, *args, _name=name, _call=getattr(biasedwave.cli, name)):
+            params = getattr(first, "params", first)  # mc_moments takes a kernel
+            calls.append((_name, params.lam, params.p))
+            return _call(first, *args)
+
+        monkeypatch.setattr(biasedwave.cli, name, recorded)
+
+
+class TestGridCheckPhase:
+    """The grid checks run after the run's last Monte Carlo, in the order
+    their rows ran, on the same sample and kernel as the row."""
+
+    def grid_doc(self, tmp_path, **overrides):
+        doc = base_config(tmp_path, lambda_ladder=[64.0, 128.0, 256.0],
+                          gamma={"mode": "fixed", "values": [1.0]},
+                          p_rule={"mode": "fixed", "values": [0.5, 0.8]},
+                          mc_samples=100, grid_check=True, grid_check_lambda_cap=128.0)
+        return dict(doc, **overrides)
+
+    @pytest.mark.parametrize("run", ["sweep", "threshold"])
+    def test_checks_follow_the_last_monte_carlo_in_row_order(self, tmp_path,
+                                                              monkeypatch, run):
+        calls = []
+        record_mc_and_checks(monkeypatch, calls)
+        if run == "sweep":
+            rows = run_sweep(parse_config(self.grid_doc(tmp_path))).rows
+        else:
+            doc = self.grid_doc(tmp_path, p_rule={"mode": "threshold", "c": 0.4,
+                                                  "beta_factor": 0.5})
+            rows = threshold_experiment(parse_config(doc)).rows
+        last_mc = max(i for i, call in enumerate(calls) if call[0] == "mc_moments")
+        ran = [call[1:] for call in calls[:last_mc + 1]]
+        assert [call[0] for call in calls[:last_mc + 1]] == ["mc_moments"] * len(rows)
+        assert calls[last_mc + 1:] == [(name, lam, p) for lam, p in ran if lam <= 128.0
+                                       for name in CHECK_CALLS]
+        assert not any(row["error"] for row in rows)
+        assert ([row["grid_rel_diff"] is not None for row in rows]
+                == [row["lambda"] <= 128.0 for row in rows])
+
+    def test_a_deferred_check_reads_the_rows_sample_and_kernel(self, tmp_path):
+        config = parse_config(self.grid_doc(tmp_path, seed=11))
+        rows = run_sweep(config).rows
+        checked = 0
+        for index, row in enumerate(rows):
+            if row["grid_rel_diff"] is None:
+                continue
+            params = biasedwave.model.build_params(row["lambda"], row["gamma"],
+                                                   row["alpha"], row["p"])
+            coeffs = biasedwave.montecarlo.sample_coefficients(params, config.seed + index)
+            fast = biasedwave.montecarlo.mass_quadratic_form(
+                biasedwave.oscint.build_kernel(params), coeffs)
+            slow = biasedwave.montecarlo.grid_quadrature_mass(params, coeffs)
+            assert row["grid_rel_diff"] == abs(fast - slow) / abs(slow)
+            checked += 1
+        assert checked == 4
+
+    def test_a_failed_check_is_recorded_on_its_own_row(self, tmp_path, monkeypatch,
+                                                       capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.grid_doc(tmp_path)))
+        clean = run_sweep(load_config(path)).rows
+        grid = biasedwave.cli.grid_quadrature_mass
+
+        def fails_at_128(params, coeffs):
+            if params.lam == 128.0 and params.p == 0.8:
+                raise ValueError("grid refused")
+            return grid(params, coeffs)
+
+        monkeypatch.setattr(biasedwave.cli, "grid_quadrature_mass", fails_at_128)
+        assert main(["sweep", str(path)]) == 1
+        assert "(6 rows, 1 failed)" in capsys.readouterr().out
+        rows = json.loads((tmp_path / "run.json").read_text())
+        assert [row["error"] for row in rows] == ["", "", "", "ValueError: grid refused",
+                                                  "", ""]
+        mc_columns = [c for c in SWEEP_COLUMNS if c.startswith("mc_")]
+        for row, before in zip(rows, clean):
+            assert [row[c] for c in mc_columns] == [before[c] for c in mc_columns]
+        assert rows[3]["grid_rel_diff"] is None
+        assert [row["grid_rel_diff"] for i, row in enumerate(rows) if i != 3] == [
+            before["grid_rel_diff"] for i, before in enumerate(clean) if i != 3]
+
+    def test_a_failed_monte_carlo_queues_no_check(self, tmp_path, monkeypatch):
+        calls = []
+        record_mc_and_checks(monkeypatch, calls)
+        recorded_mc = biasedwave.cli.mc_moments
+
+        def fails_at_64(kernel, samples, seed):
+            if kernel.params.lam == 64.0:
+                raise RuntimeError("sampling failed")
+            return recorded_mc(kernel, samples, seed)
+
+        monkeypatch.setattr(biasedwave.cli, "mc_moments", fails_at_64)
+        rows = run_sweep(parse_config(self.grid_doc(tmp_path))).rows
+        assert [row["error"] for row in rows] == ["RuntimeError: sampling failed"] * 2 + [""] * 4
+        assert [row["grid_rel_diff"] is not None for row in rows] == [False, False, True,
+                                                                      True, False, False]
+        assert [call for call in calls if call[0] in CHECK_CALLS] == [
+            (name, 128.0, p) for p in (0.5, 0.8) for name in CHECK_CALLS]
+
+    def test_a_programming_error_in_a_check_propagates(self, tmp_path, monkeypatch):
+        def broken(params, coeffs):
+            raise TypeError("broken grid")
+
+        monkeypatch.setattr(biasedwave.cli, "grid_quadrature_mass", broken)
+        with pytest.raises(TypeError, match="broken grid"):
+            run_sweep(parse_config(self.grid_doc(tmp_path)))
 
 
 class TestThresholdExperiment:
