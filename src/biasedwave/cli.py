@@ -8,7 +8,9 @@ after each of their GEMMs and would take a CPU from the sampling.  The
 kernel table (k, d_k, I_k, mu_k) is written by the same CSV writer.  All
 numeric CSV fields use 17-significant-digit scientific notation with LF line
 endings so repeated runs are byte-identical; the sweep touches no random
-state unless Monte Carlo is enabled.
+state unless Monte Carlo is enabled.  `model`'s checks decide which input is
+valid, the config's included; the parser only names the key.  Every refusal
+(_REFUSALS) is one stderr line and exit 2; exit 1 is kept for failed rows.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .fitting import fit_exponent
-from .model import build_directions, build_params
+from .model import (_check_integer, _check_real, _check_wave, build_directions,
+                    build_params)
 from .moments import (DEFAULT_DELTA, DEFAULT_GAMMA_MIN, DEFAULT_KAPPA,
                       build_report, calibrate_constants)
 from .montecarlo import (MIN_MC_SAMPLES, SAMPLING, grid_quadrature_mass,
@@ -44,6 +47,8 @@ SWEEP_COLUMNS = [
     "grid_rel_diff", "error",
 ]
 THRESHOLD_COLUMNS = ["family", "beta"] + SWEEP_COLUMNS
+# the errors that refuse an input or its work: a row records one, main exits 2
+_REFUSALS = (ValueError, RuntimeError, MemoryError, OSError)
 ASYMPTOTICS_MAX_RADII = 1 << 22  # the envelope's samples in `asymptotics`
 
 # each family's p-rule fields; the threshold families keep the config's c
@@ -69,26 +74,33 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _config_check(check, *args) -> None:
+    """check(*args), one of model's input checks, its refusal raised as a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _number(value, where: str) -> float:
-    """A finite JSON number as float; strings, booleans and integers beyond
-    the float range are refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):  # NaN compares false
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    """A number that model._check_real takes, as float."""
+    _config_check(_check_real, where, value)
     return float(value)
 
 
 def _integer(value, where: str) -> int:
-    """A JSON integer; floats, strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    """A non-negative integer that model._check_integer takes."""
+    _config_check(_check_integer, where, value, 0)
     return value
 
 
-def _numbers(values, where: str) -> tuple:
+def _wave_values(values, where: str, param: str) -> tuple:
+    """Distinct values of the wave parameter param (model._check_wave), as floats."""
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where} must be a non-empty list")
-    out = tuple(_number(v, where) for v in values)
+    for value in values:
+        _config_check(_check_wave, param, value, f"{where} entries")
+    out = tuple(map(float, values))
     if len(set(out)) < len(out):  # a repeat would run, and fit, rows twice
         raise ConfigError(f"{where} entries must be distinct")
     return out
@@ -99,13 +111,6 @@ def _non_negative(value, where: str) -> float:
     if number < 0.0:
         raise ConfigError(f"{where} must be non-negative")
     return number
-
-
-def _positive_floats(values, where: str) -> tuple:
-    out = _numbers(values, where)
-    if any(v <= 0 for v in out):
-        raise ConfigError(f"{where} entries must be positive finite numbers")
-    return out
 
 
 def _rule(doc: dict, name: str, modes: dict):
@@ -179,28 +184,21 @@ def parse_config(doc: dict) -> SweepConfig:
                         "output_stem"},
                   {"mc_samples", "seed", "tolerances", "grid_check",
                    "grid_check_lambda_cap"}, "config")
-    ladder = _positive_floats(doc["lambda_ladder"], "lambda_ladder")
-    if any(v <= 1.0 for v in ladder):
-        raise ConfigError("lambda_ladder entries must exceed 1")
+    ladder = _wave_values(doc["lambda_ladder"], "lambda_ladder", "lam")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("lambda_ladder must be strictly increasing")
 
     gamma_mode, gamma = _rule(doc, "gamma", {"fixed": ({"values"}, ()),
                                              "log_lambda": ((), ())})
-    gamma_values = (_positive_floats(gamma["values"], "gamma.values")
+    gamma_values = (_wave_values(gamma["values"], "gamma.values", "gamma")
                     if gamma_mode == "fixed" else ())
-
-    alphas = _numbers(doc["alpha_list"], "alpha_list")
-    if any(not 0.0 <= a < 1.0 for a in alphas):
-        raise ConfigError("alpha_list entries must lie in [0, 1)")
+    alphas = _wave_values(doc["alpha_list"], "alpha_list", "alpha")
 
     p_mode, p_rule = _rule(doc, "p_rule", {"fixed": ({"values"}, ()),
                                            "threshold": ({"c"}, ("beta", "beta_factor"))})
     p_values, p_coefficient, p_beta, p_beta_factor = (), 0.0, None, None
     if p_mode == "fixed":
-        p_values = _numbers(p_rule["values"], "p_rule.values")
-        if any(not 0.0 <= v <= 1.0 for v in p_values):
-            raise ConfigError("p_rule.values must lie in [0, 1]")
+        p_values = _wave_values(p_rule["values"], "p_rule.values", "p")
     else:
         p_coefficient = _non_negative(p_rule["c"], "p_rule.c")
         if ("beta" in p_rule) == ("beta_factor" in p_rule):
@@ -210,12 +208,10 @@ def parse_config(doc: dict) -> SweepConfig:
                                  for key in ("beta", "beta_factor"))
 
     mc_samples = _integer(doc.get("mc_samples", 0), "mc_samples")
-    if mc_samples < 0 or 0 < mc_samples < MIN_MC_SAMPLES:
+    if 0 < mc_samples < MIN_MC_SAMPLES:
         raise ConfigError(
             f"mc_samples must be 0 (disabled) or at least {MIN_MC_SAMPLES}")
     seed = _integer(doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
 
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -301,12 +297,13 @@ def _geometry(params) -> tuple:
 def _row_errors(row: dict):
     """Record an error of the row's own work on the row; the run goes on.
 
-    Only ValueError, RuntimeError and MemoryError are recorded: any other
+    Only the _REFUSALS are recorded, the errors that main maps to exit 2 (no
+    row's work reads or writes a file, so none raises OSError): any other
     exception is a programming error and propagates.
     """
     try:
         yield
-    except (ValueError, RuntimeError, MemoryError) as exc:
+    except _REFUSALS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
 
 
@@ -550,10 +547,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    try:  # the kernel depends on the geometry alone; any coin gives the same rows
-        kernel = build_kernel(build_params(args.lam, args.gamma, args.alpha, 0.5))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # the kernel depends on the geometry alone; any coin gives the same rows
+    kernel = build_kernel(build_params(args.lam, args.gamma, args.alpha, 0.5))
     try:
         export_kernel_csv(kernel, args.output)
     except OSError as exc:
@@ -568,13 +563,10 @@ def _cmd_asymptotics(args) -> int:
         max_width = ASYMPTOTICS_MAX_RADII * np.pi / 8
         raise ConfigError(f"--w-max - --w-min must be at most {max_width:.0f}, "
                           f"got {args.w_max - args.w_min:g}")
-    try:  # a window without enough probe points or maxima is a bad argument
-        check = asymptotic_check(residual_probe_points(args.w_min, args.w_max))
-        slope = check.residual_slope()
-        radii = np.linspace(args.w_min, args.w_max, max(2048, int(n_radii)))
-        envelope = surface_wave_envelope(2.0, radii / 2.0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    check = asymptotic_check(residual_probe_points(args.w_min, args.w_max))
+    slope = check.residual_slope()
+    radii = np.linspace(args.w_min, args.w_max, max(2048, int(n_radii)))
+    envelope = surface_wave_envelope(2.0, radii / 2.0)
     print(json.dumps({
         "w_min": args.w_min, "w_max": args.w_max,
         "residual_slope": slope.slope, "residual_r_squared": slope.r_squared,
@@ -586,20 +578,17 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:  # a missing column, an unreadable file or too few points is a bad argument
-        with open(args.csv, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for col in (args.x_col, args.y_col):
-                if col not in (reader.fieldnames or ()):
-                    raise ConfigError(f"column {col!r} is not in {args.csv}")
-            xs, ys = [], []
-            for row in reader:
-                if row[args.x_col] and row[args.y_col]:
-                    xs.append(float(row[args.x_col]))
-                    ys.append(float(row[args.y_col]))
-        fit = fit_exponent(np.array(xs), np.array(ys))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    with open(args.csv, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for col in (args.x_col, args.y_col):
+            if col not in (reader.fieldnames or ()):
+                raise ConfigError(f"column {col!r} is not in {args.csv}")
+        xs, ys = [], []
+        for row in reader:
+            if row[args.x_col] and row[args.y_col]:
+                xs.append(float(row[args.x_col]))
+                ys.append(float(row[args.y_col]))
+    fit = fit_exponent(np.array(xs), np.array(ys))
     print(json.dumps({"slope": fit.slope, "intercept": fit.intercept,
                       "r_squared": fit.r_squared,
                       "point_count": fit.point_count}, indent=2))
@@ -647,7 +636,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:  # exit 1 is kept for failed rows
+    except _REFUSALS as exc:  # exit 1 is kept for failed rows
         print(f"biasedwave: error: {exc}", file=sys.stderr)
         return 2
 

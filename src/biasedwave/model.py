@@ -69,6 +69,23 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite real number (not a bool), got {value!r}")
 
 
+# each wave parameter's domain: the rule its refusal states, and the test
+_WAVE_DOMAINS = {"lam": ("exceed 1", lambda v: v > 1.0),
+                 "gamma": ("be positive", lambda v: v > 0.0),
+                 "alpha": ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0),
+                 "p": ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)}
+
+
+def _check_wave(param: str, value, name: str | None = None) -> None:
+    """Refuse value, by name (param if not given), unless _check_real takes it and it
+    lies in the domain of the wave parameter param: lam, gamma, alpha or p."""
+    name = name or param
+    _check_real(name, value)
+    rule, holds = _WAVE_DOMAINS[param]
+    if not holds(value):
+        raise ValueError(f"{name} must {rule}, got {value}")
+
+
 def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
     """Refuse value, by name, unless _is_integer holds and low <= value (< high, if given)."""
     if not (_is_integer(value) and low <= value and (high is None or value < high)):
@@ -99,21 +116,13 @@ def _real_array(name: str, value, shape: tuple | None = None, what: str = "",
 def build_params(lam: float, gamma: float, alpha: float, p: float) -> WaveParams:
     """Validate raw inputs and derive the direction count.
 
-    Rejects alpha >= 1 (the moment asymptotics hold only below the wavelength
-    scale), inputs that _check_real refuses, and parameter combinations that
-    round to zero directions.  The count uses round-half-to-even so that
-    fractional gamma * lam resolves deterministically.
+    Rejects each input outside its domain (_check_wave; alpha >= 1 because the
+    moment asymptotics hold only below the wavelength scale) and parameter
+    combinations that round to zero directions.  The count uses
+    round-half-to-even so that fractional gamma * lam resolves deterministically.
     """
     for name, value in (("lam", lam), ("gamma", gamma), ("alpha", alpha), ("p", p)):
-        _check_real(name, value)
-    if lam <= 1.0:
-        raise ValueError(f"lam must exceed 1, got {lam}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        _check_wave(name, value)
     if not math.isfinite(gamma * lam):
         raise ValueError(f"gamma * lam = {gamma * lam} is not finite")
     n_dirs = int(round(gamma * lam))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .model import WaveParams, _check_real, cutoff_mass
+from .model import WaveParams, _check_wave, cutoff_mass
 from .oscint import _BLOCK_NODES, PairKernel, kernel_matrix
 
 ENUMERATION_LIMIT = 20
@@ -36,11 +36,10 @@ HEADROOM = 1.25
 def coin_pair_moment(p: float) -> float:
     """E[C_j C_l] for independent +-1 coefficients, j != l: (2p-1)**2.
 
-    p passes build_params' checks: a finite real number, not a bool, in [0, 1].
+    p passes build_params' check (model._check_wave): a finite real number,
+    not a bool, in [0, 1].
     """
-    _check_real("p", p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_wave("p", p)
     return (2.0 * p - 1.0) ** 2
 
 

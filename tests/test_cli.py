@@ -17,11 +17,23 @@ import biasedwave.cli
 import biasedwave.model
 import biasedwave.montecarlo
 import biasedwave.oscint
-from biasedwave import load_config, parse_config, run_sweep, threshold_experiment
+from biasedwave import (build_params, load_config, parse_config, run_sweep,
+                        threshold_experiment)
 from biasedwave.cli import SWEEP_COLUMNS, THRESHOLD_COLUMNS, ConfigError, main
 from biasedwave.oscint import PAIR_REL_TOL
 
 MISSING = object()  # a test_mistyped_values_rejected value that deletes its key
+
+# each wave parameter's config key, and values at and beside its domain's
+# edges with whether build_params takes them; the other three stay at valid
+# values (lam 64, gamma 8, alpha 0.5, p 0.5), so gamma * lam >= 1 throughout
+WAVE_KEYS = {"lam": "lambda_ladder", "gamma": "gamma.values", "alpha": "alpha_list",
+             "p": "p_rule.values"}
+WAVE_EDGES = {"lam": [(1.0, False), (1.0000001, True)],
+              "gamma": [(0.0, False), (0.01, True)],
+              "alpha": [(0.0, True), (1.0, False), (0.9999999, True)],
+              "p": [(0.0, True), (1.0, True), (-0.0, True), (1.0000001, False)]}
+WRONG_KINDS = [True, "0.5", 10 ** 400, float("nan"), float("inf")]
 
 
 def cell_as(value, text: str):
@@ -162,6 +174,26 @@ class TestConfigParsing:
             parse_config(doc)
         assert parse_config(dict(doc, grid_check_lambda_cap=64.0)).grid_check
         assert not parse_config(dict(doc, grid_check=False)).grid_check
+
+    @pytest.mark.parametrize("param,value,taken", [
+        pytest.param(param, value, taken, id=f"{param}={value!r:.12}")
+        for param, edges in WAVE_EDGES.items()
+        for value, taken in edges + [(bad, False) for bad in WRONG_KINDS]])
+    def test_config_and_library_agree_on_the_domain(self, tmp_path, param, value,
+                                                    taken):
+        args = {"lam": 64.0, "gamma": 8.0, "alpha": 0.5, "p": 0.5, param: value}
+        doc = base_config(tmp_path, lambda_ladder=[args["lam"]],
+                          gamma={"mode": "fixed", "values": [args["gamma"]]},
+                          alpha_list=[args["alpha"]],
+                          p_rule={"mode": "fixed", "values": [args["p"]]})
+        if taken:
+            build_params(**args)
+            parse_config(doc)
+        else:
+            with pytest.raises(ValueError, match=rf"^{param} "):
+                build_params(**args)
+            with pytest.raises(ConfigError, match=rf"^{re.escape(WAVE_KEYS[param])} "):
+                parse_config(doc)
 
     def test_bad_probability_values(self, tmp_path):
         doc = base_config(tmp_path, p_rule={"mode": "fixed", "values": [1.2]})
@@ -614,6 +646,23 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert payload["residual_slope"] == pytest.approx(-1.5, abs=0.1)
         assert payload["envelope_exponent"] == pytest.approx(-0.5, abs=0.05)
+
+    @pytest.mark.parametrize("argv,start", [
+        # N 640000, within MAX_KERNEL_SIZE: the smallest eigenvalue of the
+        # spectrum lies just below the PSD floor, a RuntimeError
+        (["kernel", "--lambda", "20000", "--gamma", "32", "--alpha", "0.97",
+          "--output", "kernel.csv"], "kernel spectrum "),
+        (["fit", "missing.csv", "--x-col", "x", "--y-col", "y"], "[Errno 2] "),
+    ], ids=["psd-floor", "missing-csv"])
+    def test_refused_work_prints_one_line(self, tmp_path, capsys, monkeypatch,
+                                          argv, start):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"biasedwave: error: {start}")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["sweep"])
     @pytest.mark.parametrize("overrides,key", [

@@ -7,9 +7,9 @@ both are left out.  It also refuses a module-level private name (`_x`, not a dun
 that no package module reads as a name, an attribute or an import alias; a
 module-level UPPER_CASE constant (`_X` included) that no package module, test
 or `perfbench/` file reads; any import of scipy in a package module,
-however deeply nested; and, outside `model.py`, any read of `.dtype.kind` or
-call of `_is_integer`, since `model` alone decides what numeric input is
-accepted.  Outside `montecarlo` no package module may import or read
+however deeply nested; and, outside `model.py`, any read of `.dtype.kind`,
+call of `_is_integer` or read of `sys.float_info`, since `model` alone decides
+what numeric input is accepted.  Outside `montecarlo` no package module may import or read
 `numpy.random`, and outside `montecarlo._keyed_signs` no code may name
 `Philox`, so the sign stream has one definition.  Every package module must
 parse at the Python floor that `pyproject.toml` declares.
@@ -197,6 +197,28 @@ def test_checker_sees_an_input_rule_read():
               "        return model._is_integer(len(a))\n"
               "    return np.asarray(a).dtype.kind, kind.kind, a.dtype\n")
     assert input_rule_reads(source) == [5, 5, 6, 7]
+
+
+def float_range_reads(source: str) -> list:
+    """Line of each `.float_info` read and each import of `float_info`, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "float_info"
+                  or isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "float_info" for alias in node.names))
+
+
+def test_only_model_may_read_the_float_range():
+    # the float-range half of `_check_real`'s rule; a config check reads that rule
+    found = [(p.name, line) for p in sorted(PACKAGE.glob("*.py")) if p.name != "model.py"
+             for line in float_range_reads(p.read_text())]
+    assert found == []
+
+
+def test_checker_sees_a_float_range_read():
+    source = ("import sys\nfrom sys import float_info as fi\nfrom math import inf\n"
+              "def f(x):\n    if x:\n        return abs(x) <= sys.float_info.max\n"
+              "    return fi.max, float_info, inf\n")
+    assert float_range_reads(source) == [2, 6]
 
 
 def numpy_random_reads(source: str) -> list:
