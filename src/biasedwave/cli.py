@@ -253,7 +253,7 @@ def parse_config(doc: dict) -> SweepConfig:
         grid_check=grid_check, grid_check_lambda_cap=grid_cap,
     )
     rows = sum(1 for _ in config.points())
-    if seed + rows - 1 >= 2 ** 64:  # row i keys its Philox stream with seed + i
+    if seed + rows - 1 >= 2 ** 64:  # row i seeds its sign stream with seed + i
         raise ConfigError(f"seed + {rows - 1} (last row) must be < 2**64, got {seed}")
     return config
 
@@ -450,7 +450,7 @@ def _meta(config: SweepConfig, calibrations: dict) -> dict:
                        "pair_rel_tol": PAIR_REL_TOL},
         "calibrations": {f"gamma={g},alpha={a}": c
                          for (g, a), c in sorted(calibrations.items())},
-        "sampling": {**SAMPLING, "key": "[seed + row, 0]"},
+        "sampling": {**SAMPLING, "key": "SeedSequence(seed + row)"},
     }
 
 

@@ -1,13 +1,14 @@
 """Coefficient sampling, per-sample mass evaluation, and discretisation probes.
 
-Sampling is counter-based: under master seed s, sample i takes the
-M = 4 * ceil(N / 8) raw words of Philox(counter=i * M // 4, key=[s, 0]), so
-the samples sit end to end in one stream, and sign j is +1 where the j-th
-32-bit half of those words (low half first) falls below ceil(p * 2**32).  A
-sign is a pure function of (s, i, N, j), so results are reproducible under any
-execution schedule, and the coin is Bernoulli(ceil(p * 2**32) / 2**32),
-within 2**-32 of p.  A block of samples sets one Philox bit generator to its
-first counter and draws the whole stretch; no OS entropy is drawn.  Monte
+Sampling is random-access: under master seed s, sample i takes the
+M = ceil(N / 2) raw words at positions i * M ... (i + 1) * M - 1 of
+PCG64DXSM(s), so the samples sit end to end in one stream, and sign j is +1
+where the j-th 32-bit half of those words (low half first) falls below
+ceil(p * 2**32).  A sign is a pure function of (s, i, N, j), so results are
+reproducible under any execution schedule, and the coin is
+Bernoulli(ceil(p * 2**32) / 2**32), within 2**-32 of p.  A block of samples
+seeds one PCG64DXSM bit generator through SeedSequence(s), jumps to its first
+word by advance and draws the whole stretch; no OS entropy is drawn.  Monte
 Carlo walks sign blocks of oscint._BLOCK_NODES doubles on a thread pool with
 one worker per CPU of the process's affinity; the block boundaries depend only
 on N and the sample count, so the mc_* columns do not depend on the worker
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import rfft
-from numpy.random import Philox
+from numpy.random import PCG64DXSM
 
 from . import oscint
 from .fitting import fit_exponent
@@ -39,9 +40,9 @@ from .oscint import (GRID_POINTS_PER_WAVELENGTH, PairKernel, dyadic_sum_check,
 from .specfun import bessel_j0
 
 MIN_MC_SAMPLES = 100
-_COIN_BITS = 32  # a 64-bit Philox word gives two draws
+_COIN_BITS = 32  # a 64-bit raw word gives two draws
 # the sign stream of _keyed_signs, as a run's metadata records it beside the key
-SAMPLING = {"bit_generator": "Philox4x64-10", "words_per_sample": "4 * ceil(N / 8)",
+SAMPLING = {"bit_generator": "PCG64DXSM", "words_per_sample": "ceil(N / 2)",
             "draws_per_word": 64 // _COIN_BITS, "coin_resolution": 2.0 ** -_COIN_BITS}
 _OSC_SUBSAMPLES = 17
 
@@ -49,28 +50,22 @@ _OSC_SUBSAMPLES = 17
 def _keyed_signs(seed: int, start: int, out: np.ndarray, p: float) -> np.ndarray:
     """Signs of samples start, start+1, ... into the rows of `out`, in place.
 
-    With M = 4 * ceil(N / 8), row r holds sample i = start + r: the M raw words
-    of Philox(counter=i * M // 4, key=[seed, 0]).random_raw(M), whole Philox
-    blocks i * M / 4 + 1 ... (i + 1) * M / 4, so the rows are one stretch of
-    one stream.  Sign j is +1 where the j-th 32-bit half of those words, low
-    half first, falls below ceil(p * 2**32).  One bit generator, seeded without
-    OS entropy, is set to the block's first counter and draws the stretch in
-    chunks of whole rows of at most oscint._BLOCK_NODES // 8 words (or one
-    row), each compared straight into its rows.  seed and start must be
-    integers (not bools) in [0, 2**64); neither is coerced.
+    With M = ceil(N / 2), row r holds sample i = start + r: the M raw words at
+    positions i * M ... (i + 1) * M - 1 of PCG64DXSM(seed), so the rows are one
+    stretch of one stream.  Sign j is +1 where the j-th 32-bit half of those
+    words, low half first, falls below ceil(p * 2**32).  One bit generator,
+    seeded through SeedSequence(seed) without OS entropy, jumps to the block's
+    first word by advance(start * M) and draws the stretch in chunks of whole
+    rows of at most oscint._BLOCK_NODES // 8 words (or one row), each compared
+    straight into its rows.  seed and start must be integers (not bools) in
+    [0, 2**64); neither is coerced.
     """
     for name, value in (("seed", seed), ("sample_index", start)):
         _check_integer(name, value, 0, 2 ** 64)
     rows, n = out.shape
-    words = 4 * -(-n // 8)
-    counter = int(start) * words // 4  # up to 2**64 * ceil(N / 8): four 64-bit words
-    bitgen = Philox(0)
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.frombuffer(counter.to_bytes(32, "little"), dtype="<u8"),
-                  "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
-        "uinteger": 0}
+    words = -(-n // 2)
+    bitgen = PCG64DXSM(seed)
+    bitgen.advance(int(start) * words)  # the period is 2**128
     threshold = math.ceil(p * 2 ** _COIN_BITS)
     chunk = max(1, oscint._BLOCK_NODES // 8 // words)
     for first in range(0, rows, chunk):
@@ -90,23 +85,26 @@ def _block_masses(kernel: PairKernel, signs: np.ndarray,
     even in m, so bins m and N-m of Q(c) = sum_m mu_m |c_hat_m|**2 / N agree:
     the real-input FFT gives bins 0..N//2, of which 1..(N-1)//2 count twice.
     The FFT writes into `spectrum` (complex, one row per sign row, N//2 + 1
-    columns; overwritten) when one is given.
+    columns; overwritten) when one is given.  Each row's weighted sum is one
+    einsum pass over that row alone, with no BLAS call, so a sample's mass is
+    the same bit for bit in a block of any row count.
     """
     n = kernel.size
     weights = kernel.spectrum[:n // 2 + 1] / n
     weights[1:(n + 1) // 2] *= 2.0
     power = rfft(signs, axis=1, out=spectrum).view(np.float64)  # re, im
     np.square(power, out=power)
-    return power @ np.repeat(weights, 2)
+    return np.einsum("ij,j->i", power, np.repeat(weights, 2))
 
 
 def sample_coefficients(params: WaveParams, seed: int,
                         sample_index: int = 0) -> np.ndarray:
     """One i.i.d. +-1 sign vector as a read-only array of N floats.
 
-    Sample sample_index of the stream of seed (see _keyed_signs), each sign +1
-    with probability ceil(p * 2**32) / 2**32 for p = params.p; identical
-    (seed, sample_index, N, p) reproduce it bit for bit.
+    Sample sample_index of the PCG64DXSM stream of seed (see _keyed_signs),
+    each sign +1 with probability ceil(p * 2**32) / 2**32 for p = params.p;
+    identical (seed, sample_index, N, p) reproduce it bit for bit, and no OS
+    entropy is drawn.
     """
     signs = _keyed_signs(seed, sample_index, np.empty((1, params.n_dirs)),
                          params.p)[0]
@@ -283,12 +281,14 @@ def mc_moments(kernel: PairKernel, samples: int, seed: int) -> dict:
     one block budget of the package, and worker w of a thread pool (one worker
     per CPU of the process's affinity, at most one per block) takes blocks w,
     w + workers, ...  Each worker draws its block's signs as one stretch of
-    the stream into its own sign block (no OS entropy is drawn; the signs
-    match sample_coefficients bit for bit) and gets the block's masses from
-    one real-input FFT over the half spectrum, written into its own spectrum
-    block; the draws, the elementwise passes and the FFT release the GIL.  The
-    block boundaries depend only on N and `samples`, so the columns do not
-    depend on the worker count; an error in any block is raised here.
+    the stream, reached by one PCG64DXSM advance, into its own sign block (no
+    OS entropy is drawn; the signs match sample_coefficients bit for bit) and
+    gets the block's masses from one real-input FFT over the half spectrum,
+    written into its own spectrum block; the draws, the elementwise passes and
+    the FFT release the GIL.  The block boundaries depend only on N and
+    `samples`, and each mass only on its own row, so the columns depend on
+    neither the worker count nor the block size; an error in any block is
+    raised here.
     `samples` must be an int or numpy integer (not a bool) of at least
     MIN_MC_SAMPLES; it is never coerced.  The variance standard error is a
     delete-one jackknife over the realisations.

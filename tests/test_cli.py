@@ -241,8 +241,8 @@ class TestRunSweep:
         assert 0.0 <= meta["quadrature"]["table_max_drift"] <= PAIR_REL_TOL
         # the sign stream, so mc_* columns of different streams can be told apart
         assert meta["sampling"] == {
-            "bit_generator": "Philox4x64-10", "key": "[seed + row, 0]",
-            "words_per_sample": "4 * ceil(N / 8)", "draws_per_word": 2,
+            "bit_generator": "PCG64DXSM", "key": "SeedSequence(seed + row)",
+            "words_per_sample": "ceil(N / 2)", "draws_per_word": 2,
             "coin_resolution": 2.0 ** -32}
         assert all("sampling" not in row for row in json.loads(result.json_path.read_text()))
 
@@ -255,7 +255,7 @@ class TestRunSweep:
                      4, id="threshold"),
     ])
     def test_largest_seed_runs_and_one_more_is_refused(self, tmp_path, rule, rows):
-        # row i keys Philox with seed + i, which must fit in 64 bits
+        # row i seeds its sign stream with seed + i, which must fit in 64 bits
         doc = base_config(tmp_path, mc_samples=100, seed=2 ** 64 - rows, **rule)
         result = run_sweep(parse_config(doc))
         assert [r["error"] for r in result.rows] == [""] * rows
@@ -268,7 +268,8 @@ class TestRunSweep:
         def boom(*args, **kwargs):
             raise AssertionError("random stream touched in exact mode")
         monkeypatch.setattr(biasedwave.montecarlo, "_keyed_signs", boom)
-        monkeypatch.setattr(np.random, "Philox", boom)
+        # the bit generator montecarlo calls; raising=True fails if it is renamed
+        monkeypatch.setattr(biasedwave.montecarlo, "PCG64DXSM", boom)
         result = run_sweep(parse_config(base_config(tmp_path)))
         assert result.rows[0]["error"] == ""
 

@@ -10,9 +10,10 @@ or `perfbench/` file reads; any import of scipy in a package module,
 however deeply nested; and, outside `model.py`, any read of `.dtype.kind`,
 call of `_is_integer` or read of `sys.float_info`, since `model` alone decides
 what numeric input is accepted.  Outside `montecarlo` no package module may import or read
-`numpy.random`, and outside `montecarlo._keyed_signs` no code may name
-`Philox`, so the sign stream has one definition.  Every package module must
-parse at the Python floor that `pyproject.toml` declares.
+`numpy.random`, and outside `montecarlo._keyed_signs` no code may name a bit
+generator (`PCG64DXSM`, or the earlier `Philox`), so the sign stream has one
+definition.  Every package module must parse at the Python floor that
+`pyproject.toml` declares.
 """
 
 import ast
@@ -239,15 +240,18 @@ def numpy_random_reads(source: str) -> list:
     return sorted(lines)
 
 
-def philox_reads(source: str) -> list:
-    """Line of each name or attribute `Philox` outside a function `_keyed_signs`
-    (import aliases are not reads)."""
+BIT_GENERATORS = {"PCG64DXSM", "Philox"}
+
+
+def bit_generator_reads(source: str) -> list:
+    """Line of each name or attribute in BIT_GENERATORS outside a function
+    `_keyed_signs` (import aliases are not reads)."""
     tree = ast.parse(source)
     owner = {id(node) for func in ast.walk(tree)
              if isinstance(func, ast.FunctionDef) and func.name == "_keyed_signs"
              for node in ast.walk(func)}
     return sorted(node.lineno for node in ast.walk(tree) if id(node) not in owner
-                  and "Philox" in (getattr(node, "id", None), getattr(node, "attr", None)))
+                  and {getattr(node, "id", None), getattr(node, "attr", None)} & BIT_GENERATORS)
 
 
 def test_only_keyed_signs_names_the_sign_stream():
@@ -255,17 +259,19 @@ def test_only_keyed_signs_names_the_sign_stream():
     assert [(name, line) for name, source in sources.items() if name != "montecarlo.py"
             for line in numpy_random_reads(source)] == []
     assert [(name, line) for name, source in sources.items()
-            for line in philox_reads(source)] == []
+            for line in bit_generator_reads(source)] == []
     assert numpy_random_reads(sources["montecarlo.py"]) != []
 
 
 def test_checker_sees_the_sign_stream_elsewhere():
     source = ("import numpy as np\nimport numpy.random as npr\nfrom numpy import random\n"
-              "from numpy.random import Philox\ndef _keyed_signs():\n    return Philox(0)\n"
+              "from numpy.random import PCG64DXSM, Philox\ndef _keyed_signs():\n"
+              "    return PCG64DXSM(0), Philox(0)\n"
               "def other():\n    import numpy.random.bit_generator\n"
-              "    return np.random.Philox(1), Philox, random.x, npr\n")
-    assert numpy_random_reads(source) == [2, 3, 4, 8, 9]
-    assert philox_reads(source) == [9, 9]
+              "    return np.random.Philox(1), Philox, random.x, npr\n"
+              "stream = np.random.PCG64DXSM(2).advance(3), PCG64DXSM\n")
+    assert numpy_random_reads(source) == [2, 3, 4, 8, 9, 10]
+    assert bit_generator_reads(source) == [9, 9, 10, 10]
 
 
 def python_floor() -> tuple:

@@ -44,14 +44,25 @@ def full_grid_mass(params, signs):
     return h * h * float(np.sum(weight * (u.real ** 2 + u.imag ** 2)))
 
 
-def philox_signs(seed, i, n, threshold):
-    """Sample i of seed by the stream contract, from a fresh Philox at its own
-    counter: the low, then the high 32 bits of each of its 4 * ceil(n / 8)
-    words, +1 below threshold."""
-    words = 4 * -(-n // 8)
-    raw = np.random.Philox(counter=i * words // 4,
-                           key=np.array([seed, 0], dtype=np.uint64)).random_raw(words)
+def advanced_signs(seed, i, n, threshold):
+    """Sample i of seed by the stream contract, from a fresh PCG64DXSM advanced
+    to its own first word: the low, then the high 32 bits of each of its
+    ceil(n / 2) words, +1 below threshold."""
+    words = -(-n // 2)
+    bitgen = np.random.PCG64DXSM(seed)
+    bitgen.advance(i * words)
+    raw = bitgen.random_raw(words)
     return np.where(raw.astype("<u8", copy=False).view("<u4")[:n] < threshold, 1.0, -1.0)
+
+
+def sequential_signs(seed, count, n, threshold):
+    """Samples 0 .. count - 1 of seed from one sequential random_raw of
+    PCG64DXSM(seed), with no advance: row i holds words i * M ... (i + 1) * M - 1
+    for M = ceil(n / 2)."""
+    words = -(-n // 2)
+    raw = np.random.PCG64DXSM(seed).random_raw(count * words)
+    halves = raw.astype("<u8", copy=False).view("<u4").reshape(count, 2 * words)[:, :n]
+    return np.where(halves < threshold, 1.0, -1.0)
 
 
 class TestSampling:
@@ -86,8 +97,9 @@ class TestSampling:
         monkeypatch.setattr(oscint, "_BLOCK_NODES", 5 * n)
         kernel = kernels(n / 3, 3, 0.5, p=p)
         assert kernel.size == n
-        expected = np.array([philox_signs(seed, i, n, math.ceil(p * 2 ** 32))
-                             for i in range(3, 13)])
+        threshold = math.ceil(p * 2 ** 32)
+        expected = np.array([advanced_signs(seed, i, n, threshold) for i in range(3, 13)])
+        assert np.array_equal(sequential_signs(seed, 13, n, threshold)[3:], expected)
         block = montecarlo._keyed_signs(seed, 3, np.empty((10, n)), p)
         assert np.array_equal(block, expected)
         for i in (3, 12):
@@ -115,11 +127,14 @@ class TestSampling:
     def test_samples_sit_end_to_end_in_one_stream(self, monkeypatch, block_nodes, n,
                                                   start, p, threshold):
         # the chunks hold one row, three rows (at n = 4096) or the whole block; the
-        # last sample at n = 4096 is 2**64 - 1, whose counter passes 2**64
+        # last sample at n = 4096 is 2**64 - 1, whose first word is past 2**74
         monkeypatch.setattr(oscint, "_BLOCK_NODES", block_nodes)
         block = montecarlo._keyed_signs(811, start, np.empty((5, n)), p)
-        expected = [philox_signs(811, i, n, threshold) for i in range(start, start + 5)]
+        expected = [advanced_signs(811, i, n, threshold) for i in range(start, start + 5)]
         assert np.array_equal(block, expected)
+        if start < 5:
+            assert np.array_equal(sequential_signs(811, start + 5, n, threshold)[start:],
+                                  expected)
 
     def test_sign_pairs_follow_the_product_law(self):
         # two signs share a word: the (low, high) pairs of 102400 words and the
@@ -134,6 +149,24 @@ class TestSampling:
                     prob = (q if a else 1.0 - q) * (q if b else 1.0 - q)
                     freq = float(np.mean((first == a) & (second == b)))
                     assert abs(freq - prob) <= 5.0 * math.sqrt(prob * (1.0 - prob) / first.size)
+
+    def test_no_os_entropy_is_drawn(self, kernels, monkeypatch):
+        import secrets
+        import numpy.random.bit_generator as bit_generator
+
+        def boom(*args, **kwargs):
+            raise AssertionError("OS entropy drawn")
+        monkeypatch.setattr(os, "urandom", boom)
+        for name in ("randbits", "token_bytes", "token_hex", "randbelow", "choice"):
+            monkeypatch.setattr(secrets, name, boom)
+        # SeedSequence draws fresh entropy through its own module's randbits
+        monkeypatch.setattr(bit_generator, "randbits", boom)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.SeedSequence()
+        kernel = kernels(64, 2, 0.5, p=0.37)
+        montecarlo._keyed_signs(7, 3, np.empty((4, kernel.size)), 0.37)
+        sample_coefficients(kernel.params, 2 ** 64 - 1, 2 ** 64 - 1)
+        mc_moments(kernel, 100, 7)
 
     @pytest.mark.parametrize("seed,index,key", [
         (2.9, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"),
@@ -215,6 +248,22 @@ class TestQuadraticForm:
             assert mass == pytest.approx(full, rel=1e-12)
             assert mass == pytest.approx(mass_double_sum(kernel, c), rel=1e-12)
             assert mass_quadratic_form(kernel, c) == pytest.approx(mass, rel=1e-14)
+
+    @pytest.mark.parametrize("lam,gamma", [(65, 3), (43, 7), (256, 8), (512, 8)])
+    def test_masses_do_not_depend_on_the_block_shape(self, kernels, lam, gamma):
+        # N 195, 301 (odd), 2048 and 4096: every slice of one to five rows, and
+        # every single sample, gives the full block's masses bit for bit
+        kernel = kernels(lam, gamma, 0.5, p=0.37)
+        n = kernel.size
+        assert n == lam * gamma
+        signs = montecarlo._keyed_signs(33, 0, np.empty((64, n)), 0.37)
+        full = montecarlo._block_masses(kernel, signs)
+        for rows in range(1, 6):
+            for first in (0, 7, 21, 38, 50, 64 - rows):
+                assert np.array_equal(
+                    montecarlo._block_masses(kernel, signs[first:first + rows]),
+                    full[first:first + rows]), (rows, first)
+        assert [mass_quadratic_form(kernel, c) for c in signs] == full.tolist()
 
     def test_size_mismatch_rejected(self, kernels):
         kernel = kernels(128, 2, 0.5)
@@ -546,20 +595,20 @@ class TestMcMoments:
         summary = mc_moments(kernel, 120, 2026)
         assert summary == {
             "mc_samples": 120, "mc_seed": 2026,
-            "mc_mean": float.fromhex("0x1.0b60aa6b53690p+4"),
-            "mc_var": float.fromhex("0x1.13956d1ffa76dp+4"),
-            "mc_se_mean": float.fromhex("0x1.83f3477d2f987p-2"),
-            "mc_se_var": float.fromhex("0x1.2f19cd7e01f84p+1")}
+            "mc_mean": float.fromhex("0x1.08907b64ffe8ep+4"),
+            "mc_var": float.fromhex("0x1.0d0e882ae82b1p+4"),
+            "mc_se_mean": float.fromhex("0x1.7f54239dbf424p-2"),
+            "mc_se_var": float.fromhex("0x1.15e7cd12f3d64p+1")}
         masses = [mass_quadratic_form(kernel, sample_coefficients(kernel.params, 2026, i))
                   for i in range(120)]
         assert summary["mc_mean"] == pytest.approx(np.mean(masses), rel=1e-13)
         assert summary["mc_var"] == pytest.approx(np.var(masses, ddof=1), rel=1e-12)
 
-    @pytest.mark.parametrize("rows", [5, 8, 1024])
+    @pytest.mark.parametrize("rows", [1, 3, 5, 8, 1024])
     def test_columns_do_not_depend_on_the_block_size(self, kernels, monkeypatch, rows):
-        # the signs do not depend on the block; blocks of at least four rows
-        # also give the masses of the 16-row blocks bit for bit (with fewer, the
-        # BLAS matrix-vector product of _block_masses can move a last bit)
+        # neither the signs nor the masses depend on the block: each mass is
+        # summed over its own row alone, so any row count gives the 16-row
+        # blocks' columns bit for bit
         kernel = kernels(128, 2, 0.5, p=0.6)
         monkeypatch.setattr(oscint, "_BLOCK_NODES", 16 * 256)
         reference = mc_moments(kernel, 120, 2026)
