@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft
-from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from numpy.fft import rfft
+from numpy.polynomial.chebyshev import chebinterpolate
 
 from . import _wtable
 from .model import (SUPPORT_RADIUS, WaveParams, _check_integer, _check_real,
@@ -84,6 +84,28 @@ def reduced_pair_integral(s: float, order: int = GL_ORDER) -> float:
     return float(_rule_integrals([s], _panel_count(s), order)[0])
 
 
+def _clenshaw(x: np.ndarray, c) -> np.ndarray:
+    """sum_k c[k] T_k(x) for a float array x, bit for bit numpy's chebval.
+
+    Clenshaw's recurrence in three in-place passes per degree over three
+    buffers, rotated so that the loop makes no array: the same float
+    operations in the same order as chebval, which makes new arrays at every
+    degree.  A series of one or two coefficients skips the loop.
+    """
+    if len(c) < 3:
+        return (c[1] if len(c) == 2 else 0.0) * x + c[0]
+    x2 = 2.0 * x
+    c0, c1, spare = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for k in range(len(c) - 3, -1, -1):
+        np.subtract(c[k], c1, out=spare)
+        np.multiply(c1, x2, out=c1)
+        c1 += c0
+        c0, spare = spare, c0
+    c1 *= x
+    c1 += c0
+    return c1
+
+
 def _table_panel(index: int):
     """Chebyshev coefficients of W on [index, index + 1] * TABLE_PANEL_WIDTH.
 
@@ -105,7 +127,7 @@ def _table_panel(index: int):
     coeffs = np.zeros(1) if tail else chebinterpolate(
         lambda x: direct(x, GL_ORDER), TABLE_DEGREE)
     x = np.cos(np.pi * np.arange(TABLE_DEGREE + 2) / (TABLE_DEGREE + 1))
-    drift = np.abs(chebval(x, coeffs) - direct(x, GL_REFINE_ORDER))
+    drift = np.abs(_clenshaw(x, coeffs) - direct(x, GL_REFINE_ORDER))
     worst = int(np.argmax(drift))
     scale = 2.0 * np.pi * build_cutoff()
     if drift[worst] > PAIR_REL_TOL * scale:
@@ -168,6 +190,7 @@ def profile_table(s_values):
     for its type (bools, strings, complex values, ragged nests).  |s| goes into
     the output, which is walked in blocks of _BLOCK_NODES, each panel writing W
     over the |s| it has read, so only block-sized temporaries live beside it.
+    Each panel's series is summed by _clenshaw, bit for bit numpy's chebval.
     Returns a float for scalar s and an array of the shape of s otherwise.
     """
     s_values = _real_array("s", s_values, finite=False)
@@ -183,7 +206,7 @@ def profile_table(s_values):
         for index, sel in enumerate(np.split(order, np.cumsum(np.bincount(panel))[:-1])):
             if sel.size:
                 x = block[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-                block[sel] = chebval(x, _TABLE[index])
+                block[sel] = _clenshaw(x, _TABLE[index])
     return out.reshape(s_values.shape) if s_values.shape else float(out[0])
 
 
@@ -331,8 +354,9 @@ class PairKernel:
     """First circulant row I_k and spectrum of the pair-integral matrix.
 
     values[k] applies to every direction pair with index separation k mod N;
-    the spectrum holds the N real eigenvalues (DFT of the row), nonnegative up
-    to roundoff because the matrix is a Gram matrix.  Both arrays are
+    the spectrum holds the N real eigenvalues (the DFT of the even row, with
+    spectrum[k] == spectrum[N - k] exactly), nonnegative up to roundoff
+    because the matrix is a Gram matrix.  Both arrays are
     read-only and depend on the geometry (N, lam, alpha) alone, so kernels
     that differ only in the coin may share them; params carries the coin p
     that the moment functions read.
@@ -374,10 +398,11 @@ def build_kernel(params: WaveParams, row=None) -> PairKernel:
     row holds W at separations k = 0..N//2, as profile_rows gives it, and
     must pass model._real_array at that shape (finite, since the PSD floor
     check passes NaN); when row is None, build_kernel looks it up itself.
-    The rest of the row mirrors by the chord symmetry d_k = d_{N-k}, which
-    also makes the DFT exactly real.  The row does no quadrature: it reads
-    the committed table, whose every piece the tests regenerate and check
-    against the direct order-GL_REFINE_ORDER rule.  The read-only row and
+    The rest of the row mirrors by the chord symmetry d_k = d_{N-k}, so the
+    DFT is real and even: one real-input FFT of the row gives its first
+    N//2 + 1 entries, and the rest mirror them.  The row does no quadrature:
+    it reads the committed table, whose every piece the tests regenerate and
+    check against the direct order-GL_REFINE_ORDER rule.  The read-only row and
     spectrum depend on (N, lam, alpha) alone, so a caller with several
     coins of one geometry builds once and gives each coin
     dataclasses.replace(kernel, params=...).
@@ -391,7 +416,9 @@ def build_kernel(params: WaveParams, row=None) -> PairKernel:
     values = np.empty(n)
     values[:half + 1] = lam ** (-2.0 * alpha) * row
     values[half + 1:] = values[1:n - half][::-1]  # an empty slice at N = 1
-    spectrum = fft(values).real.copy()
+    spectrum = np.empty(n)
+    spectrum[:half + 1] = rfft(values).real
+    spectrum[half + 1:] = spectrum[1:n - half][::-1]
     floor = -PSD_TOL * values[0]
     if np.min(spectrum) < floor:
         raise RuntimeError(

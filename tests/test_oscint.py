@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from biasedwave import (build_cutoff, build_directions, build_params, cli,
                         cutoff_mass, cutoff_value, decay_bound,
@@ -15,7 +16,8 @@ from biasedwave import (build_cutoff, build_directions, build_params, cli,
 from biasedwave.cli import parse_config
 from biasedwave.model import SUPPORT_RADIUS, _panel_rule
 from biasedwave.oscint import (GL_ORDER, GL_REFINE_ORDER, S_CUT, TABLE_PANEL_WIDTH,
-                               TABLE_PANELS, QuadratureError, _table_panel, build_kernel,
+                               TABLE_PANELS, QuadratureError, _clenshaw, _table_panel,
+                               build_kernel,
                                decay_constant, kernel_matrix,
                                profile_table, profile_table_source,
                                quarter_grid, reduced_pair_integral)
@@ -156,6 +158,27 @@ class TestProfileTable:
             tracemalloc.stop()
         assert values.shape == s.shape
         assert peak < s.nbytes + 37 * oscint._BLOCK_NODES
+
+    def test_sum_is_chebval_bit_for_bit(self):
+        # numpy's chebval is the oracle: the same Clenshaw operations in the
+        # same order, so every table value must carry the same bits
+        rng = np.random.default_rng(37)
+        edges = TABLE_PANEL_WIDTH * np.arange(TABLE_PANELS + 1)
+        s = np.concatenate([rng.uniform(0.0, 1.05 * S_CUT, 20_000), edges,
+                            np.nextafter(edges, -np.inf)[1:], [S_CUT, np.inf]])
+        s = np.concatenate([s, -s])
+        clipped = np.minimum(np.abs(s), S_CUT)
+        index = np.floor(clipped / TABLE_PANEL_WIDTH).astype(int)
+        assert set(index) == set(range(TABLE_PANELS + 1))
+        expected = np.empty_like(s)
+        for k in range(TABLE_PANELS + 1):
+            x = clipped[index == k] / (0.5 * TABLE_PANEL_WIDTH) - (2 * k + 1)
+            expected[index == k] = chebval(x, oscint._TABLE[k])
+        assert profile_table(s).tobytes() == expected.tobytes()
+        x = rng.uniform(-1.0, 1.0, 101)
+        for coeffs in ([0.75], [0.75, -1.25], [0.0], [0.5, 0.25, -2.0]):
+            coeffs = np.array(coeffs)
+            assert _clenshaw(x, coeffs).tobytes() == chebval(x, coeffs).tobytes()
 
     def test_committed_table_regenerates_byte_for_byte(self):
         committed = Path(oscint.__file__).with_name("_wtable.py").read_text()
@@ -403,6 +426,19 @@ class TestKernel:
         dense = np.linalg.eigvalsh(kernel_matrix(kernel))
         assert np.allclose(np.sort(kernel.spectrum), dense,
                            atol=1e-8 * kernel.diagonal)
+
+    @pytest.mark.parametrize("lam,gamma,n", [(2, 0.5, 1), (2, 1, 2), (3, 1, 3),
+                                             (64, 8, 512), (100.3, 8, 802),
+                                             (512, 8, 4096)])
+    def test_spectrum_is_the_mirror_symmetric_dft_of_the_row(self, lam, gamma, n):
+        # rfft of the even row, mirrored: exactly symmetric, which the real
+        # part of the complex FFT is not
+        kernel = build_kernel(build_params(lam, gamma, 0.5, 0.5))
+        assert kernel.size == n
+        spectrum = kernel.spectrum
+        assert np.array_equal(spectrum[1:], spectrum[1:][::-1])
+        dft = np.fft.fft(kernel.values).real
+        assert np.max(np.abs(spectrum - dft)) <= 1e-15 * np.max(np.abs(spectrum))
 
     def test_dense_matrix_refused_above_4096(self):
         kernel = build_kernel(build_params(4097, 1, 0.5, 0.5))
