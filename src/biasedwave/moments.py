@@ -67,17 +67,21 @@ def _law_scales(params: WaveParams):
             g ** 2 * lam ** (1.0 - 3.0 * a), g ** 3 * lam ** (1.0 - 2.0 * a))
 
 
+def _exact_moments(kernel: PairKernel):
+    """(E, Var) of the kernel's coin from one _moment_terms pass over the row."""
+    t0, t1, t2, t3 = _moment_terms(kernel)
+    q = coin_pair_moment(kernel.params.p)
+    return t0 + q * t1, (1.0 - q) ** 2 * t2 + (q - q * q) * t3
+
+
 def exact_expectation(kernel: PairKernel) -> float:
     """N * I_0 + (2p-1)**2 * N * R via the circulant row-sum identity."""
-    t0, t1, _, _ = _moment_terms(kernel)
-    return t0 + coin_pair_moment(kernel.params.p) * t1
+    return _exact_moments(kernel)[0]
 
 
 def exact_variance(kernel: PairKernel) -> float:
     """Closed-form variance on the circulant fast path; see _moment_terms."""
-    _, _, t2, t3 = _moment_terms(kernel)
-    q = coin_pair_moment(kernel.params.p)
-    return (1.0 - q) ** 2 * t2 + (q - q * q) * t3
+    return _exact_moments(kernel)[1]
 
 
 def exact_variance_generic(kernel: PairKernel, p: float | None = None) -> float:
@@ -199,8 +203,7 @@ def build_report(kernel: PairKernel,
     the analytic criterion |p - 0.5| <= lam**(-alpha/2) * gamma**(-1/2).
     """
     params = kernel.params
-    expectation = exact_expectation(kernel)
-    variance = exact_variance(kernel)
+    expectation, variance = _exact_moments(kernel)
     lower, upper = expectation_bounds(params, constants, gamma_min)
     scale = params.gamma * params.lam
     e_norm = expectation / scale

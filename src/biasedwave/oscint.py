@@ -12,13 +12,13 @@ directions the matrix (I_jl) is a symmetric circulant, positive semidefinite as
 the Gram matrix of the windowed plane waves, and is diagonalised by the DFT.
 
 Kernels read W from one piecewise-Chebyshev table on [0, S_CUT], zero beyond.
-The table is committed as float.hex literals in _wtable.py, so building a
-kernel does no quadrature.  _table_panel generates each piece and verifies it
-against direct quadrature; tests/test_oscint.py regenerates every piece under
-that check and requires _wtable.py to equal profile_table_source() byte for
-byte.  After a change to the generator, rewrite _wtable.py with the command in
-its docstring.  The pair integral itself stays a direct quadrature, the oracle
-for the table.
+The table is committed as the hex digits of its doubles in _wtable.py, so
+building a kernel does no quadrature.  _table_panel generates each piece and
+verifies it against direct quadrature; tests/test_oscint.py regenerates every
+piece under that check and requires _wtable.py to equal profile_table_source()
+byte for byte.  After a change to the generator, rewrite _wtable.py with the
+command in its docstring.  The pair integral itself stays a direct quadrature,
+the oracle for the table.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ MAX_GRID_NODES = 1 << 24  # full-grid nodes; lam**(1-alpha) 535 at 12 per wavele
 MAX_GRID_FIELD = 1 << 23  # N * t.size of a grid field; N 4096 fits q 2048
 GRID_POINTS_PER_WAVELENGTH = 12
 PSD_TOL = 1e-9
-TABLE_PANEL_WIDTH = 32.0
-TABLE_PANELS = 19
-TABLE_DEGREE = 64
+TABLE_PANEL_WIDTH = 4.0
+TABLE_PANELS = 152
+TABLE_DEGREE = 18
 S_CUT = TABLE_PANELS * TABLE_PANEL_WIDTH
 _BLOCK_NODES = 1 << 18  # per block: J0/table args, MC signs, grid GEMM operand, 2**N masses
 _REGENERATE = ('PYTHONPATH=src python -c "import pathlib, biasedwave.oscint as o; '
@@ -84,20 +84,21 @@ def reduced_pair_integral(s: float, order: int = GL_ORDER) -> float:
     return float(_rule_integrals([s], _panel_count(s), order)[0])
 
 
-def _clenshaw(x: np.ndarray, c) -> np.ndarray:
-    """sum_k c[k] T_k(x) for a float array x, bit for bit numpy's chebval.
+def _clenshaw(x: np.ndarray, coef: np.ndarray, counts) -> np.ndarray:
+    """sum_k coef[i, k] T_k(x) over runs of x, bit for bit numpy's chebval.
 
-    Clenshaw's recurrence in three in-place passes per degree over three
-    buffers, rotated so that the loop makes no array: the same float
-    operations in the same order as chebval, which makes new arrays at every
-    degree.  A series of one or two coefficients skips the loop.
+    Run i holds the next counts[i] entries of x and takes piece coef[i]; every
+    piece has at least three coefficients.  Clenshaw's recurrence in three
+    in-place passes per degree over three buffers, rotated so that the loop
+    makes no array but each degree's coefficients, np.repeat of coef[:, k]
+    over the runs: the float operations of chebval in its order, so each
+    value carries the bits of chebval of its own piece.
     """
-    if len(c) < 3:
-        return (c[1] if len(c) == 2 else 0.0) * x + c[0]
     x2 = 2.0 * x
-    c0, c1, spare = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
-    for k in range(len(c) - 3, -1, -1):
-        np.subtract(c[k], c1, out=spare)
+    c0, c1 = np.repeat(coef[:, -2], counts), np.repeat(coef[:, -1], counts)
+    spare = np.empty_like(x)
+    for k in range(coef.shape[1] - 3, -1, -1):
+        np.subtract(np.repeat(coef[:, k], counts), c1, out=spare)
         np.multiply(c1, x2, out=c1)
         c1 += c0
         c0, spare = spare, c0
@@ -112,9 +113,10 @@ def _table_panel(index: int):
     The generator of the committed table: runtime code reads _TABLE instead.
     The node values come from one order-GL_ORDER panel rule sized for the
     panel's largest s; index TABLE_PANELS is the zero tail on [S_CUT, 2 S_CUT].
-    Each piece must match order GL_REFINE_ORDER to PAIR_REL_TOL * W(0) at its
-    TABLE_DEGREE + 2 Chebyshev extrema, or QuadratureError names s.  Returns
-    the coefficients and the worst drift / W(0).
+    Each piece, summed by _clenshaw as profile_table sums it, must match order
+    GL_REFINE_ORDER to PAIR_REL_TOL * W(0) at its TABLE_DEGREE + 2 Chebyshev
+    extrema, or QuadratureError names s.  Returns the coefficients and the
+    worst drift / W(0).
     """
     h = TABLE_PANEL_WIDTH
     tail = index == TABLE_PANELS
@@ -124,10 +126,13 @@ def _table_panel(index: int):
     def direct(x, order):
         return _rule_integrals(h * (mid + half * x), npanels, order)
 
-    coeffs = np.zeros(1) if tail else chebinterpolate(
-        lambda x: direct(x, GL_ORDER), TABLE_DEGREE)
     x = np.cos(np.pi * np.arange(TABLE_DEGREE + 2) / (TABLE_DEGREE + 1))
-    drift = np.abs(_clenshaw(x, coeffs) - direct(x, GL_REFINE_ORDER))
+    if tail:
+        coeffs, approx = np.zeros(1), 0.0
+    else:
+        coeffs = chebinterpolate(lambda x: direct(x, GL_ORDER), TABLE_DEGREE)
+        approx = _clenshaw(x, coeffs[None], [x.size])
+    drift = np.abs(approx - direct(x, GL_REFINE_ORDER))
     worst = int(np.argmax(drift))
     scale = 2.0 * np.pi * build_cutoff()
     if drift[worst] > PAIR_REL_TOL * scale:
@@ -138,10 +143,10 @@ def _table_panel(index: int):
 
 
 def profile_table_source() -> str:
-    """Text of _wtable.py: every piece from _table_panel, as float.hex literals.
+    """Text of _wtable.py: each piece from _table_panel, as hex of its doubles.
 
     This module reads _wtable.py on import, so a change to the format below
-    starts from a stub _wtable.py holding MAX_DRIFT = "0x0.0p+0" and PIECES = ().
+    starts from a stub _wtable.py holding MAX_DRIFT = "0x0.0p+0" and PIECES = "".
     """
     pieces = [_table_panel(index) for index in range(TABLE_PANELS + 1)]
     lines = [
@@ -149,10 +154,13 @@ def profile_table_source() -> str:
         f'{TABLE_PANEL_WIDTH:g} plus the zero tail.',
         "",
         "Generated by biasedwave.oscint.profile_table_source(); do not edit.",
-        "Each piece is one string of float.hex literals, lowest degree first, which",
-        "compiles faster than one literal per coefficient.  MAX_DRIFT is the worst",
-        f"drift / W(0) of any piece against direct order-{GL_REFINE_ORDER} quadrature.  Regenerate",
-        "from the repository root with",
+        "Each panel's piece is one string literal of hex digits, its little-endian",
+        "float64 coefficients lowest degree first.  Python joins the literals into",
+        "the one string PIECES, which import reads in one bytes.fromhex call; a",
+        "tuple of one string per piece would take longer to compile.  The zero",
+        "tail has no coefficients.  MAX_DRIFT is the worst drift / W(0) of any",
+        f"piece, the tail's included, against direct order-{GL_REFINE_ORDER} quadrature.",
+        "Regenerate from the repository root with",
         "",
         f"    {_REGENERATE}",
         '"""',
@@ -161,52 +169,53 @@ def profile_table_source() -> str:
         "",
         "PIECES = (",
     ]
-    for index, (coeffs, _) in enumerate(pieces):
-        end = "inf" if index == TABLE_PANELS else f"{(index + 1) * TABLE_PANEL_WIDTH:g}"
-        lines += [f"    # [{index * TABLE_PANEL_WIDTH:g}, {end})", '    """']
-        hexes = [c.hex() for c in coeffs.tolist()]
-        lines += ["    " + " ".join(hexes[i:i + 3]) for i in range(0, len(hexes), 3)]
-        lines.append('    """,')
-    lines.append(")")
+    for index, (coeffs, _) in enumerate(pieces[:TABLE_PANELS]):
+        left, right = index * TABLE_PANEL_WIDTH, (index + 1) * TABLE_PANEL_WIDTH
+        lines += [f"    # [{left:g}, {right:g})", '    """']
+        digits = coeffs.astype("<f8").tobytes().hex()
+        words = [digits[i:i + 16] for i in range(0, len(digits), 16)]
+        lines += ["    " + " ".join(words[i:i + 4]) for i in range(0, len(words), 4)]
+        lines.append('    """')
+    lines += [f"    # [{S_CUT:g}, inf): the zero tail", ")"]
     return "\n".join(lines) + "\n"
 
 
-def _read_only(piece) -> np.ndarray:
-    coeffs = np.array([float.fromhex(c) for c in piece.split()])
-    coeffs.setflags(write=False)
-    return coeffs
-
-
-_TABLE = tuple(_read_only(piece) for piece in _wtable.PIECES)
+# one read-only row of coefficients per panel
+_TABLE = np.frombuffer(bytes.fromhex(_wtable.PIECES), dtype="<f8").reshape(
+    -1, TABLE_DEGREE + 1)
 TABLE_MAX_DRIFT = float.fromhex(_wtable.MAX_DRIFT)
 
 
 def profile_table(s_values):
-    """W(s) from the committed piecewise-Chebyshev table, exactly 0 from S_CUT on.
+    """W(s) from the committed piecewise-Chebyshev table, exactly +0.0 from S_CUT on.
 
     Panel k covers [k, k + 1) * TABLE_PANEL_WIDTH; the zero tail covers
     [S_CUT, inf], infinity included, and was verified like a panel.  W is even
     in s; NaN raises ValueError, as does an s that model._real_array refuses
     for its type (bools, strings, complex values, ragged nests).  |s| goes into
-    the output, which is walked in blocks of _BLOCK_NODES, each panel writing W
-    over the |s| it has read, so only block-sized temporaries live beside it.
-    Each panel's series is summed by _clenshaw, bit for bit numpy's chebval.
-    Returns a float for scalar s and an array of the shape of s otherwise.
+    the output, which is walked in sub-blocks of _BLOCK_NODES // 16, so only
+    small temporaries live beside it.  A sub-block's arguments are sorted by
+    panel (an int16 index, which numpy sorts by radix), and one _clenshaw loop
+    sums every panel's run, each value bit for bit numpy's chebval of its own
+    piece; the tail is written as +0.0 without the loop.  Returns a float for
+    scalar s and an array of the shape of s otherwise.
     """
     s_values = _real_array("s", s_values, finite=False)
     out = np.abs(s_values.ravel())
-    for start in range(0, out.size, _BLOCK_NODES):
-        block = out[start:start + _BLOCK_NODES]
+    step = max(1, _BLOCK_NODES // 16)
+    for start in range(0, out.size, step):
+        block = out[start:start + step]
         if np.isnan(block).any():
             raise ValueError("profile_table: s must not be NaN")
         np.minimum(block, S_CUT, out=block)
-        panel = np.floor(block / TABLE_PANEL_WIDTH).astype(int)
-        # one sort groups the panels; np.unique would load numpy.ma
+        panel = (block / TABLE_PANEL_WIDTH).astype(np.int16)  # floor: block >= 0
         order = np.argsort(panel, kind="stable")
-        for index, sel in enumerate(np.split(order, np.cumsum(np.bincount(panel))[:-1])):
-            if sel.size:
-                x = block[sel] / (0.5 * TABLE_PANEL_WIDTH) - (2 * index + 1)
-                block[sel] = _clenshaw(x, _TABLE[index])
+        counts = np.bincount(panel, minlength=TABLE_PANELS + 1)
+        inner, tail = np.split(order, [block.size - counts[TABLE_PANELS]])
+        x = block[inner] / (0.5 * TABLE_PANEL_WIDTH)
+        x -= 2 * panel[inner] + 1
+        block[inner] = _clenshaw(x, _TABLE, counts[:TABLE_PANELS])
+        block[tail] = 0.0
     return out.reshape(s_values.shape) if s_values.shape else float(out[0])
 
 

@@ -649,15 +649,18 @@ class TestCommandLine:
         assert payload["envelope_exponent"] == pytest.approx(-0.5, abs=0.05)
 
     @pytest.mark.parametrize("argv,start", [
-        # N 640000, within MAX_KERNEL_SIZE: the smallest eigenvalue of the
-        # spectrum lies just below the PSD floor, a RuntimeError
-        (["kernel", "--lambda", "20000", "--gamma", "32", "--alpha", "0.97",
+        # N 64, whose row [1, -0.9, ..., -0.9] comes from the stand-in for
+        # oscint.profile_rows below: its eigenvalue 1 - 0.9 * 63 lies below
+        # the PSD floor, a RuntimeError
+        (["kernel", "--lambda", "64", "--gamma", "1", "--alpha", "0.5",
           "--output", "kernel.csv"], "kernel spectrum "),
         (["fit", "missing.csv", "--x-col", "x", "--y-col", "y"], "[Errno 2] "),
     ], ids=["psd-floor", "missing-csv"])
     def test_refused_work_prints_one_line(self, tmp_path, capsys, monkeypatch,
                                           argv, start):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(biasedwave.oscint, "profile_rows", lambda geometries: [
+            np.where(np.arange(g.n_dirs // 2 + 1) == 0, 1.0, -0.9) for g in geometries])
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -287,6 +287,15 @@ class TestReportAndClassification:
         assert report["E_norm"] / report["vol_norm"] == pytest.approx(1.0, abs=1e-9)
         assert report["threshold_ok"]
 
+    @pytest.mark.parametrize("key", [(64, 8, 0.5), (128, 8, 0.3), (1000, 4, 0.7),
+                                     (256, 2, 0.9), (100, 3, 0.0)])
+    def test_fair_coin_ratio_is_the_table_error_at_zero(self, kernels, key):
+        # gamma * lam is an integer, so N = gamma * lam and E_norm = I_0: the
+        # ratio's distance from 1 is the table's error at s = 0, measured 2.0e-15
+        report = build_report(kernels(*key), constants=calibrate_constants(kernels(*key)))
+        assert report["N"] == key[0] * key[1]
+        assert abs(report["E_norm"] / report["vol_norm"] - 1.0) <= 1e-14
+
     def test_fully_biased_point_loses_equidistribution(self, kernels):
         report = build_report(kernels(256, 8, 0.5, p=1.0),
                               constants=calibrate_constants(kernels(64, 8, 0.5)))

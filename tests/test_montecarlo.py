@@ -595,10 +595,10 @@ class TestMcMoments:
         summary = mc_moments(kernel, 120, 2026)
         assert summary == {
             "mc_samples": 120, "mc_seed": 2026,
-            "mc_mean": float.fromhex("0x1.08907b64ffe8ep+4"),
-            "mc_var": float.fromhex("0x1.0d0e882ae82b3p+4"),
-            "mc_se_mean": float.fromhex("0x1.7f54239dbf425p-2"),
-            "mc_se_var": float.fromhex("0x1.15e7cd12f3d63p+1")}
+            "mc_mean": float.fromhex("0x1.08907b64fff46p+4"),
+            "mc_var": float.fromhex("0x1.0d0e882ae82a2p+4"),
+            "mc_se_mean": float.fromhex("0x1.7f54239dbf419p-2"),
+            "mc_se_var": float.fromhex("0x1.15e7cd12f3d58p+1")}
         masses = [mass_quadratic_form(kernel, sample_coefficients(kernel.params, 2026, i))
                   for i in range(120)]
         assert summary["mc_mean"] == pytest.approx(np.mean(masses), rel=1e-13)

@@ -159,26 +159,50 @@ class TestProfileTable:
         assert values.shape == s.shape
         assert peak < s.nbytes + 37 * oscint._BLOCK_NODES
 
-    def test_sum_is_chebval_bit_for_bit(self):
+    def test_sum_is_chebval_bit_for_bit(self, monkeypatch):
         # numpy's chebval is the oracle: the same Clenshaw operations in the
-        # same order, so every table value must carry the same bits
-        rng = np.random.default_rng(37)
-        edges = TABLE_PANEL_WIDTH * np.arange(TABLE_PANELS + 1)
-        s = np.concatenate([rng.uniform(0.0, 1.05 * S_CUT, 20_000), edges,
-                            np.nextafter(edges, -np.inf)[1:], [S_CUT, np.inf]])
-        s = np.concatenate([s, -s])
-        clipped = np.minimum(np.abs(s), S_CUT)
-        index = np.floor(clipped / TABLE_PANEL_WIDTH).astype(int)
-        assert set(index) == set(range(TABLE_PANELS + 1))
-        expected = np.empty_like(s)
-        for k in range(TABLE_PANELS + 1):
-            x = clipped[index == k] / (0.5 * TABLE_PANEL_WIDTH) - (2 * k + 1)
-            expected[index == k] = chebval(x, oscint._TABLE[k])
-        assert profile_table(s).tobytes() == expected.tobytes()
+        # same order, so every table value must carry the same bits, whether
+        # all pieces share one sub-block of _BLOCK_NODES // 16 arguments, the
+        # walk crosses sub-block edges, or each argument is a sub-block (7 // 16
+        # is 0, so one); the tail, S_CUT and infinity included, is +0.0
+        for block, draws in ((oscint._BLOCK_NODES, 5_000), (oscint._BLOCK_NODES, 20_000),
+                             (7, 500)):
+            monkeypatch.setattr(oscint, "_BLOCK_NODES", block)
+            rng = np.random.default_rng(37)
+            edges = TABLE_PANEL_WIDTH * np.arange(TABLE_PANELS + 1)
+            s = np.concatenate([rng.uniform(0.0, 1.05 * S_CUT, draws), edges,
+                                np.nextafter(edges, -np.inf)[1:], [S_CUT, np.inf]])
+            s = rng.permutation(np.concatenate([s, -s]))
+            assert (s.size <= block // 16) == (draws == 5_000)
+            clipped = np.minimum(np.abs(s), S_CUT)
+            index = np.floor(clipped / TABLE_PANEL_WIDTH).astype(int)
+            assert set(index) == set(range(TABLE_PANELS + 1))
+            expected = np.zeros_like(s)  # +0.0 on the tail
+            for k in range(TABLE_PANELS):
+                x = clipped[index == k] / (0.5 * TABLE_PANEL_WIDTH) - (2 * k + 1)
+                expected[index == k] = chebval(x, oscint._TABLE[k])
+            assert profile_table(s).tobytes() == expected.tobytes()
+
+    def test_clenshaw_sums_each_run_with_its_own_piece(self):
+        # runs of 40, 0 and 61 arguments: the empty run takes no argument
+        rng = np.random.default_rng(38)
+        coef = rng.normal(size=(3, 4))
         x = rng.uniform(-1.0, 1.0, 101)
-        for coeffs in ([0.75], [0.75, -1.25], [0.0], [0.5, 0.25, -2.0]):
-            coeffs = np.array(coeffs)
-            assert _clenshaw(x, coeffs).tobytes() == chebval(x, coeffs).tobytes()
+        expected = np.concatenate([chebval(x[:40], coef[0]), chebval(x[40:], coef[2])])
+        assert _clenshaw(x, coef, [40, 0, 61]).tobytes() == expected.tobytes()
+
+    def test_every_piece_matches_order_20_quadrature(self):
+        # five s per panel, its left edge and the double below its right edge
+        # included, against the direct rule sized as _table_panel sizes it
+        worst = 0.0
+        for k in range(TABLE_PANELS):
+            s = TABLE_PANEL_WIDTH * (k + np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+            s[-1] = np.nextafter(s[-1], 0.0)
+            npanels = oscint._panel_count(TABLE_PANEL_WIDTH * (k + 1))
+            direct = oscint._rule_integrals(s, npanels, 20)
+            worst = max(worst, float(np.max(np.abs(profile_table(s) - direct))))
+        assert worst <= 5e-15 * profile_scale()
+        assert oscint.TABLE_MAX_DRIFT <= 5e-15
 
     def test_committed_table_regenerates_byte_for_byte(self):
         committed = Path(oscint.__file__).with_name("_wtable.py").read_text()
@@ -465,6 +489,18 @@ class TestKernel:
         [row] = run_sweep(parse_config(doc)).rows
         assert row["error"].startswith("RuntimeError: kernel spectrum")
         assert "positive-semidefinite floor" in row["error"]
+
+    @pytest.mark.parametrize("key", [
+        # N 131072 to 10**6 near alpha 1, where a row error of eps * W(0)
+        # moves an eigenvalue by up to N * eps * I_0; smallest eigenvalue / I_0
+        # measured -4.11e-11, -5.17e-11, -6.86e-11, -2.99e-11 and -1.02e-11,
+        # so each clears the floor -PSD_TOL * I_0 tenfold
+        (20000, 32, 0.97), (31250, 32, 0.95), (62500, 16, 0.98), (20000, 32, 0.93),
+        (16384, 8, 0.99)])
+    def test_large_kernels_clear_the_psd_floor(self, key):
+        kernel = build_kernel(build_params(*key, 0.5))
+        assert kernel.size in (640_000, 1_000_000, 131_072)
+        assert np.min(kernel.spectrum) >= -1e-10 * kernel.diagonal
 
     def test_table_drift_check_names_s(self, monkeypatch):
         monkeypatch.setattr(oscint, "PAIR_REL_TOL", 0.0)
